@@ -38,7 +38,7 @@ from .axioms import (
     t_fraction_by_definition,
     t_half_by_definition,
 )
-from .enumeration import canonical_pair_indices, gts_on
+from .enumeration import canonical_pair_indices, check_size, gts_on
 from .fixtures import FIXTURES, Assertion, Fixture, get_fixture
 from .gbt import GbtSpace
 from .gt import is_gt_T0, is_gt_T1, validate_gt
@@ -962,9 +962,10 @@ def run_claims(
     then spot-checked on ``n4_samples`` random labeled four-point spaces
     (deterministic in ``seed``).  Fixture claims are evaluated pointwise.
     """
-    started = {claim_id: time.perf_counter() for claim_id in _UNIVERSAL_CHECKERS}
+    check_size(n_scope)
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
+    elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
 
     def sweep(spaces):
         for space in spaces:
@@ -972,7 +973,9 @@ def run_claims(
             for claim_id, checker in _UNIVERSAL_CHECKERS.items():
                 if claim_id in violations:
                     continue
+                start = time.perf_counter()
                 result = checker(ctx)
+                elapsed[claim_id] += time.perf_counter() - start
                 checked[claim_id] += 1
                 if result is not None:
                     violations[claim_id] = result
@@ -983,13 +986,9 @@ def run_claims(
 
     reports = []
     for claim_id in _UNIVERSAL_CHECKERS:
-        elapsed = time.perf_counter() - started[claim_id]
-        if claim_id in violations:
-            reports.append(
-                ClaimReport(claim_id, STATUS_REFUTED, violations[claim_id], checked[claim_id], elapsed)
-            )
-        else:
-            reports.append(ClaimReport(claim_id, STATUS_VERIFIED, None, checked[claim_id], elapsed))
+        witness = violations.get(claim_id)
+        status = STATUS_VERIFIED if witness is None else STATUS_REFUTED
+        reports.append(ClaimReport(claim_id, status, witness, checked[claim_id], elapsed[claim_id]))
 
     for claim_id, checker in _ONCE_CHECKERS.items():
         start = time.perf_counter()

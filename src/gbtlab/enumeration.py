@@ -32,6 +32,16 @@ def check_symmetry(symmetry: str) -> str:
     return symmetry
 
 
+def check_size(n: int) -> int:
+    """Refuse a sweep over all pairs on more than four points before it starts."""
+    if n > 4:
+        raise ValueError(
+            f"n = {n} is out of reach: there are 1,385,552 generalized topologies "
+            "on 5 points alone (OEIS A102896), so a sweep over their pairs cannot finish"
+        )
+    return n
+
+
 def family_encoding(masks) -> int:
     """Integer encoding of a family of open masks (∅ contributes nothing)."""
     enc = 0

@@ -2,18 +2,22 @@
 
 Each fixture is a space plus a list of assertions: the verdict an
 authoritative worked example states for a predicate on that space.  The
-claims runner recomputes every verdict with the engine and reports any
-disagreement as a fixture mismatch rather than silently trusting either
-side.  Fixture e14 is expected to mismatch on two of its g-closedness
-assertions; the recorded expectation file pins that down.
+spaces are the shipped space files ``fixtures/<id>.json``; the
+assertions live here.  The claims runner recomputes every verdict with
+the engine and reports any disagreement as a fixture mismatch rather
+than silently trusting either side.  Fixture e14 is expected to mismatch
+on two of its g-closedness assertions; the recorded expectation file
+pins that down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
-from .gbt import GbtSpace, make_space
+from .gbt import GbtSpace
+from .spacefile import parse_space_file
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,6 @@ def _a(predicate: str, expected: object, **args) -> Assertion:
 @dataclass(frozen=True)
 class Fixture:
     id: str
-    points: tuple[str, ...]
-    mu1: tuple[tuple[str, ...], ...]
-    mu2: tuple[tuple[str, ...], ...]
     assertions: tuple[Assertion, ...]
 
     def space(self) -> GbtSpace:
@@ -50,16 +51,14 @@ class Fixture:
 
 @lru_cache(maxsize=None)
 def _fixture_space(fixture_id: str) -> GbtSpace:
-    fixture = get_fixture(fixture_id)
-    return make_space(fixture.points, fixture.mu1, fixture.mu2)
+    text = resources.files("gbtlab").joinpath(f"fixtures/{fixture_id}.json").read_text(encoding="utf-8")
+    space, _ = parse_space_file(text)
+    return space
 
 
 FIXTURES: tuple[Fixture, ...] = (
     Fixture(
         "e11",
-        ("a", "b", "c"),
-        (("c",), ("a", "c")),
-        (("b",), ("a", "b")),
         (
             _a("g-closed-wrt", True, side=1, set=("a",)),
             _a("mu-closed", False, side=1, set=("a",)),
@@ -71,9 +70,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e13",
-        ("a", "b", "c"),
-        (("a",), ("a", "b")),
-        (("b",), ("b", "c")),
         (
             _a("closure-equals", ("b", "c"), side=1, set=("b",)),
             _a("gap-has-no-closed", True, side=1, set=("b",)),
@@ -82,9 +78,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e14",
-        ("a", "b", "c", "d"),
-        (("a", "d"), ("c", "d"), ("a", "c", "d")),
-        (("d",), ("a", "c", "d")),
         (
             _a("g-closed-wrt", True, side=1, set=("a", "d")),
             _a("g-closed-wrt", True, side=1, set=("c", "d")),
@@ -94,9 +87,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e17",
-        ("a", "b", "c"),
-        (("a",),),
-        (("b",),),
         (
             _a("T0", True),
             _a("T1", False),
@@ -110,9 +100,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e22",
-        ("a", "b", "c"),
-        (("b", "c"), ("c", "a"), ("a", "b", "c")),
-        (("a", "b"),),
         (
             _a("singletons-closed-somewhere", True),
             _a("T1", False),
@@ -120,9 +107,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e25",
-        ("a", "b"),
-        (("a",),),
-        (("b",),),
         (
             _a("T1", True),
             _a("gt-T1", False, side=1),
@@ -131,9 +115,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e26",
-        ("a", "b", "c"),
-        (("a", "b"), ("b", "c"), ("c", "a"), ("a", "b", "c")),
-        (("a", "b"),),
         (
             _a("gt-T1", True, side=1),
             _a("T1", False),
@@ -141,9 +122,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e31",
-        ("a", "b", "c", "d"),
-        (("a",), ("b",), ("a", "b")),
-        (("a", "b", "c", "d"), ("a", "b", "d"), ("a", "b", "c")),
         (
             _a("singletons-open-or-closed", True, open_side=1, closed_side=2),
             _a("g-closed-wrt", True, side=2, set=("b", "c", "d")),
@@ -153,9 +131,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e35",
-        ("a", "b", "c"),
-        (("a",), ("c",), ("a", "c")),
-        (("b",), ("a", "b")),
         (
             _a("singletons-four-kind", True),
             _a("g-closed-wrt", True, side=2, set=("b",)),
@@ -170,23 +145,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e36",
-        ("a", "b", "c", "d"),
-        (
-            ("a", "b", "c", "d"),
-            ("a",),
-            ("b",),
-            ("a", "b"),
-            ("a", "c", "d"),
-            ("a", "b", "d"),
-        ),
-        (
-            ("a", "b", "c", "d"),
-            ("a",),
-            ("d",),
-            ("a", "d"),
-            ("a", "b", "c"),
-            ("a", "b", "d"),
-        ),
         (
             _a("T1_2", True),
             _a("T1", False),
@@ -194,9 +152,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e39",
-        ("a", "b", "c"),
-        (("a",),),
-        (("a", "b"),),
         (
             _a("lambda-closed-wrt", True, side=1, set=("b",)),
             _a("wedge-set", False, side=2, set=("b",)),
@@ -205,9 +160,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e43a",
-        ("a", "b", "c", "d"),
-        (("a",), ("a", "d")),
-        (("b",), ("b", "d")),
         (
             _a("g-closed-wrt", True, side=1, set=("c",)),
             _a("lambda-closed-wrt", False, side=1, set=("c",)),
@@ -217,9 +169,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e43b",
-        ("a", "b", "c", "d"),
-        (("a",), ("a", "d")),
-        (("a", "b"), ("c",), ("a", "b", "c")),
         (
             _a("lambda-closed-wrt", True, side=2, set=("a",)),
             _a("g-closed-wrt", False, side=2, set=("a",)),
@@ -229,9 +178,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e46a",
-        ("a", "b", "c", "d"),
-        (("a", "d"), ("b", "d"), ("a", "b", "d")),
-        (("a", "b", "c"),),
         (
             _a("lambda-closed-wrt", False, side=1, set=("a",)),
             _a("lambda-closed-wrt", False, side=2, set=("a",)),
@@ -240,9 +186,6 @@ FIXTURES: tuple[Fixture, ...] = (
     ),
     Fixture(
         "e46b",
-        ("a", "b", "c", "d"),
-        (("a",), ("a", "c", "d")),
-        (("a", "b", "c"),),
         (
             _a("lambda-closed-wrt", True, side=2, set=("a",)),
             _a("lambda-closed-wrt", True, side=2, set=("d",)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import AXIOM_NAMES, axiom_profile
-from .enumeration import canonical_key, canonical_pair_indices, gts_on
+from .enumeration import canonical_key, canonical_pair_indices, check_size, gts_on
 from .gbt import GbtSpace
 
 
@@ -53,6 +53,7 @@ class LatticeReport:
 
 def implication_lattice(n: int) -> LatticeReport:
     """Partition all ordered axiom pairs into verified and refuted implications."""
+    check_size(n)
     profiles: list[tuple[dict[str, bool], str]] = []
     for level in range(1, n + 1):
         gts = gts_on(level)

@@ -13,22 +13,32 @@ verified-exhausted result whose checked-space count documents the proof.
 Work is split into fixed-size blocks of first-coordinate indices.  Block
 boundaries depend only on the size level, never on the worker count, and
 block results are consumed strictly in block order, so the witness
-stream is identical no matter how many workers ran the scan.  Blocks
-also delimit the append-only log used for resuming: a witness record is
-a self-contained ``{"key","space","profile"}`` object, and a block-done
-control record marks everything before it as durable.
+stream is identical no matter how many workers ran the scan.
+
+``mine`` and ``census`` share one append-only NDJSON block log.  Its
+first line is ``{"header": ..., "log": "mine" | "census"}``; then come
+self-contained ``{"key","space","profile"}`` records (mining witnesses,
+or every canonical space of a census), each block closed by a flushed
+``{"block": [n, index], "checked": c}`` line, and a finished mining run
+ends with ``{"end": true, ...}``.  Resuming reads the log one line at a
+time: finished blocks are skipped and every logged record counts,
+including those of a block a crash left unfinished.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .axioms import AxiomProfile, axiom_profile, evaluate_axiom, normalize_axiom_name
+from .axioms import AxiomProfile, InternalDisagreementError, axiom_profile, evaluate_axiom, normalize_axiom_name
 from .enumeration import (
     canonical_key,
     canonical_pair_indices,
+    check_size,
     check_symmetry,
     family_from_encoding,
     gts_on,
@@ -57,8 +67,9 @@ class MiningQuery:
         )
         object.__setattr__(self, "consequent", normalize_axiom_name(self.consequent))
         check_symmetry(self.symmetry)
-        if not 1 <= self.n_min <= self.n_max <= 16:
+        if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"bad size range [{self.n_min}, {self.n_max}]")
+        check_size(self.n_max)
         if self.limit < 1:
             raise ValueError("limit must be positive")
 
@@ -117,16 +128,8 @@ def _query_matches(query: MiningQuery, t1: GeneralizedTopology, t2: GeneralizedT
     )
 
 
-def _scan_block(n: int, lo: int, hi: int, query_data: dict) -> tuple[list[tuple[int, int]], int]:
+def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tuple[int, int]], int]:
     """Scan first-coordinate indices [lo, hi); returns hit index pairs and pair count."""
-    query = MiningQuery(
-        tuple(query_data["antecedents"]),
-        query_data["consequent"],
-        query_data["n_min"],
-        query_data["n_max"],
-        query_data["symmetry"],
-        query_data["limit"],
-    )
     gts = gts_on(n)
     unordered = query.symmetry == "perm+swap"
     hits: list[tuple[int, int]] = []
@@ -165,7 +168,7 @@ def _verify_witness(query: MiningQuery, key: bytes) -> Witness:
     profile = axiom_profile(space, cross_validate=True)
     verdicts = profile.as_dict()
     if not all(verdicts[a] for a in query.antecedents) or verdicts[query.consequent]:
-        raise AssertionError(f"mined witness fails re-verification: {space!r}")
+        raise InternalDisagreementError(f"mined witness fails re-verification: {space!r}")
     return Witness(space, profile, key)
 
 
@@ -173,28 +176,54 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _read_log(path, expected_header: dict) -> tuple[set[tuple[int, int]], list[bytes], dict[int, int], bool]:
-    """Completed blocks, witness keys in order, per-n counts, end flag."""
-    done: set[tuple[int, int]] = set()
-    keys: list[bytes] = []
-    checked: dict[int, int] = {}
-    ended = False
+def _replay(path, header: dict, done: dict[tuple[int, int], int]):
+    """Yield the records of the block log at ``path``, one line at a time.
+
+    The first line must carry ``header``.  Block lines are not yielded:
+    each is entered in ``done`` as (n, index) -> spaces checked.
+    """
     with open(path, encoding="utf-8") as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    if not lines or "header" not in lines[0]:
-        raise ValueError(f"{path}: not a mining log (missing header)")
-    if lines[0]["header"] != expected_header["header"]:
-        raise ValueError(f"{path}: log was written for a different query")
-    for record in lines[1:]:
-        if "key" in record:
-            keys.append(bytes.fromhex(record["key"]))
-        elif "block" in record:
-            n, index = record["block"]
-            done.add((n, index))
-            checked[n] = checked.get(n, 0) + record["checked"]
-        elif record.get("end"):
-            ended = True
-    return done, keys, checked, ended
+        records = (json.loads(line) for line in handle if line.strip())
+        first = next(records, None)
+        if not isinstance(first, dict) or first.get("header") != header["header"]:
+            raise ValueError(f"{path}: log was written for a different {header['log']} run")
+        for record in records:
+            if "block" in record:
+                n, index = record["block"]
+                done[n, index] = done.get((n, index), 0) + record["checked"]
+            else:
+                yield record
+
+
+class _LogWriter:
+    """Appends records and block lines to an open block log."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+
+    def record(self, record: dict) -> None:
+        self._handle.write(_dump(record))
+
+    def block(self, n: int, index: int, checked: int) -> None:
+        """Close a block; flushed, because it makes every record before it durable."""
+        self.record({"block": [n, index], "checked": checked})
+        self._handle.flush()
+
+
+@contextmanager
+def _appending(path, header: dict, fresh: bool):
+    """A writer for the block log at ``path``, or None when there is no path.
+
+    A ``fresh`` log (one with no finished block) starts with ``header``.
+    """
+    if path is None:
+        yield None
+        return
+    with open(path, "a", encoding="utf-8") as handle:
+        writer = _LogWriter(handle)
+        if fresh:
+            writer.record(header)
+        yield writer
 
 
 def mine(
@@ -205,33 +234,35 @@ def mine(
 ) -> MiningResult:
     """Run a query over every pair of topologies in the size range."""
     header = {"header": query.as_dict(), "log": "mine"}
-    done_blocks: set[tuple[int, int]] = set()
+    done_blocks: dict[tuple[int, int], int] = {}
     witnesses: list[Witness] = []
     seen_keys: set[bytes] = set()
-    checked_by_n: dict[int, int] = {}
-
+    ended = False
     if resume_path is not None:
-        done_blocks, keys, checked_by_n, ended = _read_log(resume_path, header)
-        for key in keys:
-            if key not in seen_keys:
-                seen_keys.add(key)
-                witnesses.append(_verify_witness(query, key))
-        if ended or len(witnesses) >= query.limit:
-            total = sum(checked_by_n.values())
-            return MiningResult(query, witnesses, ended, total, checked_by_n)
+        for record in _replay(resume_path, header, done_blocks):
+            if "key" in record:
+                key = bytes.fromhex(record["key"])
+                if key not in seen_keys:
+                    seen_keys.add(key)
+                    witnesses.append(_verify_witness(query, key))
+            elif record.get("end"):
+                ended = True
+    checked_by_n: dict[int, int] = {}
+    for (n, _), checked in done_blocks.items():
+        checked_by_n[n] = checked_by_n.get(n, 0) + checked
+    if ended or len(witnesses) >= query.limit:
+        return MiningResult(query, witnesses, ended, sum(checked_by_n.values()), checked_by_n)
 
-    log_handle = open(log_path, "a", encoding="utf-8") if log_path is not None else None
-    try:
-        if log_handle is not None and not done_blocks:
-            log_handle.write(_dump(header))
+    tasks = [
+        (n, index, lo, hi)
+        for n in range(query.n_min, query.n_max + 1)
+        for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
+        if (n, index) not in done_blocks
+    ]
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    stopped = False
 
-        tasks = [
-            (n, index, lo, hi)
-            for n in range(query.n_min, query.n_max + 1)
-            for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
-            if (n, index) not in done_blocks
-        ]
-        stopped = False
+    with _appending(log_path, header, fresh=not done_blocks) as log:
 
         def consume(task, hits, checked):
             nonlocal stopped
@@ -248,44 +279,35 @@ def mine(
                 seen_keys.add(key)
                 witness = _verify_witness(query, key)
                 witnesses.append(witness)
-                if log_handle is not None:
-                    log_handle.write(_dump(witness.as_dict()))
+                if log is not None:
+                    log.record(witness.as_dict())
                 if len(witnesses) >= query.limit:
                     stopped = True
             # a block interrupted by the witness limit is not durable: a
             # resume must rescan it for the hits that were never consumed
-            if log_handle is not None and not stopped:
-                log_handle.write(_dump({"block": [n, index], "checked": checked}))
-                log_handle.flush()
+            if log is not None and not stopped:
+                log.block(n, index, checked)
 
         if workers <= 1:
             for task in tasks:
                 n, _, lo, hi = task
-                hits, checked = _scan_block(n, lo, hi, query.as_dict())
-                consume(task, hits, checked)
+                consume(task, *_scan_block(n, lo, hi, query))
                 if stopped:
                     break
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_scan_block, task[0], task[2], task[3], query.as_dict())
-                    for task in tasks
-                ]
+                futures = [pool.submit(_scan_block, task[0], task[2], task[3], query) for task in tasks]
                 for task, future in zip(tasks, futures):
                     if stopped:
                         future.cancel()
                         continue
-                    hits, checked = future.result()
-                    consume(task, hits, checked)
+                    consume(task, *future.result())
 
         complete = not stopped
-        if log_handle is not None and complete:
-            log_handle.write(
-                _dump({"end": True, "exhausted": not witnesses, "spaces_checked": sum(checked_by_n.values())})
+        if log is not None and complete:
+            log.record(
+                {"end": True, "exhausted": not witnesses, "spaces_checked": sum(checked_by_n.values())}
             )
-    finally:
-        if log_handle is not None:
-            log_handle.close()
 
     return MiningResult(query, witnesses, complete, sum(checked_by_n.values()), checked_by_n)
 
@@ -320,16 +342,17 @@ def census(
     max_open_sets: int | None = None,
     log_path=None,
     resume_path=None,
-    check_orbits: bool | None = None,
 ) -> CensusRow:
     """Count topologies, pairs, canonical classes and axiom classes at size n.
 
     ``max_open_sets`` bounds the number of nonempty opens per family for
     constrained sweeps at sizes where the full pair space is large; the
     bound is recorded on the row so a partial census is never mistaken
-    for a total one.
+    for a total one.  For n <= 3 the row also carries the
+    orbit-stabilizer check of the canonical pair count.
     """
     check_symmetry(symmetry)
+    check_size(n)
     gts = gts_on(n)
 
     def admitted(index: int) -> bool:
@@ -337,66 +360,40 @@ def census(
 
     admitted_count = sum(1 for i in range(len(gts)) if admitted(i))
     pairs = [(i, j) for i, j in canonical_pair_indices(n, symmetry) if admitted(i) and admitted(j)]
-    blocks = _blocks(len(pairs))
     header = {
         "header": {"n": n, "symmetry": symmetry, "max_open_sets": max_open_sets},
         "log": "census",
     }
 
-    done_blocks: set[tuple[int, int]] = set()
-    logged_profiles: list[dict] = []
+    done_blocks: dict[tuple[int, int], int] = {}
+    axiom_counts: Counter[str] = Counter()
     if resume_path is not None:
-        with open(resume_path, encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
-        if not lines or lines[0].get("header") != header["header"]:
-            raise ValueError(f"{resume_path}: log was written for a different census")
-        for record in lines[1:]:
+        for record in _replay(resume_path, header, done_blocks):
             if "key" in record:
-                logged_profiles.append(record["profile"])
-            elif "block" in record:
-                done_blocks.add((record["block"][0], record["block"][1]))
+                axiom_counts.update(name for name, value in record["profile"].items() if value)
 
-    axiom_counts: dict[str, int] = {}
-    for profile in logged_profiles:
-        for name, value in profile.items():
-            if value:
-                axiom_counts[name] = axiom_counts.get(name, 0) + 1
-
-    log_handle = open(log_path, "a", encoding="utf-8") if log_path is not None else None
-    try:
-        if log_handle is not None and not done_blocks:
-            log_handle.write(_dump(header))
-        g = gts[0].ground if gts else None
-        for index, (lo, hi) in enumerate(blocks):
+    with _appending(log_path, header, fresh=not done_blocks) as log:
+        g = gts[0].ground
+        for index, (lo, hi) in enumerate(_blocks(len(pairs))):
             if (n, index) in done_blocks:
                 continue
             for i, j in pairs[lo:hi]:
                 space = GbtSpace(g, gts[i], gts[j])
-                profile = axiom_profile(space)
-                for name, value in profile.as_dict().items():
-                    if value:
-                        axiom_counts[name] = axiom_counts.get(name, 0) + 1
-                if log_handle is not None:
-                    log_handle.write(
-                        _dump(
-                            {
-                                "key": canonical_key(space, symmetry).hex(),
-                                "space": space_to_data(space),
-                                "profile": profile.as_dict(),
-                            }
-                        )
+                profile = axiom_profile(space).as_dict()
+                axiom_counts.update(name for name, value in profile.items() if value)
+                if log is not None:
+                    log.record(
+                        {
+                            "key": canonical_key(space, symmetry).hex(),
+                            "space": space_to_data(space),
+                            "profile": profile,
+                        }
                     )
-            if log_handle is not None:
-                log_handle.write(_dump({"block": [n, index], "checked": hi - lo}))
-                log_handle.flush()
-    finally:
-        if log_handle is not None:
-            log_handle.close()
+            if log is not None:
+                log.block(n, index, hi - lo)
 
-    if check_orbits is None:
-        check_orbits = n <= 3
     orbit_ok = None
-    if check_orbits:
+    if n <= 3:
         total = sum(pair_orbit_size(n, i, j, symmetry) for i, j in pairs)
         orbit_ok = total == admitted_count * admitted_count
 
@@ -406,7 +403,7 @@ def census(
         labeled_gt_count=admitted_count,
         labeled_pair_count=admitted_count * admitted_count,
         canonical_pair_count=len(pairs),
-        axiom_counts={k: axiom_counts.get(k, 0) for k in sorted(axiom_counts)},
+        axiom_counts=dict(sorted(axiom_counts.items())),
         constraint=None if max_open_sets is None else f"open-sets<={max_open_sets}",
         orbit_check=orbit_ok,
     )
@@ -429,6 +426,7 @@ class SetWitness:
 
 
 def _iter_canonical_spaces(n_min: int, n_max: int):
+    check_size(n_max)
     for n in range(n_min, n_max + 1):
         gts = gts_on(n)
         g = gts[0].ground

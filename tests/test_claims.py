@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from gbtlab.claims import (
@@ -72,6 +74,17 @@ def test_statuses_match_committed_expectations(reports):
     assert ok, deviations
     expected = expected_statuses()
     assert set(expected) == EXPECTED_IDS
+
+
+def test_universal_claims_are_timed_one_by_one():
+    start = time.perf_counter()
+    reports = run_claims(n_scope=2, n4_samples=50)
+    wall = time.perf_counter() - start
+    swept = {record.id for record in REGISTRY if record.scope == "enumeration"}
+    universal = [r.elapsed for r in reports if r.id in swept]
+    assert len(universal) == len(swept) == 42
+    assert len(set(universal)) > 1
+    assert 0 < sum(universal) < wall
 
 
 def test_known_refutations_carry_witnesses(reports):

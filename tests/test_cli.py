@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+import pytest
+
 from gbtlab.cli import main
+from gbtlab.mining import MiningQuery
 
 
 def _fixture_path(name: str) -> str:
@@ -192,3 +195,44 @@ def test_claims_unknown_fixture_and_claim(capsys):
 def test_check_missing_argument(capsys):
     code, _, err = _run(capsys, "check", _fixture_path("e11"), "g-closed-wrt", "--side", "1")
     assert code == 1 and "--set" in err
+
+
+def test_resume_with_a_witness_that_fails_reverification_exits_3(tmp_path, capsys):
+    query = MiningQuery(("T1",), "R0", n_max=3, limit=4)
+    records = [
+        {"header": query.as_dict(), "log": "mine"},
+        # the one-point space with two indiscrete topologies: R0 holds there
+        {"key": "010000", "space": {"points": ["a"], "mu1": [], "mu2": []}, "profile": {}},
+        {"block": [1, 0], "checked": 1},
+    ]
+    log = tmp_path / "forged.ndjson"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, _, err = _run(
+        capsys, "mine", "--require", "T1", "--forbid", "R0", "--n", "3", "--limit", "4", "--resume", str(log)
+    )
+    assert code == 3
+    assert "fails re-verification" in err and "Traceback" not in err
+
+
+def test_census_resume_refuses_a_log_of_another_census(tmp_path, capsys):
+    log = tmp_path / "census.ndjson"
+    assert _run(capsys, "census", "--n", "2", "--log", str(log))[0] == 0
+    code, out, err = _run(capsys, "census", "--n", "3", "--resume", str(log))
+    assert code == 1 and out == ""
+    assert "different census" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mine", "--require", "T1_4", "--forbid", "T3_8", "--n", "5"),
+        ("mine", "--special", "note50-converse", "--n", "5"),
+        ("census", "--n", "5"),
+        ("lattice", "--n", "5"),
+        ("claims", "--n", "5"),
+    ],
+)
+def test_sweeps_beyond_four_points_are_refused(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "1,385,552" in err

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from concurrent.futures import Future
 
 import pytest
 
+from gbtlab import mining
 from gbtlab.axioms import UnknownAxiomError
 from gbtlab.mining import (
     MiningQuery,
@@ -147,3 +150,92 @@ def test_census_log_resume(tmp_path):
     partial.write_text("\n".join(lines[:cut_index]) + "\n")
     resumed = census(2, resume_path=partial)
     assert resumed.axiom_counts == row.axiom_counts
+
+
+# block log ---------------------------------------------------------------
+
+# the log format is what a resume reads back, so its bytes must not drift
+CENSUS_N3_LOG_SHA256 = "6d7681a0673eb0f0dd9dd78296ba60ffd933a3137378fd1fdb4c115392defa54"
+MINE_T1_R0_LOG_SHA256 = "eb5e3be2f44de0318db40a2287246c4a6396e010383b396d044ec5eec73b6527"
+
+
+def _boundary_cuts(path):
+    """Prefixes of a log ending right after its header or after a block line."""
+    lines = path.read_text().splitlines(keepends=True)
+    ends = [1] + [k + 1 for k, line in enumerate(lines) if "block" in json.loads(line)]
+    return ["".join(lines[:end]) for end in ends]
+
+
+def test_log_bytes_are_pinned(tmp_path):
+    census_log = tmp_path / "census.ndjson"
+    census(3, log_path=census_log)
+    assert hashlib.sha256(census_log.read_bytes()).hexdigest() == CENSUS_N3_LOG_SHA256
+    mine_log = tmp_path / "mine.ndjson"
+    mine(MiningQuery(("T1",), "R0", n_max=3, limit=4), log_path=mine_log)
+    assert hashlib.sha256(mine_log.read_bytes()).hexdigest() == MINE_T1_R0_LOG_SHA256
+
+
+def test_census_resumes_from_every_block_boundary(tmp_path):
+    full = tmp_path / "full.ndjson"
+    row = census(3, log_path=full)
+    cuts = _boundary_cuts(full)
+    assert len(cuts) == 32  # the header and 31 blocks of 24 spaces or fewer
+    cut = tmp_path / "cut.ndjson"
+    for k, text in enumerate(cuts):
+        cut.write_text(text)
+        assert census(3, resume_path=cut) == row, k
+    # resuming in place appends exactly what the interrupted run never wrote
+    cut.write_text(cuts[5])
+    assert census(3, log_path=cut, resume_path=cut) == row
+    assert cut.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        MiningQuery(("T1",), "R0", n_max=3, limit=4),  # stopped by the witness limit
+        MiningQuery(("R0",), "T0", n_max=3, limit=100),  # complete sweep, 11 witnesses
+    ],
+)
+def test_mine_resumes_from_every_block_boundary(tmp_path, query):
+    full = tmp_path / "full.ndjson"
+    run = mine(query, log_path=full)
+    cuts = _boundary_cuts(full)
+    cut = tmp_path / "cut.ndjson"
+    for k, text in enumerate(cuts):
+        cut.write_text(text)
+        resumed = mine(query, resume_path=cut)
+        assert [w.as_dict() for w in resumed.witnesses] == [w.as_dict() for w in run.witnesses], k
+        assert (resumed.complete, resumed.spaces_checked) == (run.complete, run.spaces_checked), k
+        assert resumed.checked_by_n == run.checked_by_n, k
+    cut.write_text(cuts[2])
+    mine(query, log_path=cut, resume_path=cut)
+    assert cut.read_bytes() == full.read_bytes()
+
+
+def test_workers_are_clamped_before_the_pool_starts(monkeypatch):
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(mining, "ProcessPoolExecutor", InlineExecutor)
+    query = MiningQuery(("T0",), "T1_2", n_max=2, limit=50)  # 2 + 7 blocks
+    serial = mine(query)
+    monkeypatch.setattr(mining.os, "cpu_count", lambda: 4)
+    assert mine(query, workers=1000).as_dict() == serial.as_dict()
+    monkeypatch.setattr(mining.os, "cpu_count", lambda: 64)
+    assert mine(query, workers=1000).as_dict() == serial.as_dict()
+    assert started == [4, 9]

@@ -83,12 +83,3 @@ def test_write_reorders_canonically():
     data = space_to_data(space)
     assert data["mu1"] == [["c"], ["a", "c"]]
 
-
-def test_shipped_corpus_matches_registry_transcription():
-    for fixture in FIXTURES:
-        text = resources.files("gbtlab").joinpath(f"fixtures/{fixture.id}.json").read_text()
-        space, _ = parse_space_file(text)
-        expected = fixture.space()
-        assert space.ground.names == expected.ground.names
-        assert space.mu1.open_masks == expected.mu1.open_masks
-        assert space.mu2.open_masks == expected.mu2.open_masks
