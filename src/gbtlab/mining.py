@@ -3,12 +3,21 @@
 A mining query asks for spaces on which a set of axioms holds while one
 further axiom fails.  The sweep covers every labeled pair of topologies
 in the requested size range; under the perm+swap symmetry only unordered
-index pairs are scanned, which is sound because all nine deciders are
-swap-invariant (a property the test suite verifies).  Witnesses are
-reported in canonical form and deduplicated by canonical key, and every
-witness is re-verified with the cross-validated profile before it is
-returned.  A query that completes its sweep without any hit yields a
-verified-exhausted result whose checked-space count documents the proof.
+index pairs are scanned, which is sound because all nine axioms are
+swap-invariant (a property the test suite verifies for the deciders and
+the pair kernels).  Witnesses are reported in canonical form and
+deduplicated by canonical key, and every witness is re-verified with the
+cross-validated profile before it is returned.  A query that completes
+its sweep without any hit yields a verified-exhausted result whose
+checked-space count documents the proof.
+
+The sweep decides pairs with the pair kernels of ``axioms.PAIR_KERNELS``:
+each topology of a size level gets a few packed integers per axiom the
+query names, built on first use, and a row of pairs (first index fixed)
+is decided by a few integer operations per pair.  The deciders are the
+kernels' oracles: every pair a kernel reports as a hit is decided again
+by ``evaluate_axiom``, and a disagreement raises
+InternalDisagreementError.
 
 Work is split into fixed-size blocks of first-coordinate indices.  Block
 boundaries depend only on the size level, never on the worker count, and
@@ -22,19 +31,31 @@ or every canonical space of a census), each block closed by a flushed
 ``{"block": [n, index], "checked": c}`` line, and a finished mining run
 ends with ``{"end": true, ...}``.  Resuming reads the log one line at a
 time: finished blocks are skipped and every logged record counts,
-including those of a block a crash left unfinished.
+including those of a block a crash left unfinished.  The header is
+written only to a log file that is missing or empty.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 
-from .axioms import AxiomProfile, InternalDisagreementError, axiom_profile, evaluate_axiom, normalize_axiom_name
+from .axioms import (
+    PAIR_KERNELS,
+    AxiomProfile,
+    PairKernel,
+    InternalDisagreementError,
+    axiom_profile,
+    evaluate_axiom,
+    normalize_axiom_name,
+)
 from .enumeration import (
     canonical_key,
     canonical_pair_indices,
@@ -122,25 +143,40 @@ class MiningResult:
         }
 
 
-def _query_matches(query: MiningQuery, t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
-    return all(evaluate_axiom(a, t1, t2) for a in query.antecedents) and not evaluate_axiom(
-        query.consequent, t1, t2
-    )
+@lru_cache(maxsize=None)
+def _kernel_column(n: int, kernel: PairKernel) -> tuple[int, ...]:
+    return kernel.column(gts_on(n))
 
 
 def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tuple[int, int]], int]:
-    """Scan first-coordinate indices [lo, hi); returns hit index pairs and pair count."""
+    """Scan first-coordinate indices [lo, hi); returns hit index pairs and pair count.
+
+    Each row (i fixed, every j from ``start`` on) is decided by the pair
+    kernels of the query's axioms; every hit is re-decided by the deciders.
+    """
     gts = gts_on(n)
     unordered = query.symmetry == "perm+swap"
+    kernels = {PAIR_KERNELS[a] for a in (*query.antecedents, query.consequent)}
+    columns = {k: _kernel_column(n, k) for k in kernels}
     hits: list[tuple[int, int]] = []
     checked = 0
     for i in range(lo, hi):
-        t1 = gts[i]
         start = i if unordered else 0
-        for j in range(start, len(gts)):
-            checked += 1
-            if _query_matches(query, t1, gts[j]):
-                hits.append((i, j))
+        rows = {k: k.verdicts(column, n, i, start) for k, column in columns.items()}
+        match = map(operator.not_, rows[PAIR_KERNELS[query.consequent]])
+        for a in query.antecedents:
+            match = map(operator.and_, match, rows[PAIR_KERNELS[a]])
+        t1 = gts[i]
+        for j in compress(range(start, len(gts)), match):
+            t2 = gts[j]
+            if not all(evaluate_axiom(a, t1, t2) for a in query.antecedents) or evaluate_axiom(
+                query.consequent, t1, t2
+            ):
+                raise InternalDisagreementError(
+                    f"pair kernel and deciders disagree on {GbtSpace(t1.ground, t1, t2)!r}"
+                )
+            hits.append((i, j))
+        checked += len(gts) - start
     return hits, checked
 
 
@@ -211,17 +247,17 @@ class _LogWriter:
 
 
 @contextmanager
-def _appending(path, header: dict, fresh: bool):
+def _appending(path, header: dict):
     """A writer for the block log at ``path``, or None when there is no path.
 
-    A ``fresh`` log (one with no finished block) starts with ``header``.
+    A missing or empty log starts with ``header``.
     """
     if path is None:
         yield None
         return
     with open(path, "a", encoding="utf-8") as handle:
         writer = _LogWriter(handle)
-        if fresh:
+        if handle.tell() == 0:
             writer.record(header)
         yield writer
 
@@ -262,7 +298,7 @@ def mine(
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     stopped = False
 
-    with _appending(log_path, header, fresh=not done_blocks) as log:
+    with _appending(log_path, header) as log:
 
         def consume(task, hits, checked):
             nonlocal stopped
@@ -372,7 +408,7 @@ def census(
             if "key" in record:
                 axiom_counts.update(name for name, value in record["profile"].items() if value)
 
-    with _appending(log_path, header, fresh=not done_blocks) as log:
+    with _appending(log_path, header) as log:
         g = gts[0].ground
         for index, (lo, hi) in enumerate(_blocks(len(pairs))):
             if (n, index) in done_blocks:

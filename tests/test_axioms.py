@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gbtlab.axioms import (
+    AXIOM_NAMES,
+    PAIR_KERNELS,
     InternalDisagreementError,
     UnknownAxiomError,
     axiom_profile,
@@ -175,3 +178,36 @@ def test_internal_disagreement_is_raised_for_broken_engine(monkeypatch):
     monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda t1, t2: False)
     with pytest.raises(InternalDisagreementError):
         cross_validate_space(s)
+
+
+# pair kernel ---------------------------------------------------------------
+
+
+def _kernel_rows(name):
+    """Per size n: the sampled indices (all of them for n <= 3, a seeded
+    sample of 40 for n = 4) and the kernel's full verdict row of each."""
+    rng = random.Random(5)
+    kernel = PAIR_KERNELS[name]
+    for n in range(1, 5):
+        gts = gts_on(n)
+        indices = range(len(gts)) if n <= 3 else sorted(rng.sample(range(len(gts)), 40))
+        column = kernel.column(gts)
+        yield n, gts, indices, {i: kernel.verdicts(column, n, i, 0) for i in indices}, column
+
+
+@pytest.mark.parametrize("name", AXIOM_NAMES)
+def test_pair_kernel_matches_the_deciders(name):
+    kernel = PAIR_KERNELS[name]
+    for n, gts, indices, rows, column in _kernel_rows(name):
+        for i in indices:
+            assert kernel.verdicts(column, n, i, i) == rows[i][i:]
+            for j in indices:
+                assert rows[i][j] == evaluate_axiom(name, gts[i], gts[j]), (n, i, j)
+
+
+@pytest.mark.parametrize("name", AXIOM_NAMES)
+def test_pair_kernel_is_swap_invariant(name):
+    """The unordered perm+swap scan decides only the pairs with i <= j."""
+    for n, _, indices, rows, _ in _kernel_rows(name):
+        for i, j in itertools.combinations(indices, 2):
+            assert rows[i][j] == rows[j][i], (n, i, j)

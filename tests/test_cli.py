@@ -222,6 +222,20 @@ def test_census_resume_refuses_a_log_of_another_census(tmp_path, capsys):
     assert "different census" in err
 
 
+def test_census_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys):
+    full = tmp_path / "full.ndjson"
+    code, row, _ = _run(capsys, "census", "--n", "2", "--log", str(full))
+    assert code == 0
+    lines = full.read_text().splitlines(keepends=True)
+    first_block = next(k for k, line in enumerate(lines) if "block" in json.loads(line))
+    cut = tmp_path / "cut.ndjson"
+    cut.write_text("".join(lines[: first_block + 1]))
+    other = tmp_path / "other.ndjson"
+    assert _run(capsys, "census", "--n", "2", "--resume", str(cut), "--log", str(other)) == (0, row, "")
+    assert other.read_text().splitlines()[0] == lines[0].rstrip("\n")
+    assert _run(capsys, "census", "--n", "2", "--resume", str(other)) == (0, row, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

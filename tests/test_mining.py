@@ -7,7 +7,8 @@ from concurrent.futures import Future
 import pytest
 
 from gbtlab import mining
-from gbtlab.axioms import UnknownAxiomError
+from gbtlab.axioms import InternalDisagreementError, UnknownAxiomError, evaluate_axiom
+from gbtlab.enumeration import gts_on
 from gbtlab.mining import (
     MiningQuery,
     census,
@@ -85,6 +86,39 @@ def test_mine_log_and_resume(tmp_path):
     # a finished log resumes to the same result without rescanning
     replay = mine(query, resume_path=log_a)
     assert [w.key for w in replay.witnesses] == [w.key for w in full_run.witnesses]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        MiningQuery(("T1_4",), "T3_8"),
+        MiningQuery(("T0",), "T1_2", symmetry="perm"),
+        MiningQuery(("T1", "SYM"), "R0"),
+        MiningQuery(("LSYM", "T0"), "T1", symmetry="perm"),
+        MiningQuery(("T5_8",), "LSYM"),
+        MiningQuery((), "T0", symmetry="perm"),
+    ],
+)
+def test_scan_block_matches_a_decider_scan(query):
+    for n in range(1, 4):
+        gts = gts_on(n)
+        for lo, hi in mining._blocks(len(gts)):
+            starts = {i: i if query.symmetry == "perm+swap" else 0 for i in range(lo, hi)}
+            hits = [
+                (i, j)
+                for i, start in starts.items()
+                for j in range(start, len(gts))
+                if all(evaluate_axiom(a, gts[i], gts[j]) for a in query.antecedents)
+                and not evaluate_axiom(query.consequent, gts[i], gts[j])
+            ]
+            checked = sum(len(gts) - start for start in starts.values())
+            assert mining._scan_block(n, lo, hi, query) == (hits, checked), (n, lo)
+
+
+def test_kernel_hit_that_the_deciders_reject_is_an_error(monkeypatch):
+    monkeypatch.setattr(mining, "evaluate_axiom", lambda name, t1, t2: False)
+    with pytest.raises(InternalDisagreementError, match="pair kernel"):
+        mine(MiningQuery(("T0",), "T1_4", n_max=3))
 
 
 def test_resume_rejects_other_query(tmp_path):
@@ -211,6 +245,20 @@ def test_mine_resumes_from_every_block_boundary(tmp_path, query):
     cut.write_text(cuts[2])
     mine(query, log_path=cut, resume_path=cut)
     assert cut.read_bytes() == full.read_bytes()
+
+
+def test_in_place_resume_from_a_header_only_log(tmp_path):
+    """A crash before the first block finished leaves only the header;
+    resuming in place must not write a second one."""
+    query = MiningQuery(("R0",), "T0", n_max=3, limit=100)
+    for run in (lambda **paths: census(2, **paths), lambda **paths: mine(query, **paths)):
+        full = tmp_path / "full.ndjson"
+        full.unlink(missing_ok=True)
+        run(log_path=full)
+        cut = tmp_path / "cut.ndjson"
+        cut.write_text(_boundary_cuts(full)[0])
+        run(log_path=cut, resume_path=cut)
+        assert cut.read_bytes() == full.read_bytes()
 
 
 def test_workers_are_clamped_before_the_pool_starts(monkeypatch):

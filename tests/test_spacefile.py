@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from gbtlab.fixtures import FIXTURES, get_fixture
+from gbtlab.fixtures import FIXTURES
 from gbtlab.gt import GTValidationError
 from gbtlab.spacefile import (
     SpaceFileError,
@@ -18,9 +18,10 @@ from gbtlab.spacefile import (
 def test_e11_file_parses_to_fixture_space():
     text = resources.files("gbtlab").joinpath("fixtures/e11.json").read_text()
     space, added = parse_space_file(text)
-    expected = get_fixture("e11").space()
-    assert space.mu1.open_masks == expected.mu1.open_masks
-    assert space.mu2.open_masks == expected.mu2.open_masks
+    # e11 on points a, b, c (bits 0, 1, 2): mu1 = {∅, {c}, {a,c}}, mu2 = {∅, {b}, {a,b}}
+    assert space.ground.names == ("a", "b", "c")
+    assert space.mu1.open_masks == (0b000, 0b100, 0b101)
+    assert space.mu2.open_masks == (0b000, 0b010, 0b011)
     assert not added["mu1"] and not added["mu2"]
 
 
