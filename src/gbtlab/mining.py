@@ -50,8 +50,8 @@ from itertools import compress
 from .axioms import (
     PAIR_KERNELS,
     AxiomProfile,
-    PairKernel,
     InternalDisagreementError,
+    PairKernel,
     axiom_profile,
     evaluate_axiom,
     normalize_axiom_name,
