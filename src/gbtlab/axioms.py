@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 from .gbt import GbtSpace
@@ -269,13 +269,15 @@ def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) 
 # Pair kernel.  Mining decides millions of pairs drawn from one list of
 # topologies, so every axiom also has a packed form: a few integers per
 # topology, built once from its operator tables, on which the verdict of a
-# pair is a few bitwise operations.  Bit fields are n bits wide; field k of
-# a packing belongs to subset mask k or to point k.  The deciders above are
-# the kernel's oracles: mining re-decides every pair the kernel reports.
+# pair is a few bitwise operations.  Each signature records what a pair
+# must not have in common, so a row needs nothing but the signatures.  Bit
+# fields are n bits wide (n + 1 for LSYM); field k of a packing belongs to
+# subset mask k or to point k.  The deciders above are the kernel's oracles: mining
+# re-decides every pair the kernel reports.
 
 
-def _packed(fields, n: int) -> int:
-    return sum(f << n * k for k, f in enumerate(fields))
+def _packed(fields, width: int) -> int:
+    return sum(f << width * k for k, f in enumerate(fields))
 
 
 def _transposed(m: int, n: int) -> int:
@@ -283,56 +285,48 @@ def _transposed(m: int, n: int) -> int:
     return sum(1 << n * y + x for x in range(n) for y in range(n) if m >> n * x + y & 1)
 
 
+@cache
 def _off_diagonal(n: int) -> int:
     return _packed((((1 << n) - 1) ^ 1 << x for x in range(n)), n)
 
 
-def _lambda_excess(t: GeneralizedTopology) -> int:
+def _lambda_excess(t: GeneralizedTopology) -> tuple[int]:
     """Per subset a: cl(a) ∩ wedge(a) minus a.  A pair is T1/4 iff these are disjoint."""
     cl, w, n = t.closure_table, t.wedge_table, t.ground.size
-    return _packed((cl[a] & w[a] & ~a for a in range(1 << n)), n)
-
-
-def _lambda_row(n, lam, lams):
-    return [lam & m == 0 for m in lams]
+    return (_packed((cl[a] & w[a] & ~a for a in range(1 << n)), n),)
 
 
 def _t0_signature(t: GeneralizedTopology) -> tuple[int]:
-    """One bit per unordered point pair: some open splits it."""
+    """One bit per unordered point pair that no open splits.  T0 iff disjoint."""
     pairs = itertools.combinations(range(t.ground.size), 2)
     split = (any((u >> x ^ u >> y) & 1 for u in t.open_masks) for x, y in pairs)
-    return (sum(1 << k for k, s in enumerate(split) if s),)
+    return (sum(1 << k for k, s in enumerate(split) if not s),)
 
 
-def _t0_row(n, sep, seps):
-    every = (1 << n * (n - 1) // 2) - 1
-    return [sep | s == every for s in seps]
+def _disjoint_row(p, ps):
+    return [p & b == 0 for b in ps]
 
 
 def _t1_signature(t: GeneralizedTopology) -> tuple[int, int]:
-    """Bit y of field x: some open contains x but not y; and its transpose."""
+    """Bit y of field x (x != y): no open contains x but not y; and its transpose."""
     n, full = t.ground.size, t.ground.full_mask
     o = _packed((reduce(or_, (full & ~u for u in t.open_masks if u >> x & 1), 0) for x in range(n)), n)
-    return o, _transposed(o, n)
+    missing = _off_diagonal(n) & ~o
+    return missing, _transposed(missing, n)
 
 
-def _t1_row(n, o, ot, os, ots):
-    offdiag = _off_diagonal(n)
-    return [o & bt | ot & b == offdiag for b, bt in zip(os, ots)]
+def _t1_row(m, mt, ms, mts):
+    """Holds iff no ordered point pair is left unseparated by both readings."""
+    return [(m | bt) & (mt | b) == 0 for b, bt in zip(ms, mts)]
 
 
 def _t_half_signature(t: GeneralizedTopology) -> tuple[int, int]:
-    """Points whose singleton is open, and points whose singleton is closed."""
+    """Points whose singleton is not open, and points whose singleton is not closed."""
     n, full, opens = t.ground.size, t.ground.full_mask, t.open_mask_set
     return (
-        sum(1 << x for x in range(n) if 1 << x in opens),
-        sum(1 << x for x in range(n) if full ^ 1 << x in opens),
+        sum(1 << x for x in range(n) if 1 << x not in opens),
+        sum(1 << x for x in range(n) if full ^ 1 << x not in opens),
     )
-
-
-def _t_half_row(n, op, closed, ops, closeds):
-    full = (1 << n) - 1
-    return [(op | c) & (o | closed) == full for o, c in zip(ops, closeds)]
 
 
 def _r0_signature(t: GeneralizedTopology) -> tuple[int, int]:
@@ -352,72 +346,74 @@ def _symmetric_signature(t: GeneralizedTopology) -> tuple[int, int]:
     return c, _off_diagonal(n) & ~_transposed(c, n)
 
 
-def _crossed_disjoint_row(n, p, q, ps, qs):
-    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (R0 and SYM)."""
+def _crossed_disjoint_row(p, q, ps, qs):
+    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, R0 and SYM)."""
     return [p & b | a & q == 0 for a, b in zip(ps, qs)]
 
 
-def _lambda_symmetric_signature(t: GeneralizedTopology) -> tuple[int, int, int]:
-    """Per subset a: cl(a) ∩ wedge(a), cl(a) and wedge(a), each minus a."""
+@cache
+def _guards(n: int) -> int:
+    """The top bit of every (n + 1)-bit field of a per-subset packing."""
+    return _packed(itertools.repeat(1 << n, 1 << n), n + 1)
+
+
+def _lambda_symmetric_signature(t: GeneralizedTopology) -> tuple[int, int, int, int]:
+    """Per subset a: cl(a) ∩ wedge(a), cl(a) and wedge(a), each minus a, in
+    fields one bit wider than n whose top bits are the guards; then the guards."""
     cl, w, n = t.closure_table, t.wedge_table, t.ground.size
     subsets = range(1 << n)
     return (
-        _lambda_excess(t),
-        _packed((cl[a] & ~a for a in subsets), n),
-        _packed((w[a] & ~a for a in subsets), n),
+        _packed((cl[a] & w[a] & ~a for a in subsets), n + 1),
+        _packed((cl[a] & ~a for a in subsets), n + 1),
+        _packed((w[a] & ~a for a in subsets), n + 1),
+        _guards(n),
     )
 
 
-def _lambda_symmetric_row(n, lam, clx, wx, lams, clxs, wxs):
+def _lambda_symmetric_row(lam, clx, wx, g, lams, clxs, wxs, _):
     """A subset that is pairwise λ-closed (its field of lam1 ∩ lam2 is empty)
     must be λ-closed on both sides (its field of cl1 ∩ w2 ∪ cl2 ∩ w1 is empty).
-    The first field lies inside the second, so their nonzero fields must agree."""
-    low = _packed(itertools.repeat(1, 1 << n), n)
-
-    def nonzero(v):
-        acc = v
-        for k in range(1, n):
-            acc |= v >> k
-        return acc & low
-
+    The first field lies inside the second, so their empty fields must agree:
+    a field's guard survives g - v iff the field of v is empty."""
     return [
-        nonzero(lam & m) == nonzero(clx & w | c & wx)
+        (g - (lam & m)) & g == (g - (clx & w | c & wx)) & g
         for m, c, w in zip(lams, clxs, wxs)
     ]
 
 
 @dataclass(frozen=True)
 class PairKernel:
-    """Packed decision of one axiom over pairs from a list of topologies."""
+    """Packed decision of one axiom over pairs from a list of topologies.
 
-    width: int  # integers per topology
+    ``row`` takes the signature of the pair's first topology, then for each
+    signature component the sequence of it over the second topologies.
+    """
+
     signature: Callable[[GeneralizedTopology], tuple[int, ...]]
     row: Callable[..., list[bool]]
 
-    def column(self, topologies) -> tuple[int, ...]:
-        """The signatures of ``topologies``, one after another in one flat tuple."""
-        return tuple(v for t in topologies for v in self.signature(t))
+    def column(self, topologies) -> tuple[tuple[int, ...], ...]:
+        """Per signature component, its value on every one of ``topologies``."""
+        return tuple(zip(*map(self.signature, topologies)))
 
-    def verdicts(self, column: tuple[int, ...], n: int, i: int, start: int) -> list[bool]:
+    def verdicts(self, column: tuple[tuple[int, ...], ...], i: int, start: int) -> list[bool]:
         """Verdicts on the pairs (i, j) for every j >= start, in order of j."""
-        width = self.width
-        own = column[width * i : width * (i + 1)]
-        return self.row(n, *own, *(column[width * start + k :: width] for k in range(width)))
+        return self.row(*(c[i] for c in column), *(c[start:] for c in column))
 
 
-_LAMBDA_KERNEL = PairKernel(1, lambda t: (_lambda_excess(t),), _lambda_row)
+_LAMBDA_KERNEL = PairKernel(_lambda_excess, _disjoint_row)
 
 # T1/4, T3/8 and T5/8 share one kernel, as they share one decider.
 PAIR_KERNELS = {
-    "T0": PairKernel(1, _t0_signature, _t0_row),
+    "T0": PairKernel(_t0_signature, _disjoint_row),
     "T1_4": _LAMBDA_KERNEL,
     "T3_8": _LAMBDA_KERNEL,
     "T5_8": _LAMBDA_KERNEL,
-    "T1_2": PairKernel(2, _t_half_signature, _t_half_row),
-    "T1": PairKernel(2, _t1_signature, _t1_row),
-    "R0": PairKernel(2, _r0_signature, _crossed_disjoint_row),
-    "SYM": PairKernel(2, _symmetric_signature, _crossed_disjoint_row),
-    "LSYM": PairKernel(3, _lambda_symmetric_signature, _lambda_symmetric_row),
+    "T1_2": PairKernel(_t_half_signature, _crossed_disjoint_row),
+    "T1": PairKernel(_t1_signature, _t1_row),
+    "R0": PairKernel(_r0_signature, _crossed_disjoint_row),
+    "SYM": PairKernel(_symmetric_signature, _crossed_disjoint_row),
+    "LSYM": PairKernel(_lambda_symmetric_signature, _lambda_symmetric_row),
 }
 
 

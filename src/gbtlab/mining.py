@@ -31,8 +31,10 @@ or every canonical space of a census), each block closed by a flushed
 ``{"block": [n, index], "checked": c}`` line, and a finished mining run
 ends with ``{"end": true, ...}``.  Resuming reads the log one line at a
 time: finished blocks are skipped and every logged record counts,
-including those of a block a crash left unfinished.  The header is
-written only to a log file that is missing or empty.
+including those of a block a crash left unfinished.  A resume that logs
+to another file first copies the resumed log into it when that file is
+missing or empty, so either file can be resumed later; a fresh run writes
+the header only to a log file that is missing or empty.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import shutil
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -144,7 +147,7 @@ class MiningResult:
 
 
 @lru_cache(maxsize=None)
-def _kernel_column(n: int, kernel: PairKernel) -> tuple[int, ...]:
+def _kernel_column(n: int, kernel: PairKernel) -> tuple[tuple[int, ...], ...]:
     return kernel.column(gts_on(n))
 
 
@@ -162,7 +165,7 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
     checked = 0
     for i in range(lo, hi):
         start = i if unordered else 0
-        rows = {k: k.verdicts(column, n, i, start) for k, column in columns.items()}
+        rows = {k: k.verdicts(column, i, start) for k, column in columns.items()}
         match = map(operator.not_, rows[PAIR_KERNELS[query.consequent]])
         for a in query.antecedents:
             match = map(operator.and_, match, rows[PAIR_KERNELS[a]])
@@ -247,10 +250,12 @@ class _LogWriter:
 
 
 @contextmanager
-def _appending(path, header: dict):
+def _appending(path, header: dict, resumed=None):
     """A writer for the block log at ``path``, or None when there is no path.
 
-    A missing or empty log starts with ``header``.
+    A missing or empty log starts as a copy of the ``resumed`` log, so that
+    appending to it continues that run just as an in-place resume would;
+    without a resumed log it starts with ``header``.
     """
     if path is None:
         yield None
@@ -258,7 +263,11 @@ def _appending(path, header: dict):
     with open(path, "a", encoding="utf-8") as handle:
         writer = _LogWriter(handle)
         if handle.tell() == 0:
-            writer.record(header)
+            if resumed is None:
+                writer.record(header)
+            else:
+                with open(resumed, encoding="utf-8") as source:
+                    shutil.copyfileobj(source, handle)
         yield writer
 
 
@@ -298,7 +307,7 @@ def mine(
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     stopped = False
 
-    with _appending(log_path, header) as log:
+    with _appending(log_path, header, resume_path) as log:
 
         def consume(task, hits, checked):
             nonlocal stopped
@@ -408,7 +417,7 @@ def census(
             if "key" in record:
                 axiom_counts.update(name for name, value in record["profile"].items() if value)
 
-    with _appending(log_path, header) as log:
+    with _appending(log_path, header, resume_path) as log:
         g = gts[0].ground
         for index, (lo, hi) in enumerate(_blocks(len(pairs))):
             if (n, index) in done_blocks:

@@ -192,7 +192,7 @@ def _kernel_rows(name):
         gts = gts_on(n)
         indices = range(len(gts)) if n <= 3 else sorted(rng.sample(range(len(gts)), 40))
         column = kernel.column(gts)
-        yield n, gts, indices, {i: kernel.verdicts(column, n, i, 0) for i in indices}, column
+        yield n, gts, indices, {i: kernel.verdicts(column, i, 0) for i in indices}, column
 
 
 @pytest.mark.parametrize("name", AXIOM_NAMES)
@@ -200,7 +200,7 @@ def test_pair_kernel_matches_the_deciders(name):
     kernel = PAIR_KERNELS[name]
     for n, gts, indices, rows, column in _kernel_rows(name):
         for i in indices:
-            assert kernel.verdicts(column, n, i, i) == rows[i][i:]
+            assert kernel.verdicts(column, i, i) == rows[i][i:]
             for j in indices:
                 assert rows[i][j] == evaluate_axiom(name, gts[i], gts[j]), (n, i, j)
 

@@ -232,7 +232,7 @@ def test_census_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys)
     cut.write_text("".join(lines[: first_block + 1]))
     other = tmp_path / "other.ndjson"
     assert _run(capsys, "census", "--n", "2", "--resume", str(cut), "--log", str(other)) == (0, row, "")
-    assert other.read_text().splitlines()[0] == lines[0].rstrip("\n")
+    assert other.read_bytes() == full.read_bytes()
     assert _run(capsys, "census", "--n", "2", "--resume", str(other)) == (0, row, "")
 
 
@@ -250,3 +250,21 @@ def test_sweeps_beyond_four_points_are_refused(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert "1,385,552" in err
+
+
+def test_mine_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys):
+    """The second log must carry the first log's witnesses and finished
+    blocks: a resume of it that found none would report the range exhausted."""
+    query = ("mine", "--require", "R0", "--forbid", "T0", "--n", "3", "--limit", "100")
+    full = tmp_path / "full.ndjson"
+    code, out, _ = _run(capsys, *query, "--log", str(full))
+    assert code == 0 and "exhausted" not in out
+    lines = full.read_text().splitlines(keepends=True)
+    first_witness = next(k for k, line in enumerate(lines) if "key" in json.loads(line))
+    block_after = next(k for k in range(first_witness, len(lines)) if "block" in json.loads(lines[k]))
+    cut = tmp_path / "cut.ndjson"
+    cut.write_text("".join(lines[: block_after + 1]))
+    other = tmp_path / "other.ndjson"
+    assert _run(capsys, *query, "--resume", str(cut), "--log", str(other)) == (0, out, "")
+    assert _run(capsys, *query, "--resume", str(other)) == (0, out, "")
+    assert other.read_bytes() == full.read_bytes()
