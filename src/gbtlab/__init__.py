@@ -6,15 +6,6 @@ from .axioms import (
     InternalDisagreementError,
     UnknownAxiomError,
     axiom_profile,
-    is_pairwise_R0,
-    is_pairwise_T0,
-    is_pairwise_T1,
-    is_pairwise_T_3_8,
-    is_pairwise_T_5_8,
-    is_pairwise_T_half,
-    is_pairwise_T_quarter,
-    is_pairwise_lambda_symmetric,
-    is_pairwise_symmetric,
 )
 from .claims import ClaimRecord, ClaimReport, explain, list_claims, run_claims
 from .enumeration import canonical_key, enumerate_gbt_pairs, enumerate_gts
@@ -53,7 +44,6 @@ from .mining import CensusRow, MiningQuery, MiningResult, Witness, census, mine
 from .sets import (
     GroundSet,
     GroundSetError,
-    SetFamily,
     Subset,
     complement,
     ground,

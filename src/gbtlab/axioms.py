@@ -36,11 +36,6 @@ class InternalDisagreementError(RuntimeError):
     """Two decision routes for the same axiom disagree: an engine bug."""
 
 
-def _label_set(t: GeneralizedTopology, mask: int) -> str:
-    names = t.ground.names
-    return "{" + ",".join(names[i] for i in range(len(names)) if mask >> i & 1) + "}"
-
-
 # Each low-level decider takes the two topologies and returns
 # (verdict, witness); the witness is a short rendering of the first
 # falsifying configuration in scan order, or None when the axiom holds.
@@ -50,9 +45,9 @@ def decide_t0(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, s
     n = t1.ground.size
     for x, y in itertools.combinations(range(n), 2):
         p, q = 1 << x, 1 << y
-        if any(bool(u & p) != bool(u & q) for u in t1.open_masks):
+        if any(bool(u & p) != bool(u & q) for u in t1.opens):
             continue
-        if any(bool(v & p) != bool(v & q) for v in t2.open_masks):
+        if any(bool(v & p) != bool(v & q) for v in t2.opens):
             continue
         return False, f"pair ({t1.ground.names[x]},{t1.ground.names[y]})"
     return True, None
@@ -60,7 +55,7 @@ def decide_t0(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, s
 
 def t0_by_one_point_sets(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
     """T0 via sets that are open on one side or closed on the other."""
-    kinds = set(t1.open_masks) | set(t2.open_masks) | set(t1.closed_masks) | set(t2.closed_masks)
+    kinds = set(t1.opens) | set(t2.opens) | set(t1.closed_masks) | set(t2.closed_masks)
     n = t1.ground.size
     for x, y in itertools.combinations(range(n), 2):
         p, q = 1 << x, 1 << y
@@ -83,8 +78,8 @@ def decide_t1(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, s
     for x, y in itertools.combinations(range(n), 2):
         p, q = 1 << x, 1 << y
         for a, b in ((p, q), (q, p)):
-            if any(u & a and not u & b for u in t1.open_masks) and any(
-                v & b and not v & a for v in t2.open_masks
+            if any(u & a and not u & b for u in t1.opens) and any(
+                v & b and not v & a for v in t2.opens
             ):
                 break
         else:
@@ -95,13 +90,13 @@ def decide_t1(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, s
 def decide_r0(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, str | None]:
     n = t1.ground.size
     for i, (ta, tb) in ((1, (t1, t2)), (2, (t2, t1))):
-        for g_mask in ta.open_masks:
+        for g_mask in ta.opens:
             for x in range(n):
                 p = 1 << x
                 if g_mask & p and tb.closure_table[p] & ~g_mask:
                     return False, (
-                        f"mu{i}-open {_label_set(ta, g_mask)} contains {ta.ground.names[x]} "
-                        f"but not its mu{3 - i}-closure {_label_set(ta, tb.closure_table[p])}"
+                        f"mu{i}-open {ta.ground.label(g_mask)} contains {ta.ground.names[x]} "
+                        f"but not its mu{3 - i}-closure {ta.ground.label(tb.closure_table[p])}"
                     )
     return True, None
 
@@ -153,7 +148,7 @@ def decide_all_lambda(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple
     cl1, cl2, w1, w2 = t1.closure_table, t2.closure_table, t1.wedge_table, t2.wedge_table
     for a in range(t1.ground.full_mask + 1):
         if cl1[a] & cl2[a] & w1[a] & w2[a] != a:
-            return False, f"subset {_label_set(t1, a)} is not pairwise λ-closed"
+            return False, f"subset {t1.ground.label(a)} is not pairwise λ-closed"
     return True, None
 
 
@@ -161,7 +156,7 @@ def t_fraction_by_definition(t1: GeneralizedTopology, t2: GeneralizedTopology) -
     """Separation of every subset from every outside point by one of the four
     kinds of set (open or closed on either side).  On a finite carrier this is
     the definitional algorithm for T1/4, T3/8 and T5/8 alike."""
-    kinds = sorted(set(t1.open_masks) | set(t2.open_masks) | set(t1.closed_masks) | set(t2.closed_masks))
+    kinds = sorted(set(t1.opens) | set(t2.opens) | set(t1.closed_masks) | set(t2.closed_masks))
     n = t1.ground.size
     for p_mask in range(t1.ground.full_mask + 1):
         for y in range(n):
@@ -179,7 +174,7 @@ def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) ->
         if cl1[a] & cl2[a] & w1[a] & w2[a] != a:
             continue
         if cl1[a] & w2[a] != a or cl2[a] & w1[a] != a:
-            return False, f"{_label_set(t1, a)} pairwise λ-closed but not λ-closed on both sides"
+            return False, f"{t1.ground.label(a)} pairwise λ-closed but not λ-closed on both sides"
     return True, None
 
 
@@ -248,22 +243,24 @@ class AxiomProfile:
         }
 
 
+# The decider of each axiom, in the order of AXIOM_NAMES.  T1/4, T3/8 and
+# T5/8 share one.
+DECIDERS = {
+    "T0": decide_t0,
+    "T1_4": decide_all_lambda,
+    "T3_8": decide_all_lambda,
+    "T5_8": decide_all_lambda,
+    "T1_2": decide_t_half,
+    "T1": decide_t1,
+    "R0": decide_r0,
+    "SYM": decide_symmetric,
+    "LSYM": decide_lambda_symmetric,
+}
+
+
 def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
     """Fast single-axiom evaluation used by the mining sweeps."""
-    key = normalize_axiom_name(name)
-    if key == "T0":
-        return decide_t0(t1, t2)[0]
-    if key in ("T1_4", "T3_8", "T5_8"):
-        return decide_all_lambda(t1, t2)[0]
-    if key == "T1_2":
-        return decide_t_half(t1, t2)[0]
-    if key == "T1":
-        return decide_t1(t1, t2)[0]
-    if key == "R0":
-        return decide_r0(t1, t2)[0]
-    if key == "SYM":
-        return decide_symmetric(t1, t2)[0]
-    return decide_lambda_symmetric(t1, t2)[0]
+    return DECIDERS[normalize_axiom_name(name)](t1, t2)[0]
 
 
 # Pair kernel.  Mining decides millions of pairs drawn from one list of
@@ -299,7 +296,7 @@ def _lambda_excess(t: GeneralizedTopology) -> tuple[int]:
 def _t0_signature(t: GeneralizedTopology) -> tuple[int]:
     """One bit per unordered point pair that no open splits.  T0 iff disjoint."""
     pairs = itertools.combinations(range(t.ground.size), 2)
-    split = (any((u >> x ^ u >> y) & 1 for u in t.open_masks) for x, y in pairs)
+    split = (any((u >> x ^ u >> y) & 1 for u in t.opens) for x, y in pairs)
     return (sum(1 << k for k, s in enumerate(split) if not s),)
 
 
@@ -310,7 +307,7 @@ def _disjoint_row(p, ps):
 def _t1_signature(t: GeneralizedTopology) -> tuple[int, int]:
     """Bit y of field x (x != y): no open contains x but not y; and its transpose."""
     n, full = t.ground.size, t.ground.full_mask
-    o = _packed((reduce(or_, (full & ~u for u in t.open_masks if u >> x & 1), 0) for x in range(n)), n)
+    o = _packed((reduce(or_, (full & ~u for u in t.opens if u >> x & 1), 0) for x in range(n)), n)
     missing = _off_diagonal(n) & ~o
     return missing, _transposed(missing, n)
 
@@ -417,42 +414,6 @@ PAIR_KERNELS = {
 }
 
 
-def is_pairwise_T0(s: GbtSpace) -> bool:
-    return decide_t0(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_T1(s: GbtSpace) -> bool:
-    return decide_t1(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_R0(s: GbtSpace) -> bool:
-    return decide_r0(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_symmetric(s: GbtSpace) -> bool:
-    return decide_symmetric(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_T_half(s: GbtSpace) -> bool:
-    return decide_t_half(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_T_quarter(s: GbtSpace) -> bool:
-    return decide_all_lambda(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_T_3_8(s: GbtSpace) -> bool:
-    return decide_all_lambda(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_T_5_8(s: GbtSpace) -> bool:
-    return decide_all_lambda(s.mu1, s.mu2)[0]
-
-
-def is_pairwise_lambda_symmetric(s: GbtSpace) -> bool:
-    return decide_lambda_symmetric(s.mu1, s.mu2)[0]
-
-
 def cross_validate_space(s: GbtSpace) -> None:
     """Run every alternative decision route; raise on any disagreement."""
     t1, t2 = s.mu1, s.mu2
@@ -486,16 +447,8 @@ def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
     if cross_validate:
         cross_validate_space(s)
 
-    verdicts: dict[str, tuple[bool, str | None]] = {
-        "T0": decide_t0(t1, t2),
-        "T1": decide_t1(t1, t2),
-        "R0": decide_r0(t1, t2),
-        "SYM": decide_symmetric(t1, t2),
-        "T1_2": decide_t_half(t1, t2),
-        "LSYM": decide_lambda_symmetric(t1, t2),
-    }
-    frac = decide_all_lambda(t1, t2)
-    verdicts["T1_4"] = verdicts["T3_8"] = verdicts["T5_8"] = frac
+    decided = {decide: decide(t1, t2) for decide in dict.fromkeys(DECIDERS.values())}
+    verdicts = {name: decided[decide] for name, decide in DECIDERS.items()}
 
     chain = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
     for stronger, weaker in itertools.pairwise(chain):
@@ -505,15 +458,5 @@ def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
             )
 
     witnesses = {name: w for name, (ok, w) in verdicts.items() if not ok and w is not None}
-    return AxiomProfile(
-        t0=verdicts["T0"][0],
-        t_quarter=verdicts["T1_4"][0],
-        t_3_8=verdicts["T3_8"][0],
-        t_5_8=verdicts["T5_8"][0],
-        t_half=verdicts["T1_2"][0],
-        t1=verdicts["T1"][0],
-        r0=verdicts["R0"][0],
-        symmetric=verdicts["SYM"][0],
-        lambda_symmetric=verdicts["LSYM"][0],
-        witnesses=witnesses,
-    )
+    # the profile's fields follow AXIOM_NAMES, as DECIDERS does
+    return AxiomProfile(*(ok for ok, _ in verdicts.values()), witnesses=witnesses)

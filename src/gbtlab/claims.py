@@ -29,19 +29,32 @@ from random import Random
 
 from . import gbt
 from .axioms import (
+    AXIOM_NAMES,
     axiom_profile,
     decide_all_lambda,
     decide_t0,
     decide_t_half,
+    normalize_axiom_name,
     t0_by_one_point_sets,
     t0_by_singletons,
     t_fraction_by_definition,
     t_half_by_definition,
 )
-from .enumeration import canonical_pair_indices, check_size, gts_on
+from .enumeration import check_size, enumerate_gbt_pairs, gts_on
 from .fixtures import FIXTURES, Assertion, Fixture, get_fixture
 from .gbt import GbtSpace
-from .gt import is_gt_T0, is_gt_T1, validate_gt
+from .gt import (
+    closure,
+    is_closed,
+    is_gt_T0,
+    is_gt_T1,
+    is_open,
+    is_vee_set,
+    is_wedge_set,
+    validate_gt,
+    vee_family,
+    wedge,
+)
 from .mining import find_g_intersection_violation, find_g_union_violation
 from .sets import Subset, parse_subset
 
@@ -98,13 +111,10 @@ class SpaceContext:
         self.t2 = space.mu2
         self.full = space.ground.full_mask
         self.subsets = range(self.full + 1)
+        self.label = space.ground.label
 
     def sides(self):
         return ((1, self.t1, self.t2), (2, self.t2, self.t1))
-
-    def label(self, mask: int) -> str:
-        names = self.space.ground.names
-        return "{" + ",".join(names[i] for i in range(len(names)) if mask >> i & 1) + "}"
 
     def where(self, detail: str) -> str:
         return f"{self.space!r}: {detail}"
@@ -265,7 +275,7 @@ def check_union_g_conditional(ctx: SpaceContext) -> str | None:
 def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
     for i, _, tb in ctx.sides():
         g_open = ctx.g_open[i]
-        opens_j = tb.open_masks
+        opens_j = tb.opens
         for a in sorted(g_open):
             rest = ctx.full & ~a
             b = rest
@@ -424,8 +434,6 @@ def check_thm40(ctx: SpaceContext) -> str | None:
 
 
 def check_rem41(ctx: SpaceContext) -> str | None:
-    from .gt import vee_family
-
     for i, t, _ in ctx.sides():
         try:
             validate_gt(ctx.space.ground, vee_family(t))
@@ -437,7 +445,7 @@ def check_rem41(ctx: SpaceContext) -> str | None:
 def check_cor42(ctx: SpaceContext) -> str | None:
     for i, ti, tj in ctx.sides():
         family = {a for a in ctx.subsets if (ctx.full ^ a) in ctx.lambda_closed[i]}
-        if not set(ti.open_masks) <= family:
+        if not set(ti.opens) <= family:
             return ctx.where(f"λ-open family wrt side {i} misses an open set")
         if not {v for v in ctx.vee_sets[3 - i]} <= family:
             return ctx.where(f"λ-open family wrt side {i} misses a vee-set of the other side")
@@ -490,7 +498,7 @@ def check_rem46(ctx: SpaceContext) -> str | None:
                     hull_closed &= c
             hull_open = ctx.full
             seen = False
-            for u in tb.open_masks:
+            for u in tb.opens:
                 if a & ~u == 0:
                     hull_open &= u
                     seen = True
@@ -633,121 +641,110 @@ def check_rem66() -> str | None:
     return None
 
 
-_UNIVERSAL_CHECKERS = {
-    "LEM-7": check_lem7,
-    "REM-9": check_rem9,
-    "NOTE-10": check_note10,
-    "THM-12": check_thm12,
-    "THM-UNION-G": check_union_g_conditional,
-    "THM-UNION-WS": check_union_weakly_separated,
-    "THM-15": check_thm15,
-    "REM-16": check_rem16,
-    "THM-18": check_thm18,
-    "THM-20": check_thm20,
-    "THM-21": check_thm21,
-    "NOTE-23": check_note23,
-    "THM-28": check_thm28,
-    "COR-29": check_cor29,
-    "THM-30": check_thm30,
-    "REM-32": check_rem32,
-    "THM-33-LITERAL": check_thm33_literal,
-    "THM-33-CROSS": check_rem32,
-    "THM-34": check_thm34,
-    "REM-37": check_rem37,
-    "THM-40": check_thm40,
-    "REM-41": check_rem41,
-    "COR-42": check_cor42,
-    "LEM-43": check_lem43,
-    "LEM-45": check_lem45,
-    "REM-46": check_rem46,
-    "OBS-39": check_obs39,
-    "OBS-46": check_obs46,
-    "NOTE-47": check_note47,
-    "THM-48": check_thm48,
-    "NOTE-50": check_note50,
-    "THM-51": check_thm51,
-    "THM-52": check_thm52,
-    "THM-54": check_thm54,
-    "THM-56": check_fraction_equivalence,
-    "THM-57": check_thm57,
-    "THM-58": check_thm58,
-    "THM-60": check_fraction_equivalence,
-    "THM-62": check_fraction_equivalence,
-    "REM-63": check_rem63,
-    "THM-65": check_thm65,
-    "COR-67": check_cor67,
+_IMPLICATION, _EQUIVALENCE, _CONDITIONAL = "universal-implication", "equivalence", "conditional"
+
+# The claim table, by scope: claim id -> (kind, checker, statement).  The
+# "enumeration" checkers take a SpaceContext and run on every swept space;
+# the "fixture" checkers take nothing and run once on corpus spaces.
+_CLAIMS = {
+    "enumeration": {
+        "LEM-7": (_IMPLICATION, check_lem7,
+            "Wedge and vee fix ∅ and X, bracket their argument, and are idempotent and monotone."),
+        "REM-9": (_IMPLICATION, check_rem9,
+            "Every closed set is g-closed wrt the other side; a g-closed set open on the other side is closed."),
+        "NOTE-10": (_IMPLICATION, check_note10,
+            "The wedge of any set is a wedge-set, and on wedge-sets g-closedness coincides with closedness."),
+        "THM-12": (_IMPLICATION, check_thm12,
+            "The closure gap of a g-closed set contains no nonempty set closed on the other side."),
+        "THM-UNION-G": (_CONDITIONAL, check_union_g_conditional,
+            "If unions of two closed sets are always g-closed, unions of two g-closed sets are g-closed."),
+        "THM-UNION-WS": (_IMPLICATION, check_union_weakly_separated,
+            "The union of two weakly separated g-open sets is g-open."),
+        "THM-15": (_EQUIVALENCE, check_thm15,
+            "Pairwise T0 holds iff each pair is split by a set open on one side or closed on the other."),
+        "REM-16": (_IMPLICATION, check_rem16,
+            "A one-sided T0 topology forces pairwise T0, and pairwise T1 forces pairwise T0."),
+        "THM-18": (_IMPLICATION, check_thm18,
+            "In a pairwise T0 space, for each pair some labeling has one point outside the other's closure."),
+        "THM-20": (_IMPLICATION, check_thm20,
+            "Pairwise T0 plus pairwise symmetric implies pairwise T1."),
+        "THM-21": (_IMPLICATION, check_thm21,
+            "Pairwise T1 forces every singleton to be closed on at least one side."),
+        "NOTE-23": (_IMPLICATION, check_note23,
+            "If every singleton is closed on both sides, the space is pairwise T1."),
+        "THM-28": (_EQUIVALENCE, check_thm28,
+            "Pairwise T1/2 iff every singleton not closed on side j is open on side i."),
+        "COR-29": (_EQUIVALENCE, check_cor29,
+            "Pairwise T1/2 iff every singleton not open on side i is closed on side j."),
+        "THM-30": (_EQUIVALENCE, check_thm30,
+            "Per side: singletons open-here-or-closed-there iff every g-closed set is closed."),
+        "REM-32": (_EQUIVALENCE, check_rem32,
+            "Pairwise T1/2 iff each singleton is (mu1-open or mu2-closed) and (mu2-open or mu1-closed)."),
+        "THM-33-LITERAL": (_EQUIVALENCE, check_thm33_literal,
+            "Pairwise T1/2 iff each singleton is open or closed within the same topology (literal reading)."),
+        "THM-33-CROSS": (_EQUIVALENCE, check_rem32,
+            "Pairwise T1/2 iff the cross-index singleton conditions hold (reading via the two-condition rule)."),
+        "THM-34": (_IMPLICATION, check_thm34,
+            "Pairwise T1/2 forces every singleton to be one of: open on either side, closed on either side."),
+        "REM-37": (_IMPLICATION, check_rem37,
+            "Pairwise T1/2 implies pairwise T0."),
+        "THM-40": (_IMPLICATION, check_thm40,
+            "λ-open sets wrt a fixed side are closed under arbitrary unions."),
+        "REM-41": (_IMPLICATION, check_rem41,
+            "The vee-sets of one topology form a generalized topology."),
+        "COR-42": (_IMPLICATION, check_cor42,
+            "The λ-open family wrt side i contains the i-opens and the other side's vee-sets."),
+        "LEM-43": (_EQUIVALENCE, check_lem43,
+            "The four characterizations of λ-closedness wrt the other side are equivalent."),
+        "LEM-45": (_EQUIVALENCE, check_lem45,
+            "The four characterizations of pairwise λ-closedness are equivalent."),
+        "REM-46": (_EQUIVALENCE, check_rem46,
+            "λ-closedness is equivalent to equaling the intersection of the closed and open hulls."),
+        "OBS-39": (_IMPLICATION, check_obs39,
+            "Closed sets and wedge-sets of the other side are λ-closed; neither converse holds."),
+        "OBS-46": (_IMPLICATION, check_obs46,
+            "λ-closed on either single side implies pairwise λ-closed; the converse fails."),
+        "NOTE-47": (_IMPLICATION, check_note47,
+            "The pairwise λ-open sets form a generalized topology."),
+        "THM-48": (_IMPLICATION, check_thm48,
+            "A set is closed iff it is both g-closed and λ-closed wrt the other side."),
+        "NOTE-50": (_IMPLICATION, check_note50,
+            "Every ∧12-set is pairwise λ-closed; the converse fails."),
+        "THM-51": (_IMPLICATION, check_thm51,
+            "Pairwise T1 makes every subset a ∧12-set."),
+        "THM-52": (_IMPLICATION, check_thm52,
+            "Pairwise T1/2 makes every subset pairwise λ-closed."),
+        "THM-54": (_IMPLICATION, check_thm54,
+            "Pairwise T1 plus pairwise λ-symmetric implies pairwise T1/2."),
+        "THM-56": (_EQUIVALENCE, check_fraction_equivalence,
+            "Finite-grade separation equals pairwise λ-closedness of the quantified subsets (finite case)."),
+        "THM-57": (_IMPLICATION, check_thm57,
+            "Pairwise T1/4 implies pairwise T0."),
+        "THM-58": (_EQUIVALENCE, check_thm58,
+            "Pairwise T0 iff every singleton is pairwise λ-closed."),
+        "THM-60": (_EQUIVALENCE, check_fraction_equivalence,
+            "Countable-grade separation equals pairwise λ-closedness of the quantified subsets (finite case)."),
+        "THM-62": (_EQUIVALENCE, check_fraction_equivalence,
+            "All-subsets separation equals pairwise λ-closedness of every subset."),
+        "REM-63": (_IMPLICATION, check_rem63,
+            "T1/2 implies T5/8 implies T3/8 implies T1/4; no converse holds in general."),
+        "THM-65": (_IMPLICATION, check_thm65,
+            "Pairwise T0 plus pairwise R0 implies pairwise T1."),
+        "COR-67": (_CONDITIONAL, check_cor67,
+            "Under pairwise R0 and pairwise λ-symmetry the six separation axioms coincide."),
+    },
+    "fixture": {
+        "REM-24": (_IMPLICATION, check_rem24,
+            "Pairwise T1 and one-sided T1 are independent (witnessed by the two- and three-point fixtures)."),
+        "REM-66": (_IMPLICATION, check_rem66,
+            "Pairwise T1 does not imply pairwise R0."),
+    },
 }
 
-_ONCE_CHECKERS = {
-    "REM-24": check_rem24,
-    "REM-66": check_rem66,
-}
-
-_STATEMENTS = {
-    "LEM-7": "Wedge and vee fix ∅ and X, bracket their argument, and are idempotent and monotone.",
-    "REM-9": "Every closed set is g-closed wrt the other side; a g-closed set open on the other side is closed.",
-    "NOTE-10": "The wedge of any set is a wedge-set, and on wedge-sets g-closedness coincides with closedness.",
-    "THM-12": "The closure gap of a g-closed set contains no nonempty set closed on the other side.",
-    "THM-UNION-G": "If unions of two closed sets are always g-closed, unions of two g-closed sets are g-closed.",
-    "THM-UNION-WS": "The union of two weakly separated g-open sets is g-open.",
-    "THM-15": "Pairwise T0 holds iff each pair is split by a set open on one side or closed on the other.",
-    "REM-16": "A one-sided T0 topology forces pairwise T0, and pairwise T1 forces pairwise T0.",
-    "THM-18": "In a pairwise T0 space, for each pair some labeling has one point outside the other's closure.",
-    "THM-20": "Pairwise T0 plus pairwise symmetric implies pairwise T1.",
-    "THM-21": "Pairwise T1 forces every singleton to be closed on at least one side.",
-    "NOTE-23": "If every singleton is closed on both sides, the space is pairwise T1.",
-    "REM-24": "Pairwise T1 and one-sided T1 are independent (witnessed by the two- and three-point fixtures).",
-    "THM-28": "Pairwise T1/2 iff every singleton not closed on side j is open on side i.",
-    "COR-29": "Pairwise T1/2 iff every singleton not open on side i is closed on side j.",
-    "THM-30": "Per side: singletons open-here-or-closed-there iff every g-closed set is closed.",
-    "REM-32": "Pairwise T1/2 iff each singleton is (mu1-open or mu2-closed) and (mu2-open or mu1-closed).",
-    "THM-33-LITERAL": "Pairwise T1/2 iff each singleton is open or closed within the same topology (literal reading).",
-    "THM-33-CROSS": "Pairwise T1/2 iff the cross-index singleton conditions hold (reading via the two-condition rule).",
-    "THM-34": "Pairwise T1/2 forces every singleton to be one of: open on either side, closed on either side.",
-    "REM-37": "Pairwise T1/2 implies pairwise T0.",
-    "THM-40": "λ-open sets wrt a fixed side are closed under arbitrary unions.",
-    "REM-41": "The vee-sets of one topology form a generalized topology.",
-    "COR-42": "The λ-open family wrt side i contains the i-opens and the other side's vee-sets.",
-    "LEM-43": "The four characterizations of λ-closedness wrt the other side are equivalent.",
-    "LEM-45": "The four characterizations of pairwise λ-closedness are equivalent.",
-    "REM-46": "λ-closedness is equivalent to equaling the intersection of the closed and open hulls.",
-    "OBS-39": "Closed sets and wedge-sets of the other side are λ-closed; neither converse holds.",
-    "OBS-46": "λ-closed on either single side implies pairwise λ-closed; the converse fails.",
-    "NOTE-47": "The pairwise λ-open sets form a generalized topology.",
-    "THM-48": "A set is closed iff it is both g-closed and λ-closed wrt the other side.",
-    "NOTE-50": "Every ∧12-set is pairwise λ-closed; the converse fails.",
-    "THM-51": "Pairwise T1 makes every subset a ∧12-set.",
-    "THM-52": "Pairwise T1/2 makes every subset pairwise λ-closed.",
-    "THM-54": "Pairwise T1 plus pairwise λ-symmetric implies pairwise T1/2.",
-    "THM-56": "Finite-grade separation equals pairwise λ-closedness of the quantified subsets (finite case).",
-    "THM-57": "Pairwise T1/4 implies pairwise T0.",
-    "THM-58": "Pairwise T0 iff every singleton is pairwise λ-closed.",
-    "THM-60": "Countable-grade separation equals pairwise λ-closedness of the quantified subsets (finite case).",
-    "THM-62": "All-subsets separation equals pairwise λ-closedness of every subset.",
-    "REM-63": "T1/2 implies T5/8 implies T3/8 implies T1/4; no converse holds in general.",
-    "THM-65": "Pairwise T0 plus pairwise R0 implies pairwise T1.",
-    "REM-66": "Pairwise T1 does not imply pairwise R0.",
-    "COR-67": "Under pairwise R0 and pairwise λ-symmetry the six separation axioms coincide.",
-}
-
-_KINDS = {
-    "THM-UNION-G": "conditional",
-    "COR-67": "conditional",
-    "THM-15": "equivalence",
-    "THM-28": "equivalence",
-    "COR-29": "equivalence",
-    "THM-30": "equivalence",
-    "REM-32": "equivalence",
-    "THM-33-LITERAL": "equivalence",
-    "THM-33-CROSS": "equivalence",
-    "LEM-43": "equivalence",
-    "LEM-45": "equivalence",
-    "REM-46": "equivalence",
-    "THM-56": "equivalence",
-    "THM-58": "equivalence",
-    "THM-60": "equivalence",
-    "THM-62": "equivalence",
-}
+# id -> checker.  run_claims reads these at call time, so a wrapper put in
+# place of an entry (bench/tracing.py times each checker so) takes effect.
+_UNIVERSAL_CHECKERS = {claim_id: row[1] for claim_id, row in _CLAIMS["enumeration"].items()}
+_ONCE_CHECKERS = {claim_id: row[1] for claim_id, row in _CLAIMS["fixture"].items()}
 
 _OUT_OF_SCOPE = {
     "EX-64": "Grade-separating witness between T1/4 and T3/8; needs an infinite carrier.",
@@ -757,27 +754,11 @@ _OUT_OF_SCOPE = {
 
 
 def _records() -> list[ClaimRecord]:
-    records = []
-    for claim_id, checker in _UNIVERSAL_CHECKERS.items():
-        records.append(
-            ClaimRecord(
-                claim_id,
-                _KINDS.get(claim_id, "universal-implication"),
-                _STATEMENTS[claim_id],
-                "enumeration",
-                checker.__name__,
-            )
-        )
-    for claim_id, checker in _ONCE_CHECKERS.items():
-        records.append(
-            ClaimRecord(
-                claim_id,
-                "universal-implication",
-                _STATEMENTS[claim_id],
-                "fixture",
-                checker.__name__,
-            )
-        )
+    records = [
+        ClaimRecord(claim_id, kind, statement, scope, checker.__name__)
+        for scope, table in _CLAIMS.items()
+        for claim_id, (kind, checker, statement) in table.items()
+    ]
     for fixture in FIXTURES:
         records.append(
             ClaimRecord(
@@ -834,24 +815,14 @@ def eval_predicate(space: GbtSpace, predicate: str, args: dict) -> object:
     if predicate == "wedge12-set":
         return gbt.is_wedge12_set(space, subset())
     if predicate == "mu-closed":
-        from .gt import is_closed
-
         return is_closed(space.side(side), subset())
     if predicate == "mu-open":
-        from .gt import is_open
-
         return is_open(space.side(side), subset())
     if predicate == "wedge-set":
-        from .gt import is_wedge_set
-
         return is_wedge_set(space.side(side), subset())
     if predicate == "vee-set":
-        from .gt import is_vee_set
-
         return is_vee_set(space.side(side), subset())
     if predicate == "closure-equals":
-        from .gt import closure
-
         return closure(space.side(side), subset()).labels()
     if predicate == "gap-has-no-closed":
         t_in = space.side(side)
@@ -887,8 +858,6 @@ def eval_predicate(space: GbtSpace, predicate: str, args: dict) -> object:
             (1 << x) in kinds or (full ^ (1 << x)) in kinds
             for x in range(space.ground.size)
         )
-    from .axioms import AXIOM_NAMES, normalize_axiom_name
-
     try:
         axiom = normalize_axiom_name(predicate)
     except Exception:
@@ -899,8 +868,6 @@ def eval_predicate(space: GbtSpace, predicate: str, args: dict) -> object:
 
 
 def _mismatch_detail(space: GbtSpace, assertion: Assertion, actual: object) -> str:
-    from .gt import closure, wedge
-
     detail = (
         f"{assertion.describe()}: recorded {assertion.expected!r}, engine computed {actual!r}"
     )
@@ -932,14 +899,6 @@ def eval_fixture(fixture: Fixture) -> tuple[str, list[str]]:
 
 # ---------------------------------------------------------------------------
 # runner
-
-
-def _sweep_spaces(n_scope: int):
-    for n in range(1, n_scope + 1):
-        gts = gts_on(n)
-        g = gts[0].ground
-        for i, j in canonical_pair_indices(n, "perm+swap"):
-            yield GbtSpace(g, gts[i], gts[j])
 
 
 def _random_n4_spaces(samples: int, seed: int):
@@ -980,7 +939,8 @@ def run_claims(
                 if result is not None:
                     violations[claim_id] = result
 
-    sweep(_sweep_spaces(n_scope))
+    for n in range(1, n_scope + 1):
+        sweep(enumerate_gbt_pairs(n))
     if n4_samples:
         sweep(_random_n4_spaces(n4_samples, seed))
 

@@ -48,8 +48,8 @@ def cmd_validate(args) -> int:
     space, added = load_space(args.path, complete=args.complete_unions)
     if args.complete_unions:
         for key in ("mu1", "mu2"):
-            for subset in added[key]:
-                print(f"added to {key}: {subset!r}", file=sys.stderr)
+            for mask in added[key]:
+                print(f"added to {key}: {space.ground.label(mask)}", file=sys.stderr)
         sys.stdout.write(write_space_file(space))
     else:
         print("valid")

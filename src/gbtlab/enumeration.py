@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
-from .sets import SetFamily, Subset, ground
+from .sets import ground
 
 SYMMETRIES = ("perm", "perm+swap")
 
@@ -93,11 +93,7 @@ def gts_on(n: int) -> tuple[GeneralizedTopology, ...]:
     over all pairs computes each table once.
     """
     g = ground(n)
-    out = []
-    for masks in gt_mask_families(n):
-        family = SetFamily(tuple(Subset(m, g) for m in masks))
-        out.append(GeneralizedTopology(g, family))
-    return tuple(out)
+    return tuple(GeneralizedTopology(g, masks) for masks in gt_mask_families(n))
 
 
 def enumerate_gts(n: int):
@@ -141,10 +137,6 @@ def _gt_index_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _space_mask_families(s: GbtSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return s.mu1.open_masks, s.mu2.open_masks
-
-
 def canonical_pair_encoding(f1, f2, n: int, symmetry: str = "perm+swap") -> tuple[int, int]:
     """Lexicographically minimal encoding pair over the symmetry group."""
     check_symmetry(symmetry)
@@ -162,26 +154,17 @@ def canonical_pair_encoding(f1, f2, n: int, symmetry: str = "perm+swap") -> tupl
 def canonical_key(s: GbtSpace, symmetry: str = "perm+swap") -> bytes:
     """Canonical byte-string key; equal keys iff isomorphic under the group."""
     n = s.ground.size
-    f1, f2 = _space_mask_families(s)
-    e1, e2 = canonical_pair_encoding(f1, f2, n, symmetry)
+    e1, e2 = canonical_pair_encoding(s.mu1.opens, s.mu2.opens, n, symmetry)
     width = ((1 << n) - 1 + 7) // 8
     return bytes([n]) + e1.to_bytes(width, "big") + e2.to_bytes(width, "big")
-
-
-def space_from_indices(n: int, i: int, j: int) -> GbtSpace:
-    gts = gts_on(n)
-    return GbtSpace(gts[0].ground, gts[i], gts[j])
 
 
 def permute_space(s: GbtSpace, perm: tuple[int, ...]) -> GbtSpace:
     """Image of a space under a point permutation (same ground labels)."""
     n = s.ground.size
     table = _perm_mask_tables(n)[sorted(itertools.permutations(range(n))).index(perm)]
-    out = []
-    for t in (s.mu1, s.mu2):
-        family = SetFamily.of(Subset(table[m], s.ground) for m in t.open_masks)
-        out.append(GeneralizedTopology(s.ground, family))
-    return GbtSpace(s.ground, out[0], out[1])
+    mu1, mu2 = (GeneralizedTopology(s.ground, permute_family(t.opens, table)) for t in (s.mu1, s.mu2))
+    return GbtSpace(s.ground, mu1, mu2)
 
 
 def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
@@ -210,7 +193,11 @@ def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
 
 
 def enumerate_gbt_pairs(n: int, symmetry: str = "perm+swap"):
-    """One representative space per isomorphism class, deterministic order."""
+    """One representative space per isomorphism class, deterministic order.
+
+    The one place that turns canonical index pairs into spaces; sweeps over
+    several sizes chain it over their levels.
+    """
     gts = gts_on(n)
     g = gts[0].ground
     for i, j in canonical_pair_indices(n, symmetry):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gt import GeneralizedTopology, gt_from_labels, validate_gt
-from .sets import GroundSet, GroundSetError, SetFamily, Subset, ground
+from .sets import GroundSet, GroundSetError, Subset, ground
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class GbtSpace:
         return 1 << self.ground.size
 
     def __repr__(self) -> str:
-        return f"GbtSpace({self.ground!r}, mu1={self.mu1.opens!r}, mu2={self.mu2.opens!r})"
+        label = self.ground.label_family
+        return f"GbtSpace({self.ground!r}, mu1={label(self.mu1.opens)}, mu2={label(self.mu2.opens)})"
 
 
 def other(i: int) -> int:
@@ -132,7 +133,7 @@ def lambda_open_by_decomposition(s: GbtSpace, i: int, a: Subset) -> bool:
     ti, tj = _pair(s, i)
     a_bits = _bits(s, a)
     vee_sets = [m for m in range(s.n_subsets) if tj.vee_table[m] == m]
-    return any(v | m == a_bits for v in ti.open_masks for m in vee_sets)
+    return any(v | m == a_bits for v in ti.opens for m in vee_sets)
 
 
 def is_pairwise_lambda_closed(s: GbtSpace, a: Subset) -> bool:
@@ -188,26 +189,22 @@ def are_weakly_separated(t: GeneralizedTopology, a: Subset, b: Subset) -> bool:
     a_bits, b_bits = a.bits, b.bits
     if a.ground != t.ground or b.ground != t.ground:
         raise GroundSetError("subsets belong to a different ground set")
-    has_u = any(a_bits & ~u == 0 and u & b_bits == 0 for u in t.open_masks)
-    has_v = any(b_bits & ~v == 0 and v & a_bits == 0 for v in t.open_masks)
+    has_u = any(a_bits & ~u == 0 and u & b_bits == 0 for u in t.opens)
+    has_v = any(b_bits & ~v == 0 and v & a_bits == 0 for v in t.opens)
     return has_u and has_v
 
 
-def lambda_open_family_wrt(s: GbtSpace, i: int) -> SetFamily:
-    """Family of all λ-open sets wrt the other side; a generalized topology."""
-    family = SetFamily.of(
-        Subset(m, s.ground)
-        for m in range(s.n_subsets)
-        if is_lambda_open_wrt(s, i, Subset(m, s.ground))
-    )
+def lambda_open_family_wrt(s: GbtSpace, i: int) -> tuple[int, ...]:
+    """Masks of all λ-open sets wrt the other side; a generalized topology."""
+    ti, tj = _pair(s, i)
+    cl, w, full = ti.closure_table, tj.wedge_table, s.ground.full_mask
+    family = [full ^ a for a in range(s.n_subsets) if cl[a] & w[a] == a]
     return validate_gt(s.ground, family).opens
 
 
-def pairwise_lambda_open_family(s: GbtSpace) -> SetFamily:
-    """Family of all pairwise λ-open sets; a generalized topology."""
-    family = SetFamily.of(
-        Subset(m, s.ground)
-        for m in range(s.n_subsets)
-        if is_pairwise_lambda_open(s, Subset(m, s.ground))
-    )
+def pairwise_lambda_open_family(s: GbtSpace) -> tuple[int, ...]:
+    """Masks of all pairwise λ-open sets; a generalized topology."""
+    cl1, cl2 = s.mu1.closure_table, s.mu2.closure_table
+    w1, w2, full = s.mu1.wedge_table, s.mu2.wedge_table, s.ground.full_mask
+    family = [full ^ a for a in range(s.n_subsets) if cl1[a] & cl2[a] & w1[a] & w2[a] == a]
     return validate_gt(s.ground, family).opens

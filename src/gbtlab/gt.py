@@ -22,18 +22,18 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .sets import GroundSet, SetFamily, Subset
+from .sets import GroundSet, GroundSetError, Subset, parse_subset
 
 
 class GTValidationError(ValueError):
     """Family is not a generalized topology.
 
     ``kind`` is ``"missing-empty-set"`` or ``"union-escape"``; for the
-    latter, ``pair`` holds the offending (A, B) with A ∪ B outside the
-    family.
+    latter, ``pair`` holds the masks of the offending (A, B) with A ∪ B
+    outside the family.
     """
 
-    def __init__(self, kind: str, message: str, pair: tuple[Subset, Subset] | None = None):
+    def __init__(self, kind: str, message: str, pair: tuple[int, int] | None = None):
         super().__init__(message)
         self.kind = kind
         self.pair = pair
@@ -41,23 +41,22 @@ class GTValidationError(ValueError):
 
 @dataclass(frozen=True)
 class GeneralizedTopology:
-    """Validated generalized topology; construct through :func:`validate_gt`."""
+    """Validated generalized topology; construct through :func:`validate_gt`.
+
+    ``opens`` is the ascending tuple of open masks, so ∅ = 0 comes first.
+    """
 
     ground: GroundSet
-    opens: SetFamily
-
-    @cached_property
-    def open_masks(self) -> tuple[int, ...]:
-        return self.opens.masks()
+    opens: tuple[int, ...]
 
     @cached_property
     def open_mask_set(self) -> frozenset[int]:
-        return frozenset(self.open_masks)
+        return frozenset(self.opens)
 
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
         full = self.ground.full_mask
-        return tuple(sorted(full ^ m for m in self.open_masks))
+        return tuple(sorted(full ^ m for m in self.opens))
 
     @cached_property
     def closed_mask_set(self) -> frozenset[int]:
@@ -91,19 +90,17 @@ class GeneralizedTopology:
 
     def _interior_mask(self, a: int) -> int:
         acc = 0
-        for u in self.open_masks:
+        for u in self.opens:
             if u & ~a == 0:
                 acc |= u
         return acc
 
     def _wedge_mask(self, a: int) -> int:
-        acc = self.ground.full_mask
-        found = False
-        for u in self.open_masks:
+        acc = self.ground.full_mask  # X when no open contains a
+        for u in self.opens:
             if a & ~u == 0:
                 acc &= u
-                found = True
-        return acc if found else self.ground.full_mask
+        return acc
 
     def _vee_mask(self, a: int) -> int:
         acc = 0
@@ -117,43 +114,49 @@ class GeneralizedTopology:
         for i in range(self.ground.size):
             p = 1 << i
             rest = a & ~p
-            if all(u & rest for u in self.open_masks if u & p):
+            if all(u & rest for u in self.opens if u & p):
                 out |= p
         return out
 
     def __repr__(self) -> str:
-        return f"GT({self.opens!r} on {self.ground!r})"
+        return f"GT({self.ground.label_family(self.opens)} on {self.ground!r})"
 
 
-def validate_gt(ground: GroundSet, opens: SetFamily) -> GeneralizedTopology:
-    """Check ∅-membership and union closure; raise GTValidationError otherwise."""
-    masks = opens.masks()
-    if 0 not in masks:
+def _mask_set(ground: GroundSet, masks) -> set[int]:
+    out = set(masks)
+    for m in out:
+        if m & ~ground.full_mask:
+            raise GroundSetError(f"bits {m:#x} outside ground set of size {ground.size}")
+    return out
+
+
+def validate_gt(ground: GroundSet, opens) -> GeneralizedTopology:
+    """Check that the open masks lie in the ground set, include ∅ and are
+    closed under union; raise GroundSetError or GTValidationError otherwise."""
+    mask_set = _mask_set(ground, opens)
+    if 0 not in mask_set:
         raise GTValidationError("missing-empty-set", "the empty set must be open")
-    mask_set = set(masks)
+    masks = tuple(sorted(mask_set))
     for x, y in itertools.combinations(masks, 2):
         if x | y not in mask_set:
-            a, b = Subset(x, ground), Subset(y, ground)
+            label = ground.label
             raise GTValidationError(
                 "union-escape",
-                f"family not closed under union: {a!r} ∪ {b!r} = {Subset(x | y, ground)!r} is missing",
-                pair=(a, b),
+                f"family not closed under union: {label(x)} ∪ {label(y)} = {label(x | y)} is missing",
+                pair=(x, y),
             )
-    return GeneralizedTopology(ground, opens)
+    return GeneralizedTopology(ground, masks)
 
 
 def gt_from_labels(g: GroundSet, open_label_lists) -> GeneralizedTopology:
     """Build and validate a topology from label lists; ∅ is implied."""
-    from .sets import parse_subset
-
-    subsets = [parse_subset(labels, g) for labels in open_label_lists]
-    subsets.append(Subset(0, g))
-    return validate_gt(g, SetFamily.of(subsets))
+    return validate_gt(g, [0, *(parse_subset(labels, g).bits for labels in open_label_lists)])
 
 
-def complete_unions(ground: GroundSet, opens: SetFamily) -> tuple[GeneralizedTopology, SetFamily]:
-    """Smallest generalized topology containing ``opens``; also returns the added sets."""
-    masks = set(opens.masks())
+def complete_unions(ground: GroundSet, opens) -> tuple[GeneralizedTopology, tuple[int, ...]]:
+    """Smallest generalized topology containing the open masks; also returns
+    the added masks, ascending."""
+    masks = _mask_set(ground, opens)
     masks.add(0)
     added: set[int] = set()
     frontier = True
@@ -166,14 +169,11 @@ def complete_unions(ground: GroundSet, opens: SetFamily) -> tuple[GeneralizedTop
                 added.add(u)
                 frontier = True
                 break
-    family = SetFamily.of(Subset(m, ground) for m in masks)
-    return GeneralizedTopology(ground, family), SetFamily.of(Subset(m, ground) for m in sorted(added))
+    return GeneralizedTopology(ground, tuple(sorted(masks))), tuple(sorted(added))
 
 
 def _check_ground(t: GeneralizedTopology, a: Subset) -> int:
     if a.ground != t.ground:
-        from .sets import GroundSetError
-
         raise GroundSetError(f"subset over {a.ground} used with topology over {t.ground}")
     return a.bits
 
@@ -219,27 +219,23 @@ def is_vee_set(t: GeneralizedTopology, a: Subset) -> bool:
     return t._vee_mask(a_bits) == a_bits
 
 
-def vee_family(t: GeneralizedTopology) -> SetFamily:
-    """All ∨-sets of t.  This family is itself a generalized topology."""
+def vee_family(t: GeneralizedTopology) -> tuple[int, ...]:
+    """Masks of all ∨-sets of t, ascending.  This family is itself a generalized topology."""
     vt = t.vee_table
-    return SetFamily.of(
-        Subset(a, t.ground) for a in range(1 << t.ground.size) if vt[a] == a
-    )
+    return tuple(a for a in range(1 << t.ground.size) if vt[a] == a)
 
 
-def wedge_family(t: GeneralizedTopology) -> SetFamily:
-    """All ∧-sets of t (closed under intersections, contains ∅ and X)."""
+def wedge_family(t: GeneralizedTopology) -> tuple[int, ...]:
+    """Masks of all ∧-sets of t, ascending (closed under intersections, contains ∅ and X)."""
     wt = t.wedge_table
-    return SetFamily.of(
-        Subset(a, t.ground) for a in range(1 << t.ground.size) if wt[a] == a
-    )
+    return tuple(a for a in range(1 << t.ground.size) if wt[a] == a)
 
 
 def is_gt_T0(t: GeneralizedTopology) -> bool:
     """Some open contains exactly one point of each pair."""
     for i, j in itertools.combinations(range(t.ground.size), 2):
         p, q = 1 << i, 1 << j
-        if not any(bool(u & p) != bool(u & q) for u in t.open_masks):
+        if not any(bool(u & p) != bool(u & q) for u in t.opens):
             return False
     return True
 
@@ -248,6 +244,6 @@ def is_gt_T1(t: GeneralizedTopology) -> bool:
     """Each point of each pair has an open neighbourhood missing the other."""
     for i, j in itertools.permutations(range(t.ground.size), 2):
         p, q = 1 << i, 1 << j
-        if not any(u & p and not u & q for u in t.open_masks):
+        if not any(u & p and not u & q for u in t.opens):
             return False
     return True

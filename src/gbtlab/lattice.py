@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import AXIOM_NAMES, axiom_profile
-from .enumeration import canonical_key, canonical_pair_indices, check_size, gts_on
-from .gbt import GbtSpace
+from .enumeration import canonical_key, check_size, enumerate_gbt_pairs
 
 
 @dataclass
@@ -56,10 +55,7 @@ def implication_lattice(n: int) -> LatticeReport:
     check_size(n)
     profiles: list[tuple[dict[str, bool], str]] = []
     for level in range(1, n + 1):
-        gts = gts_on(level)
-        g = gts[0].ground
-        for i, j in canonical_pair_indices(level, "perm+swap"):
-            space = GbtSpace(g, gts[i], gts[j])
+        for space in enumerate_gbt_pairs(level):
             profiles.append((axiom_profile(space).as_dict(), canonical_key(space).hex()))
 
     edges = []

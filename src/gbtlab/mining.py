@@ -33,8 +33,10 @@ ends with ``{"end": true, ...}``.  Resuming reads the log one line at a
 time: finished blocks are skipped and every logged record counts,
 including those of a block a crash left unfinished.  A resume that logs
 to another file first copies the resumed log into it when that file is
-missing or empty, so either file can be resumed later; a fresh run writes
-the header only to a log file that is missing or empty.
+missing or empty, so either file can be resumed later.  A log file that
+is not empty is refused, before any work, unless it is the resumed log
+itself: a second run appended to it would be added up with the first on
+resume.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 
 from .axioms import (
     PAIR_KERNELS,
@@ -64,13 +66,14 @@ from .enumeration import (
     canonical_pair_indices,
     check_size,
     check_symmetry,
+    enumerate_gbt_pairs,
     family_from_encoding,
     gts_on,
     pair_orbit_size,
 )
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
-from .sets import SetFamily, Subset, ground
+from .sets import ground
 from .spacefile import space_to_data
 
 BLOCKS_PER_LEVEL = 32
@@ -195,11 +198,8 @@ def canonical_space(key: bytes) -> GbtSpace:
     e1 = int.from_bytes(key[1 : 1 + width], "big")
     e2 = int.from_bytes(key[1 + width :], "big")
     g = ground(n)
-    topologies = []
-    for enc in (e1, e2):
-        masks = family_from_encoding(enc, n)
-        topologies.append(GeneralizedTopology(g, SetFamily(tuple(Subset(m, g) for m in masks))))
-    return GbtSpace(g, topologies[0], topologies[1])
+    mu1, mu2 = (GeneralizedTopology(g, family_from_encoding(enc, n)) for enc in (e1, e2))
+    return GbtSpace(g, mu1, mu2)
 
 
 def _verify_witness(query: MiningQuery, key: bytes) -> Witness:
@@ -249,13 +249,25 @@ class _LogWriter:
         self._handle.flush()
 
 
+def _refuse_used_log(path, resumed) -> None:
+    """Refuse a log that already holds a run, unless it is the log being resumed.
+
+    Appending a second run would make a later resume add up both runs.
+    """
+    if path is None or not os.path.exists(path) or os.path.getsize(path) == 0:
+        return
+    if resumed is None or not os.path.samefile(path, resumed):
+        raise ValueError(f"{path}: log already holds a run; resume it with --resume {path}")
+
+
 @contextmanager
 def _appending(path, header: dict, resumed=None):
     """A writer for the block log at ``path``, or None when there is no path.
 
     A missing or empty log starts as a copy of the ``resumed`` log, so that
     appending to it continues that run just as an in-place resume would;
-    without a resumed log it starts with ``header``.
+    without a resumed log it starts with ``header``.  A log that is not
+    empty is the resumed log itself (see ``_refuse_used_log``).
     """
     if path is None:
         yield None
@@ -278,6 +290,7 @@ def mine(
     resume_path=None,
 ) -> MiningResult:
     """Run a query over every pair of topologies in the size range."""
+    _refuse_used_log(log_path, resume_path)
     header = {"header": query.as_dict(), "log": "mine"}
     done_blocks: dict[tuple[int, int], int] = {}
     witnesses: list[Witness] = []
@@ -295,19 +308,18 @@ def mine(
     checked_by_n: dict[int, int] = {}
     for (n, _), checked in done_blocks.items():
         checked_by_n[n] = checked_by_n.get(n, 0) + checked
-    if ended or len(witnesses) >= query.limit:
-        return MiningResult(query, witnesses, ended, sum(checked_by_n.values()), checked_by_n)
-
-    tasks = [
-        (n, index, lo, hi)
-        for n in range(query.n_min, query.n_max + 1)
-        for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
-        if (n, index) not in done_blocks
-    ]
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
-    stopped = False
 
     with _appending(log_path, header, resume_path) as log:
+        if ended or len(witnesses) >= query.limit:
+            return MiningResult(query, witnesses, ended, sum(checked_by_n.values()), checked_by_n)
+        tasks = [
+            (n, index, lo, hi)
+            for n in range(query.n_min, query.n_max + 1)
+            for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
+            if (n, index) not in done_blocks
+        ]
+        workers = min(workers, os.cpu_count() or 1, len(tasks))
+        stopped = False
 
         def consume(task, hits, checked):
             nonlocal stopped
@@ -398,10 +410,11 @@ def census(
     """
     check_symmetry(symmetry)
     check_size(n)
+    _refuse_used_log(log_path, resume_path)
     gts = gts_on(n)
 
     def admitted(index: int) -> bool:
-        return max_open_sets is None or len(gts[index].open_masks) - 1 <= max_open_sets
+        return max_open_sets is None or len(gts[index].opens) - 1 <= max_open_sets
 
     admitted_count = sum(1 for i in range(len(gts)) if admitted(i))
     pairs = [(i, j) for i, j in canonical_pair_indices(n, symmetry) if admitted(i) and admitted(j)]
@@ -470,20 +483,12 @@ class SetWitness:
         }
 
 
-def _iter_canonical_spaces(n_min: int, n_max: int):
-    check_size(n_max)
-    for n in range(n_min, n_max + 1):
-        gts = gts_on(n)
-        g = gts[0].ground
-        for i, j in canonical_pair_indices(n, "perm+swap"):
-            yield GbtSpace(g, gts[i], gts[j])
-
-
-def find_note50_witness(n_max: int, n_min: int = 1) -> tuple[SetWitness | None, int]:
+def find_note50_witness(n_max: int) -> tuple[SetWitness | None, int]:
     """Singleton that is pairwise λ-closed but not an intersection of its
     two wedges; such a set separates the two notions."""
+    check_size(n_max)
     checked = 0
-    for space in _iter_canonical_spaces(n_min, n_max):
+    for space in chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1))):
         checked += 1
         t1, t2 = space.mu1, space.mu2
         for x in range(space.ground.size):
@@ -511,15 +516,12 @@ def _g_closed_masks(t_in: GeneralizedTopology, t_other: GeneralizedTopology) -> 
     ]
 
 
-def _render(space: GbtSpace, mask: int) -> str:
-    names = space.ground.names
-    return "{" + ",".join(names[k] for k in range(len(names)) if mask >> k & 1) + "}"
-
-
 def _find_g_combination_violation(n_max: int, combine, verb: str) -> tuple[SetWitness | None, int]:
+    check_size(n_max)
     checked = 0
-    for space in _iter_canonical_spaces(1, n_max):
+    for space in chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1))):
         checked += 1
+        label = space.ground.label
         for side, (ta, tb) in ((1, (space.mu1, space.mu2)), (2, (space.mu2, space.mu1))):
             g_masks = _g_closed_masks(ta, tb)
             for a in g_masks:
@@ -531,8 +533,8 @@ def _find_g_combination_violation(n_max: int, combine, verb: str) -> tuple[SetWi
                         return (
                             SetWitness(
                                 space,
-                                f"{_render(space, a)} and {_render(space, b)} are g-closed on side "
-                                f"{side} but their {verb} {_render(space, u)} is not",
+                                f"{label(a)} and {label(b)} are g-closed on side "
+                                f"{side} but their {verb} {label(u)} is not",
                                 canonical_key(space),
                             ),
                             checked,

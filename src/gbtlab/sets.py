@@ -3,12 +3,13 @@
 Element i of a ground set corresponds to bit i of a subset mask, so all
 set algebra is plain integer arithmetic.  Ground sets are capped at 16
 elements: a subset then always fits a machine word and a family of
-subsets fits a 2^16-bit mask.
+subsets fits a 2^16-bit mask.  Topologies hold plain masks; ``Subset``
+is the labeled view, used where labels are parsed or a labeled subset is
+an argument, and ``GroundSet`` renders masks back into labels.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 MAX_GROUND_SIZE = 16
@@ -50,6 +51,17 @@ class GroundSet:
         except ValueError:
             raise GroundSetError(f"unknown label {label!r}; ground set is {self.names}") from None
 
+    def labels(self, mask: int) -> tuple[str, ...]:
+        return tuple(name for i, name in enumerate(self.names) if mask >> i & 1)
+
+    def label(self, mask: int) -> str:
+        """A subset mask in brace notation, e.g. ``{a,c}``."""
+        return "{" + ",".join(self.labels(mask)) + "}"
+
+    def label_family(self, masks) -> str:
+        """A family of subset masks in brace notation, e.g. ``{{}, {a}}``."""
+        return "{" + ", ".join(map(self.label, masks)) + "}"
+
     def __repr__(self) -> str:
         return f"GroundSet({'{' + ','.join(self.names) + '}'})"
 
@@ -75,7 +87,7 @@ class Subset:
             raise GroundSetError(f"bits {self.bits:#x} outside ground set of size {self.ground.size}")
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(name for i, name in enumerate(self.ground.names) if self.bits >> i & 1)
+        return self.ground.labels(self.bits)
 
     def __contains__(self, label: str) -> bool:
         return bool(self.bits >> self.ground.index(label) & 1)
@@ -84,7 +96,7 @@ class Subset:
         return self.bits.bit_count()
 
     def __repr__(self) -> str:
-        return "{" + ",".join(self.labels()) + "}"
+        return self.ground.label(self.bits)
 
 
 def _same_ground(a: Subset, b: Subset) -> GroundSet:
@@ -105,25 +117,13 @@ def complement(a: Subset) -> Subset:
     return Subset(a.bits ^ a.ground.full_mask, a.ground)
 
 
-def difference(a: Subset, b: Subset) -> Subset:
-    return Subset(a.bits & ~b.bits, _same_ground(a, b))
-
-
 def is_subset(a: Subset, b: Subset) -> bool:
     _same_ground(a, b)
     return a.bits & ~b.bits == 0
 
 
-def empty(g: GroundSet) -> Subset:
-    return Subset(0, g)
-
-
 def full(g: GroundSet) -> Subset:
     return Subset(g.full_mask, g)
-
-
-def singleton(label: str, g: GroundSet) -> Subset:
-    return Subset(1 << g.index(label), g)
 
 
 def parse_subset(labels, g: GroundSet) -> Subset:
@@ -135,45 +135,3 @@ def parse_subset(labels, g: GroundSet) -> Subset:
             raise GroundSetError(f"duplicate label {label!r}")
         bits |= bit
     return Subset(bits, g)
-
-
-def all_subsets(g: GroundSet):
-    """All 2^n subsets in ascending mask order."""
-    for bits in range(1 << g.size):
-        yield Subset(bits, g)
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """Deduplicated family of subsets, sorted ascending by mask (canonical)."""
-
-    members: tuple[Subset, ...]
-
-    def __post_init__(self) -> None:
-        masks = [m.bits for m in self.members]
-        if any(x >= y for x, y in itertools.pairwise(masks)):
-            raise GroundSetError("family members must be strictly increasing by mask")
-        grounds = {m.ground for m in self.members}
-        if len(grounds) > 1:
-            raise GroundSetError("family members over different ground sets")
-
-    @staticmethod
-    def of(subsets) -> SetFamily:
-        """Canonical family from any iterable of subsets (dedup + sort)."""
-        unique = {s.bits: s for s in subsets}
-        return SetFamily(tuple(unique[b] for b in sorted(unique)))
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.members)
-
-    def __contains__(self, s: Subset) -> bool:
-        return any(m.bits == s.bits for m in self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(map(repr, self.members)) + "}"

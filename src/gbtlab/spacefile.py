@@ -13,7 +13,7 @@ import json
 
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology, complete_unions, validate_gt
-from .sets import GroundSetError, SetFamily, Subset, ground, parse_subset
+from .sets import GroundSetError, ground, parse_subset
 
 SCHEMA_KEYS = ("points", "mu1", "mu2")
 
@@ -24,27 +24,26 @@ class SpaceFileError(ValueError):
 
 def space_to_data(s: GbtSpace) -> dict:
     def family(t: GeneralizedTopology) -> list[list[str]]:
-        return [list(Subset(m, s.ground).labels()) for m in t.open_masks if m]
+        return [list(s.ground.labels(m)) for m in t.opens if m]
 
     return {"points": list(s.ground.names), "mu1": family(s.mu1), "mu2": family(s.mu2)}
 
 
-def _family_from_data(g, raw, key: str) -> SetFamily:
+def _family_from_data(g, raw, key: str) -> list[int]:
+    """Open masks of one family, ∅ included."""
     if not isinstance(raw, list) or any(not isinstance(sub, list) for sub in raw):
         raise SpaceFileError(f"{key!r} must be a list of label lists")
     try:
-        subsets = [parse_subset(sub, g) for sub in raw]
+        return [0, *(parse_subset(sub, g).bits for sub in raw)]
     except GroundSetError as exc:
         raise SpaceFileError(f"bad subset in {key!r}: {exc}") from exc
-    subsets.append(Subset(0, g))
-    return SetFamily.of(subsets)
 
 
-def data_to_space(data, complete: bool = False) -> tuple[GbtSpace, dict[str, SetFamily]]:
+def data_to_space(data, complete: bool = False) -> tuple[GbtSpace, dict[str, tuple[int, ...]]]:
     """Space from schema data; with ``complete``, missing unions are added.
 
-    Returns the space and, per family key, the sets the completion added
-    (empty families when nothing was added).
+    Returns the space and, per family key, the masks the completion added
+    (empty tuples when nothing was added).
     """
     if not isinstance(data, dict):
         raise SpaceFileError("top level must be a JSON object")
@@ -71,12 +70,12 @@ def data_to_space(data, complete: bool = False) -> tuple[GbtSpace, dict[str, Set
             added[key] = extra
         else:
             topology = validate_gt(g, family)
-            added[key] = SetFamily(())
+            added[key] = ()
         topologies[key] = topology
     return GbtSpace(g, topologies["mu1"], topologies["mu2"]), added
 
 
-def parse_space_file(text: str, complete: bool = False) -> tuple[GbtSpace, dict[str, SetFamily]]:
+def parse_space_file(text: str, complete: bool = False) -> tuple[GbtSpace, dict[str, tuple[int, ...]]]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -84,7 +83,7 @@ def parse_space_file(text: str, complete: bool = False) -> tuple[GbtSpace, dict[
     return data_to_space(data, complete=complete)
 
 
-def load_space(path, complete: bool = False) -> tuple[GbtSpace, dict[str, SetFamily]]:
+def load_space(path, complete: bool = False) -> tuple[GbtSpace, dict[str, tuple[int, ...]]]:
     with open(path, encoding="utf-8") as handle:
         return parse_space_file(handle.read(), complete=complete)
 

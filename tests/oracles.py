@@ -43,8 +43,8 @@ class OracleSpace:
     def from_space(space):
         return OracleSpace(
             space.ground.names,
-            [u.labels() for u in space.mu1.opens],
-            [u.labels() for u in space.mu2.opens],
+            [space.ground.labels(u) for u in space.mu1.opens],
+            [space.ground.labels(u) for u in space.mu2.opens],
         )
 
     def closed(self, i):

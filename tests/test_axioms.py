@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from gbtlab.axioms import (
     AXIOM_NAMES,
+    DECIDERS,
     PAIR_KERNELS,
     InternalDisagreementError,
     UnknownAxiomError,
     axiom_profile,
     cross_validate_space,
+    decide_lambda_symmetric,
+    decide_r0,
+    decide_symmetric,
+    decide_t0,
+    decide_t1,
+    decide_t_half,
     evaluate_axiom,
-    is_pairwise_R0,
-    is_pairwise_symmetric,
-    is_pairwise_T0,
-    is_pairwise_T1,
-    is_pairwise_T_half,
-    is_pairwise_lambda_symmetric,
     normalize_axiom_name,
 )
 from gbtlab.enumeration import (
@@ -31,13 +32,18 @@ from gbtlab.enumeration import (
 from gbtlab.fixtures import get_fixture
 from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import complete_unions
-from gbtlab.sets import SetFamily, Subset, ground
+from gbtlab.sets import ground
 
 from oracles import OracleSpace
 
 
 def _space(points, mu1, mu2):
     return make_space(points, mu1, mu2)
+
+
+def _holds(decide, s):
+    """The verdict of one pair decider on a space."""
+    return decide(s.mu1, s.mu2)[0]
 
 
 def test_axiom_name_normalization():
@@ -47,47 +53,52 @@ def test_axiom_name_normalization():
         normalize_axiom_name("T9")
 
 
+def test_decider_table_follows_axiom_names():
+    # axiom_profile fills the profile's fields in this order
+    assert tuple(DECIDERS) == AXIOM_NAMES == tuple(axiom_profile(_space("a", [], [])).as_dict())
+
+
 def test_t0_examples():
-    assert is_pairwise_T0(get_fixture("e17").space())
-    assert is_pairwise_T0(get_fixture("e11").space())
+    assert _holds(decide_t0, get_fixture("e17").space())
+    assert _holds(decide_t0, get_fixture("e11").space())
     indiscrete = _space("ab", [], [])
-    assert not is_pairwise_T0(indiscrete)
+    assert not _holds(decide_t0, indiscrete)
 
 
 def test_t1_examples():
-    assert is_pairwise_T1(get_fixture("e35").space())
-    assert not is_pairwise_T1(get_fixture("e26").space())
-    assert is_pairwise_T1(get_fixture("e25").space())
+    assert _holds(decide_t1, get_fixture("e35").space())
+    assert not _holds(decide_t1, get_fixture("e26").space())
+    assert _holds(decide_t1, get_fixture("e25").space())
 
 
 def test_r0_examples():
-    assert not is_pairwise_R0(get_fixture("e35").space())
-    assert is_pairwise_R0(_space("ab", [], []))
+    assert not _holds(decide_r0, get_fixture("e35").space())
+    assert _holds(decide_r0, _space("ab", [], []))
     discrete = [["a"], ["b"], ["a", "b"]]
-    assert is_pairwise_R0(_space("ab", discrete, discrete))
+    assert _holds(decide_r0, _space("ab", discrete, discrete))
 
 
 def test_symmetric_examples():
     discrete = [["a"], ["b"], ["a", "b"]]
-    assert is_pairwise_symmetric(_space("ab", discrete, discrete))
-    assert not is_pairwise_symmetric(get_fixture("e17").space())
-    assert is_pairwise_symmetric(_space("ab", [], []))
+    assert _holds(decide_symmetric, _space("ab", discrete, discrete))
+    assert not _holds(decide_symmetric, get_fixture("e17").space())
+    assert _holds(decide_symmetric, _space("ab", [], []))
 
 
 def test_t_half_examples():
-    assert is_pairwise_T_half(get_fixture("e36").space())
-    assert not is_pairwise_T_half(get_fixture("e35").space())
-    assert not is_pairwise_T_half(get_fixture("e31").space())
+    assert _holds(decide_t_half, get_fixture("e36").space())
+    assert not _holds(decide_t_half, get_fixture("e35").space())
+    assert not _holds(decide_t_half, get_fixture("e31").space())
 
 
 def test_lambda_symmetric_examples():
-    assert not is_pairwise_lambda_symmetric(get_fixture("e46a").space())
+    assert not _holds(decide_lambda_symmetric, get_fixture("e46a").space())
     discrete = [["a"], ["b"], ["a", "b"]]
-    assert is_pairwise_lambda_symmetric(_space("ab", discrete, discrete))
+    assert _holds(decide_lambda_symmetric, _space("ab", discrete, discrete))
     # identical topologies collapse the one-sided and pairwise notions
     for masks in gts_on(3):
         s = GbtSpace(masks.ground, masks, masks)
-        assert is_pairwise_lambda_symmetric(s)
+        assert _holds(decide_lambda_symmetric, s)
 
 
 def test_fractional_examples():
@@ -145,8 +156,7 @@ def spaces(draw, max_n=3):
     topologies = []
     for _ in range(2):
         seeds = draw(st.lists(st.integers(0, g.full_mask), max_size=4))
-        family = SetFamily.of([Subset(0, g)] + [Subset(m, g) for m in seeds])
-        topologies.append(complete_unions(g, family)[0])
+        topologies.append(complete_unions(g, seeds)[0])
     return GbtSpace(g, topologies[0], topologies[1])
 
 

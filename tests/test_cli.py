@@ -268,3 +268,42 @@ def test_mine_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys):
     assert _run(capsys, *query, "--resume", str(cut), "--log", str(other)) == (0, out, "")
     assert _run(capsys, *query, "--resume", str(other)) == (0, out, "")
     assert other.read_bytes() == full.read_bytes()
+
+
+LOGGED_RUNS = [
+    ("mine", "--require", "T1", "--forbid", "R0", "--n", "2"),
+    ("census", "--n", "2"),
+]
+
+
+@pytest.mark.parametrize("command", LOGGED_RUNS, ids=[c[0] for c in LOGGED_RUNS])
+def test_a_second_fresh_run_on_a_used_log_is_refused(tmp_path, capsys, command):
+    """Appending a second run would make a resume add up both runs' counts."""
+    log = tmp_path / "run.ndjson"
+    code, out, _ = _run(capsys, *command, "--log", str(log))
+    assert code == 0
+    before = log.read_bytes()
+    code, again, err = _run(capsys, *command, "--log", str(log))
+    assert code == 1 and again == ""
+    assert "already holds a run" in err and "Traceback" not in err
+    assert log.read_bytes() == before
+    # the in-place resume of that log is still admitted and changes nothing
+    assert _run(capsys, *command, "--resume", str(log), "--log", str(log)) == (0, out, "")
+    assert log.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", LOGGED_RUNS, ids=[c[0] for c in LOGGED_RUNS])
+def test_resuming_into_another_used_log_is_refused(tmp_path, capsys, command):
+    first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+    assert _run(capsys, *command, "--log", str(first))[0] == 0
+    assert _run(capsys, *command, "--log", str(second))[0] == 0
+    before = second.read_bytes()
+    code, out, err = _run(capsys, *command, "--resume", str(first), "--log", str(second))
+    assert code == 1 and out == ""
+    assert "already holds a run" in err
+    assert second.read_bytes() == before
+    # an empty log file is not a used one: the resume copies the first log into it
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("")
+    assert _run(capsys, *command, "--resume", str(first), "--log", str(empty))[0] == 0
+    assert empty.read_bytes() == first.read_bytes()

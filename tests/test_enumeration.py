@@ -26,7 +26,7 @@ from oracles import naive_enumerate_gt_families, orbit_classes
 def _families_as_label_sets(n):
     gts = gts_on(n)
     return {
-        frozenset(frozenset(s.labels()) for s in t.opens) for t in gts
+        frozenset(frozenset(t.ground.labels(m)) for m in t.opens) for t in gts
     }
 
 
@@ -50,7 +50,7 @@ def test_stream_is_ascending_and_duplicate_free():
 
 def test_every_streamed_family_is_union_closed():
     for t in enumerate_gts(3):
-        masks = set(t.open_masks)
+        masks = set(t.opens)
         assert 0 in masks
         assert all(a | b in masks for a in masks for b in masks)
 
@@ -81,16 +81,16 @@ def test_canonical_space_roundtrip():
     for s in enumerate_gbt_pairs(2, "perm+swap"):
         key = canonical_key(s, "perm+swap")
         restored = canonical_space(key)
-        assert restored.mu1.open_masks == s.mu1.open_masks
-        assert restored.mu2.open_masks == s.mu2.open_masks
+        assert restored.mu1.opens == s.mu1.opens
+        assert restored.mu2.opens == s.mu2.opens
 
 
 def test_representatives_are_canonical_and_unique():
     for symmetry in ("perm", "perm+swap"):
         seen = set()
         for s in enumerate_gbt_pairs(3, symmetry):
-            e = (family_encoding(s.mu1.open_masks), family_encoding(s.mu2.open_masks))
-            assert canonical_pair_encoding(s.mu1.open_masks, s.mu2.open_masks, 3, symmetry) == e
+            e = (family_encoding(s.mu1.opens), family_encoding(s.mu2.opens))
+            assert canonical_pair_encoding(s.mu1.opens, s.mu2.opens, 3, symmetry) == e
             key = canonical_key(s, symmetry)
             assert key not in seen
             seen.add(key)

@@ -25,7 +25,7 @@ from gbtlab.gbt import (
 )
 from gbtlab.fixtures import get_fixture
 from gbtlab.gt import complete_unions, validate_gt
-from gbtlab.sets import SetFamily, Subset, full, ground, parse_subset
+from gbtlab.sets import Subset, full, ground, parse_subset
 
 from oracles import OracleSpace
 
@@ -99,18 +99,19 @@ def test_weak_separation_examples():
     g = e17.ground
     assert not are_weakly_separated(e17.mu1, _sub(e17, "a"), _sub(e17, "b"))
     assert are_weakly_separated(e17.mu1, _sub(e17, ""), _sub(e17, ""))
-    discrete = validate_gt(g, SetFamily.of(Subset(m, g) for m in range(8)))
+    discrete = validate_gt(g, range(8))
     assert are_weakly_separated(discrete, _sub(e17, "a"), _sub(e17, "b"))
 
 
 def test_lambda_open_families():
     e39 = get_fixture("e39").space()
     fam1 = lambda_open_family_wrt(e39, 1)
-    labels = {s.labels() for s in fam1}
+    labels = {e39.ground.labels(m) for m in fam1}
     assert ("a",) in labels and ("a", "c") in labels and () in labels
-    pairwise = pairwise_lambda_open_family(get_fixture("e46b").space())
-    assert ("b", "c") not in {s.labels() for s in pairwise}
-    assert () in {s.labels() for s in pairwise}
+    e46b = get_fixture("e46b").space()
+    pairwise = {e46b.ground.labels(m) for m in pairwise_lambda_open_family(e46b)}
+    assert ("b", "c") not in pairwise
+    assert () in pairwise
 
 
 @st.composite
@@ -120,8 +121,7 @@ def spaces(draw, max_n=3):
     topologies = []
     for _ in range(2):
         seeds = draw(st.lists(st.integers(0, g.full_mask), max_size=4))
-        family = SetFamily.of([Subset(0, g)] + [Subset(m, g) for m in seeds])
-        topologies.append(complete_unions(g, family)[0])
+        topologies.append(complete_unions(g, seeds)[0])
     return GbtSpace(g, topologies[0], topologies[1])
 
 
@@ -135,6 +135,16 @@ def test_duality_between_open_and_closed_predicates(s):
             assert is_g_open_wrt(s, i, a) == is_g_closed_wrt(s, i, comp)
             assert is_lambda_open_wrt(s, i, a) == is_lambda_closed_wrt(s, i, comp)
         assert is_pairwise_lambda_open(s, a) == is_pairwise_lambda_closed(s, comp)
+
+
+@given(spaces())
+def test_lambda_open_families_match_predicates(s):
+    g = s.ground
+    for i in (1, 2):
+        expected = tuple(m for m in range(g.full_mask + 1) if is_lambda_open_wrt(s, i, Subset(m, g)))
+        assert lambda_open_family_wrt(s, i) == expected
+    expected = tuple(m for m in range(g.full_mask + 1) if is_pairwise_lambda_open(s, Subset(m, g)))
+    assert pairwise_lambda_open_family(s) == expected
 
 
 @given(spaces())
@@ -193,4 +203,4 @@ def test_predicates_match_label_set_oracle(s):
 def test_make_space_checks_grounds():
     s = make_space("ab", [["a"]], [["b"]])
     assert s.ground.names == ("a", "b")
-    assert s.swap().mu1.open_masks == s.mu2.open_masks
+    assert s.swap().mu1.opens == s.mu2.opens

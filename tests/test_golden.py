@@ -1,17 +1,22 @@
 """Golden CLI outputs: exit code 0 and the sha256 of standard output.
 
 The digests pin the bytes the commands printed before the mining pair
-kernel replaced the deciders in the sweep, so any change of verdicts,
-witnesses, counts or formatting shows up here.
+kernel replaced the deciders in the sweep, and before topologies became
+tuples of open masks, so any change of verdicts, witnesses, counts or
+formatting (labels, ``GbtSpace`` reprs) shows up here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from importlib import resources
 
 import pytest
 
 from gbtlab.cli import main
+
+FIXTURES = resources.files("gbtlab").joinpath("fixtures")
 
 GOLDEN = [
     (
@@ -30,12 +35,55 @@ GOLDEN = [
     ("lattice --n 3", "f3be82e40744a1f70269557525d3449aa810b9e8636a7af6fab1baf603ecb511"),
     ("claims", "f37b9b6e4c01c165ec35d72141f00b54d4fdef451767d5cd82575b3f3bdafb67"),
     ("claims --list", "c729c34cfa3678ff77b4a81c38accbdf1377c401a8661ee3e14767d51041a610"),
+    (
+        "mine --special note50-converse --n 3",
+        "e2bc489d0c0067062e69a8de464eb1ebb67bfe57811268300ad6c68bf11bff2d",
+    ),
+    (
+        "mine --special g-union-escape --n 3",
+        "0f7badc72d4fc2e280acff2036e8388ab0245fdd3508ab14e44d29dc1de56871",
+    ),
+    (
+        "mine --special g-intersection-escape --n 3",
+        "8bd6d6a7e7aa11ff67ecf547dfd6f4c53bc77b5f42a329173aed21fda17f3eff",
+    ),
+    (
+        "classify {fixtures}/e36.json",
+        "038a140867ffd49a7b5391eb6dbfefe781e3cbb590498810f1d74d1816bc8348",
+    ),
+    (
+        "census --n 3 --symmetry perm+swap --format json",
+        "1e90f82721367238f75b7c940e7b81aae064be3c538eae2f0b479f1ab98138c1",
+    ),
+    (
+        "lattice --n 3 --format json",
+        "65f2bb5b82e58f3a7f0ccfdf6c506e6581a960b9434c7bb9f95f5bf9ea06ba40",
+    ),
 ]
+
+# A space file whose families lack unions: mu1 misses {a,b}, {a,c}, {b,c}
+# and {a,b,c}; mu2 misses {a,c} and {a,b,c}.
+UNCLOSED = {"points": ["a", "b", "c"], "mu1": [["a"], ["b"], ["c"]], "mu2": [["a"], ["c"], ["b", "c"]]}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(("command", "digest"), GOLDEN, ids=[command for command, _ in GOLDEN])
 def test_golden_output(capsys, command, digest):
-    code = main(command.split())
+    code = main(command.format(fixtures=FIXTURES).split())
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _digest(out) == digest
+
+
+def test_golden_complete_unions(tmp_path, capsys):
+    """Standard output is the completed file; standard error lists the added sets."""
+    path = tmp_path / "unclosed.json"
+    path.write_text(json.dumps(UNCLOSED))
+    code = main(["validate", str(path), "--complete-unions"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert _digest(captured.out) == "8d75adb547b599c12773b07b268275d7dcbfd288ba83990ec060a140a32b5cd9"
+    assert _digest(captured.err) == "9de1977dd95a706de94375d38b94d2fff7c3a54cc6f06dffb0e3e51143732cc3"

@@ -21,7 +21,7 @@ from gbtlab.gt import (
     vee_family,
     wedge,
 )
-from gbtlab.sets import SetFamily, Subset, full, ground, parse_subset
+from gbtlab.sets import GroundSetError, Subset, full, ground, parse_subset
 
 
 def _sub(g, labels):
@@ -50,30 +50,36 @@ def test_validate_gt_accepts_e11_families(e11):
 
 def test_validate_degenerate_family():
     g = ground(3)
-    t = validate_gt(g, SetFamily.of([Subset(0, g)]))
-    assert t.open_masks == (0,)
+    t = validate_gt(g, [0])
+    assert t.opens == (0,)
 
 
 def test_validate_missing_empty_set():
     g = ground(2)
     with pytest.raises(GTValidationError) as err:
-        validate_gt(g, SetFamily.of([Subset(1, g), Subset(2, g)]))
+        validate_gt(g, [1, 2])
     assert err.value.kind == "missing-empty-set"
 
 
 def test_validate_union_escape_reports_pair():
     g = ground(2)
     with pytest.raises(GTValidationError) as err:
-        validate_gt(g, SetFamily.of([Subset(0, g), Subset(1, g), Subset(2, g)]))
+        validate_gt(g, [0, 1, 2])
     assert err.value.kind == "union-escape"
-    assert {s.bits for s in err.value.pair} == {1, 2}
+    assert set(err.value.pair) == {1, 2}
+    assert "{a} ∪ {b} = {a,b} is missing" in str(err.value)
+
+
+def test_validate_mask_outside_ground_set():
+    with pytest.raises(GroundSetError):
+        validate_gt(ground(2), [0, 4])
 
 
 def test_complete_unions_reports_added():
     g = ground(2)
-    t, added = complete_unions(g, SetFamily.of([Subset(1, g), Subset(2, g)]))
-    assert t.open_masks == (0, 1, 2, 3)
-    assert added.masks() == (3,)
+    t, added = complete_unions(g, [1, 2])
+    assert t.opens == (0, 1, 2, 3)
+    assert added == (3,)
 
 
 def test_open_closed_examples(e11):
@@ -120,9 +126,9 @@ def test_derived_set_frozen_values(e11, e13):
 
 def test_vee_family_values(e17):
     g3 = ground(3)
-    degenerate = validate_gt(g3, SetFamily.of([Subset(0, g3)]))
-    assert {s.labels() for s in vee_family(degenerate)} == {(), ("a", "b", "c")}
-    assert {s.labels() for s in vee_family(e17.mu1)} == {(), ("b", "c"), ("a", "b", "c")}
+    degenerate = validate_gt(g3, [0])
+    assert {g3.labels(m) for m in vee_family(degenerate)} == {(), ("a", "b", "c")}
+    assert {g3.labels(m) for m in vee_family(e17.mu1)} == {(), ("b", "c"), ("a", "b", "c")}
 
 
 def test_gt_separation(e17):
@@ -131,7 +137,7 @@ def test_gt_separation(e17):
     assert not is_gt_T0(e17.mu2)
     assert is_gt_T1(e26.mu1)
     g = ground(2)
-    discrete = validate_gt(g, SetFamily.of(Subset(m, g) for m in range(4)))
+    discrete = validate_gt(g, range(4))
     assert is_gt_T1(discrete)
 
 
@@ -140,8 +146,7 @@ def topologies(draw, max_n=4):
     n = draw(st.integers(1, max_n))
     g = ground(n)
     seeds = draw(st.lists(st.integers(0, g.full_mask), max_size=5))
-    family = SetFamily.of([Subset(0, g)] + [Subset(m, g) for m in seeds])
-    t, _ = complete_unions(g, family)
+    t, _ = complete_unions(g, seeds)
     return t
 
 
@@ -185,7 +190,7 @@ def test_closure_interior_laws(t):
 def test_vee_family_is_generalized_topology(t):
     family = vee_family(t)
     validated = validate_gt(t.ground, family)
-    assert Subset(0, t.ground) in validated.opens
+    assert 0 in validated.opens
 
 
 @given(topologies())
@@ -199,4 +204,4 @@ def test_wedge_vee_duality(t):
 def test_gt_from_labels_implies_empty():
     g = ground(3)
     t = gt_from_labels(g, [["a"], ["a", "b"]])
-    assert t.open_masks == (0, 1, 3)
+    assert t.opens == (0, 1, 3)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gbtlab.sets import (
     GroundSetError,
-    SetFamily,
     Subset,
     complement,
     ground,
@@ -68,12 +67,12 @@ def test_parse_render_roundtrip():
     assert parse_subset(("a", "c", "d"), g).labels() == ("a", "c", "d")
 
 
-def test_family_canonical_order():
-    g = ground(2)
-    family = SetFamily.of([Subset(3, g), Subset(0, g), Subset(3, g), Subset(1, g)])
-    assert family.masks() == (0, 1, 3)
-    with pytest.raises(GroundSetError):
-        SetFamily((Subset(1, g), Subset(1, g)))
+def test_ground_renders_masks():
+    g = ground(3)
+    assert g.labels(0b101) == ("a", "c")
+    assert g.label(0b101) == "{a,c}" == repr(parse_subset("ac", g))
+    assert g.label(0) == "{}"
+    assert g.label_family((0, 1, 3)) == "{{}, {a}, {a,b}}"
 
 
 @st.composite
