@@ -436,6 +436,19 @@ def cross_validate_space(s: GbtSpace) -> None:
         )
 
 
+def check_implication_chain(verdicts: dict[str, bool], where: object) -> None:
+    """Raise unless T1/2 ⟹ T5/8 ⟹ T3/8 ⟹ T1/4 ⟹ T0 holds among ``verdicts``.
+
+    ``where`` names the space in the message.
+    """
+    chain = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
+    for stronger, weaker in itertools.pairwise(chain):
+        if verdicts[stronger] and not verdicts[weaker]:
+            raise InternalDisagreementError(
+                f"implication chain broken on {where!r}: {stronger} holds but {weaker} fails"
+            )
+
+
 def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
     """All nine verdicts, with the implication chain asserted.
 
@@ -450,12 +463,7 @@ def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
     decided = {decide: decide(t1, t2) for decide in dict.fromkeys(DECIDERS.values())}
     verdicts = {name: decided[decide] for name, decide in DECIDERS.items()}
 
-    chain = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
-    for stronger, weaker in itertools.pairwise(chain):
-        if verdicts[stronger][0] and not verdicts[weaker][0]:
-            raise InternalDisagreementError(
-                f"implication chain broken on {s!r}: {stronger} holds but {weaker} fails"
-            )
+    check_implication_chain({name: ok for name, (ok, _) in verdicts.items()}, s)
 
     witnesses = {name: w for name, (ok, w) in verdicts.items() if not ok and w is not None}
     # the profile's fields follow AXIOM_NAMES, as DECIDERS does

@@ -151,12 +151,38 @@ def canonical_pair_encoding(f1, f2, n: int, symmetry: str = "perm+swap") -> tupl
     return best
 
 
+def key_width(n: int) -> int:
+    """Bytes per family encoding in a canonical key on n points."""
+    return ((1 << n) - 1 + 7) // 8
+
+
 def canonical_key(s: GbtSpace, symmetry: str = "perm+swap") -> bytes:
-    """Canonical byte-string key; equal keys iff isomorphic under the group."""
+    """Canonical byte-string key; equal keys iff isomorphic under the group.
+
+    A permutation search, for arbitrary spaces; a pair that
+    ``canonical_pair_indices`` yields has its key from ``canonical_index_key``.
+    """
     n = s.ground.size
     e1, e2 = canonical_pair_encoding(s.mu1.opens, s.mu2.opens, n, symmetry)
-    width = ((1 << n) - 1 + 7) // 8
+    width = key_width(n)
     return bytes([n]) + e1.to_bytes(width, "big") + e2.to_bytes(width, "big")
+
+
+@lru_cache(maxsize=None)
+def _encoded_families(n: int) -> tuple[bytes, ...]:
+    width = key_width(n)
+    return tuple(family_encoding(f).to_bytes(width, "big") for f in gt_mask_families(n))
+
+
+def canonical_index_key(n: int, i: int, j: int) -> bytes:
+    """The canonical key of a pair that ``canonical_pair_indices`` yields.
+
+    Such a pair is already minimal in encoding order, so its key is its own
+    encoding pair; it equals ``canonical_key`` of the pair's space, which the
+    tests use as its oracle.
+    """
+    encoded = _encoded_families(n)
+    return bytes([n]) + encoded[i] + encoded[j]
 
 
 def permute_space(s: GbtSpace, perm: tuple[int, ...]) -> GbtSpace:
@@ -172,23 +198,27 @@ def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
 
     A pair is canonical when (i, j) is minimal over the group among the
     index pairs of its orbit; indices are in encoding order, so this
-    agrees with canonical_pair_encoding.
+    agrees with canonical_pair_encoding, and ``canonical_index_key``
+    needs no permutation search.  With ``orbit_min[j]`` the least index
+    of j's orbit, the swapped images (p(j), p(i)) of a pair with i
+    minimal in its orbit can undercut it only when ``orbit_min[j] == i``,
+    so under perm+swap every other j costs one comparison.  The tests
+    hold this against a brute-force filter over each pair's image set.
     """
     check_symmetry(symmetry)
     gt_perm = _gt_index_permutations(n)
-    count = len(gt_mask_families(n))
-    all_perms = range(len(gt_perm))
-    for i in range(count):
-        if any(gt_perm[p][i] < i for p in all_perms):
+    orbit_min = [min(images) for images in zip(*gt_perm)]
+    swap = symmetry == "perm+swap"
+    for i, least in enumerate(orbit_min):
+        if least < i:
             continue
-        stab = [p for p in all_perms if gt_perm[p][i] == i]
-        for j in range(count):
-            if any(gt_perm[p][j] < j for p in stab):
-                continue
-            if symmetry == "perm+swap":
-                swapped_min = min((gt_perm[p][j], gt_perm[p][i]) for p in all_perms)
-                if swapped_min < (i, j):
+        stab = [perm for perm in gt_perm[1:] if perm[i] == i]
+        for j in range(i if swap else 0, len(orbit_min)):
+            if swap and orbit_min[j] <= i:
+                if orbit_min[j] < i or min(perm[i] for perm in gt_perm if perm[j] == i) < j:
                     continue
+            if any(perm[j] < j for perm in stab):
+                continue
             yield i, j
 
 

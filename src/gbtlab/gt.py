@@ -50,6 +50,11 @@ class GeneralizedTopology:
     opens: tuple[int, ...]
 
     @cached_property
+    def open_labels(self) -> tuple[tuple[str, ...], ...]:
+        """Label tuples of the nonempty opens, as a space file lists them."""
+        return tuple(self.ground.labels(m) for m in self.opens if m)
+
+    @cached_property
     def open_mask_set(self) -> frozenset[int]:
         return frozenset(self.opens)
 

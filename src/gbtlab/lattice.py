@@ -5,14 +5,22 @@ all canonical spaces in scope or refutes it with the canonical key of
 the first countering space.  The DOT rendering shows verified edges
 solid and, dashed, the refuted converses of verified implications; the
 JSON report carries the full partition of all ordered pairs.
+
+The sweep reads the verdict words of ``mining.verdict_words`` over each
+level's canonical index pairs and keeps, per distinct word, the
+``canonical_index_key`` of the first space that has it; the first
+countering space of (P, Q) is the first of those spaces whose word has
+P and lacks Q.  ``axiom_profile`` and ``canonical_key`` are the oracles
+the tests hold the words and keys to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import AXIOM_NAMES, axiom_profile
-from .enumeration import canonical_key, check_size, enumerate_gbt_pairs
+from .axioms import AXIOM_NAMES
+from .enumeration import canonical_index_key, canonical_pair_indices, check_size
+from .mining import verdict_words, word_verdicts
 
 
 @dataclass
@@ -52,11 +60,17 @@ class LatticeReport:
 
 def implication_lattice(n: int) -> LatticeReport:
     """Partition all ordered axiom pairs into verified and refuted implications."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     check_size(n)
-    profiles: list[tuple[dict[str, bool], str]] = []
+    # the canonical spaces' verdict words, each with the key of its first space
+    first_keys: dict[int, bytes] = {}
     for level in range(1, n + 1):
-        for space in enumerate_gbt_pairs(level):
-            profiles.append((axiom_profile(space).as_dict(), canonical_key(space).hex()))
+        pairs = list(canonical_pair_indices(level))
+        for (i, j), word in zip(pairs, verdict_words(level, pairs)):
+            if word not in first_keys:
+                first_keys[word] = canonical_index_key(level, i, j)
+    verdicts = [(word_verdicts(word), key.hex()) for word, key in first_keys.items()]
 
     edges = []
     counter_edges = []
@@ -65,7 +79,7 @@ def implication_lattice(n: int) -> LatticeReport:
             if src == dst:
                 continue
             witness = next(
-                (key for verdicts, key in profiles if verdicts[src] and not verdicts[dst]),
+                (key for holds, key in verdicts if holds[src] and not holds[dst]),
                 None,
             )
             if witness is None:

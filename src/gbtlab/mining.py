@@ -19,6 +19,16 @@ kernels' oracles: every pair a kernel reports as a hit is decided again
 by ``evaluate_axiom``, and a disagreement raises
 InternalDisagreementError.
 
+A census (and the implication lattice, which reads the same words)
+decides the canonical pairs of a level with every kernel at once:
+``verdict_words`` gives each pair a verdict word, one bit per distinct
+kernel, from rows computed once per first index, and asserts the
+implication chain of ``axiom_profile`` on every word.  The pairs of
+``canonical_pair_indices`` are minimal in encoding order, so each logged
+key is ``canonical_index_key`` of the pair's indices, and a logged space
+lists each topology's cached ``open_labels``.  ``axiom_profile``,
+``canonical_key`` and ``space_to_data`` are the tests' oracles for them.
+
 Work is split into fixed-size blocks of first-coordinate indices.  Block
 boundaries depend only on the size level, never on the worker count, and
 block results are consumed strictly in block order, so the witness
@@ -50,7 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 
 from .axioms import (
     PAIR_KERNELS,
@@ -58,10 +68,12 @@ from .axioms import (
     InternalDisagreementError,
     PairKernel,
     axiom_profile,
+    check_implication_chain,
     evaluate_axiom,
     normalize_axiom_name,
 )
 from .enumeration import (
+    canonical_index_key,
     canonical_key,
     canonical_pair_indices,
     check_size,
@@ -69,6 +81,7 @@ from .enumeration import (
     enumerate_gbt_pairs,
     family_from_encoding,
     gts_on,
+    key_width,
     pair_orbit_size,
 )
 from .gbt import GbtSpace
@@ -194,7 +207,7 @@ def _blocks(count: int) -> list[tuple[int, int]]:
 def canonical_space(key: bytes) -> GbtSpace:
     """Decode a canonical key back into its representative space."""
     n = key[0]
-    width = ((1 << n) - 1 + 7) // 8
+    width = key_width(n)
     e1 = int.from_bytes(key[1 : 1 + width], "big")
     e2 = int.from_bytes(key[1 + width :], "big")
     g = ground(n)
@@ -290,6 +303,8 @@ def mine(
     resume_path=None,
 ) -> MiningResult:
     """Run a query over every pair of topologies in the size range."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     _refuse_used_log(log_path, resume_path)
     header = {"header": query.as_dict(), "log": "mine"}
     done_blocks: dict[tuple[int, int], int] = {}
@@ -393,6 +408,46 @@ class CensusRow:
         }
 
 
+# The distinct pair kernels: bit k of a verdict word is kernel k's verdict.
+WORD_KERNELS = tuple(dict.fromkeys(PAIR_KERNELS.values()))
+_WORD_BITS = tuple(1 << k for k in range(len(WORD_KERNELS)))
+_AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
+
+
+def _packed_word(*verdicts: bool) -> int:
+    return sum(compress(_WORD_BITS, verdicts))
+
+
+def word_verdicts(word: int) -> dict[str, bool]:
+    """The nine verdicts a verdict word holds, in the order of AXIOM_NAMES."""
+    return {name: bool(word & bit) for name, bit in _AXIOM_BITS.items()}
+
+
+def verdict_words(n: int, pairs):
+    """Yield the verdict word of each index pair (i, j) of ``pairs``, in order.
+
+    The pairs of one first index i that follow each other share one row
+    per kernel, computed once from the cached kernel columns (built on
+    the first pair), so each pair costs a few list lookups.  The
+    implication chain of ``axiom_profile`` is asserted on every distinct
+    word, which covers every pair that has it.  The tests hold the words
+    against ``axiom_profile`` on canonical pairs.
+    """
+    gts = gts_on(n)
+    columns = [(kernel, _kernel_column(n, kernel)) for kernel in WORD_KERNELS]
+    seen: set[int] = set()
+    for i, group in groupby(pairs, key=operator.itemgetter(0)):
+        js = [j for _, j in group]
+        start = min(js)
+        rows = [kernel.verdicts(column, i, start) for kernel, column in columns]
+        picked = [[row[j - start] for j in js] for row in rows]
+        for j, word in zip(js, map(_packed_word, *picked)):
+            if word not in seen:
+                check_implication_chain(word_verdicts(word), GbtSpace(gts[i].ground, gts[i], gts[j]))
+                seen.add(word)
+            yield word
+
+
 def census(
     n: int,
     symmetry: str = "perm",
@@ -407,9 +462,16 @@ def census(
     bound is recorded on the row so a partial census is never mistaken
     for a total one.  For n <= 3 the row also carries the
     orbit-stabilizer check of the canonical pair count.
+
+    Verdicts come from ``verdict_words`` and each logged key from
+    ``canonical_index_key``; a logged space lists each topology's cached
+    ``open_labels``.  Their oracles are ``axiom_profile``,
+    ``canonical_key`` and ``space_to_data``, which the tests compare.
     """
     check_symmetry(symmetry)
     check_size(n)
+    if max_open_sets is not None and max_open_sets < 0:
+        raise ValueError(f"max_open_sets must be at least 0, got {max_open_sets}")
     _refuse_used_log(log_path, resume_path)
     gts = gts_on(n)
 
@@ -430,25 +492,31 @@ def census(
             if "key" in record:
                 axiom_counts.update(name for name, value in record["profile"].items() if value)
 
+    word_counts: Counter[int] = Counter()
     with _appending(log_path, header, resume_path) as log:
-        g = gts[0].ground
+        points = gts[0].ground.names
         for index, (lo, hi) in enumerate(_blocks(len(pairs))):
             if (n, index) in done_blocks:
                 continue
-            for i, j in pairs[lo:hi]:
-                space = GbtSpace(g, gts[i], gts[j])
-                profile = axiom_profile(space).as_dict()
-                axiom_counts.update(name for name, value in profile.items() if value)
+            block = pairs[lo:hi]
+            for (i, j), word in zip(block, verdict_words(n, block)):
+                word_counts[word] += 1
                 if log is not None:
                     log.record(
                         {
-                            "key": canonical_key(space, symmetry).hex(),
-                            "space": space_to_data(space),
-                            "profile": profile,
+                            "key": canonical_index_key(n, i, j).hex(),
+                            "space": {
+                                "points": points,
+                                "mu1": gts[i].open_labels,
+                                "mu2": gts[j].open_labels,
+                            },
+                            "profile": word_verdicts(word),
                         }
                     )
             if log is not None:
                 log.block(n, index, hi - lo)
+    for word, count in word_counts.items():
+        axiom_counts.update({name: count for name, value in word_verdicts(word).items() if value})
 
     orbit_ok = None
     if n <= 3:

@@ -24,7 +24,7 @@ class SpaceFileError(ValueError):
 
 def space_to_data(s: GbtSpace) -> dict:
     def family(t: GeneralizedTopology) -> list[list[str]]:
-        return [list(s.ground.labels(m)) for m in t.opens if m]
+        return list(map(list, t.open_labels))
 
     return {"points": list(s.ground.names), "mu1": family(s.mu1), "mu2": family(s.mu2)}
 

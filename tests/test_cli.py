@@ -252,6 +252,21 @@ def test_sweeps_beyond_four_points_are_refused(capsys, argv):
     assert "1,385,552" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("lattice", "--n", "0"), "n must be at least 1"),
+        (("lattice", "--n", "-1"), "n must be at least 1"),
+        (("census", "--n", "2", "--max-open-sets", "-1"), "max_open_sets must be at least 0"),
+        (("mine", "--require", "T1", "--forbid", "R0", "--n", "2", "--workers", "-3"), "workers"),
+    ],
+)
+def test_bad_numeric_arguments_exit_1(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_mine_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys):
     """The second log must carry the first log's witnesses and finished
     blocks: a resume of it that found none would report the range exhausted."""

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from gbtlab.enumeration import (
+    canonical_index_key,
     canonical_key,
     canonical_pair_indices,
     canonical_pair_encoding,
@@ -17,7 +19,7 @@ from gbtlab.enumeration import (
     pair_orbit_size,
     permute_space,
 )
-from gbtlab.gbt import make_space
+from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.mining import canonical_space
 
 from oracles import naive_enumerate_gt_families, orbit_classes
@@ -118,8 +120,9 @@ def test_orbit_stabilizer_identity(n, symmetry):
     assert total == labeled
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_canonical_counts_match_brute_force_orbits(n):
+def _group_images(n, symmetry):
+    """``images(i, j)``: the index pairs of (i, j)'s images under the group,
+    from point permutations applied mask by mask."""
     families = gt_mask_families(n)
     index_of = {f: i for i, f in enumerate(families)}
     tables = []
@@ -136,20 +139,56 @@ def test_canonical_counts_match_brute_force_orbits(n):
     def gt_image(index, table):
         return index_of[tuple(sorted(table[m] for m in families[index]))]
 
-    all_pairs = [(i, j) for i in range(len(families)) for j in range(len(families))]
+    def images(i, j):
+        perm_images = [(gt_image(i, t), gt_image(j, t)) for t in tables]
+        if symmetry == "perm":
+            return perm_images
+        return perm_images + [(b, a) for a, b in perm_images]
 
-    def perm_images(i, j):
-        return [(gt_image(i, t), gt_image(j, t)) for t in tables]
+    return images
 
-    def swap_images(i, j):
-        return perm_images(i, j) + [(b, a) for a, b in perm_images(i, j)]
 
-    assert len(orbit_classes(all_pairs, perm_images)) == len(
-        list(canonical_pair_indices(n, "perm"))
-    )
-    assert len(orbit_classes(all_pairs, swap_images)) == len(
-        list(canonical_pair_indices(n, "perm+swap"))
-    )
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_counts_match_brute_force_orbits(n):
+    count = len(gt_mask_families(n))
+    all_pairs = [(i, j) for i in range(count) for j in range(count)]
+    for symmetry in ("perm", "perm+swap"):
+        assert len(orbit_classes(all_pairs, _group_images(n, symmetry))) == len(
+            list(canonical_pair_indices(n, symmetry))
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_canonical_pairs_are_the_minima_of_their_image_sets(n, symmetry):
+    images = _group_images(n, symmetry)
+    count = len(gt_mask_families(n))
+    kept = [(i, j) for i in range(count) for j in range(count) if (i, j) == min(images(i, j))]
+    assert list(canonical_pair_indices(n, symmetry)) == kept
+
+
+def test_canonical_pair_counts_n4():
+    """Burnside's pair-orbit counts on four points."""
+    assert sum(1 for _ in canonical_pair_indices(4, "perm+swap")) == 136550
+    assert sum(1 for _ in canonical_pair_indices(4, "perm")) == 272040
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_index_keys_match_the_permutation_search(n, symmetry):
+    gts = gts_on(n)
+    for i, j in canonical_pair_indices(n, symmetry):
+        space = GbtSpace(gts[i].ground, gts[i], gts[j])
+        assert canonical_index_key(n, i, j) == canonical_key(space, symmetry), (i, j)
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_index_keys_match_the_permutation_search_on_sampled_n4_pairs(symmetry):
+    gts = gts_on(4)
+    pairs = list(canonical_pair_indices(4, symmetry))
+    for i, j in random.Random(7).sample(pairs, 300):
+        space = GbtSpace(gts[i].ground, gts[i], gts[j])
+        assert canonical_index_key(4, i, j) == canonical_key(space, symmetry), (i, j)
 
 
 def test_distinct_profiles_get_distinct_keys():

@@ -1,9 +1,11 @@
 """Golden CLI outputs: exit code 0 and the sha256 of standard output.
 
 The digests pin the bytes the commands printed before the mining pair
-kernel replaced the deciders in the sweep, and before topologies became
-tuples of open masks, so any change of verdicts, witnesses, counts or
-formatting (labels, ``GbtSpace`` reprs) shows up here.
+kernel replaced the deciders in the sweep, before topologies became
+tuples of open masks, and before census and lattice read verdict words
+(the four-point lattice was pinned then), so any change of verdicts,
+witnesses, counts or formatting (labels, ``GbtSpace`` reprs) shows up
+here.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ GOLDEN = [
     (
         "lattice --n 3 --format json",
         "65f2bb5b82e58f3a7f0ccfdf6c506e6581a960b9434c7bb9f95f5bf9ea06ba40",
+    ),
+    (
+        "lattice --n 4 --format json",
+        "2b92c8e77cef629d2eff536ef37fdc23481c1a6f01945b4fd257b90088831a77",
     ),
 ]
 

@@ -2,13 +2,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from concurrent.futures import Future
 
 import pytest
 
+from gbtlab import lattice as lattice_module
 from gbtlab import mining
-from gbtlab.axioms import InternalDisagreementError, UnknownAxiomError, evaluate_axiom
-from gbtlab.enumeration import gts_on
+from gbtlab.axioms import (
+    PAIR_KERNELS,
+    InternalDisagreementError,
+    PairKernel,
+    UnknownAxiomError,
+    axiom_profile,
+    check_implication_chain,
+    evaluate_axiom,
+)
+from gbtlab.enumeration import canonical_pair_indices, gts_on
+from gbtlab.lattice import implication_lattice
 from gbtlab.mining import (
     MiningQuery,
     census,
@@ -16,8 +27,10 @@ from gbtlab.mining import (
     find_g_union_violation,
     find_note50_witness,
     mine,
+    verdict_words,
+    word_verdicts,
 )
-from gbtlab.gbt import is_pairwise_lambda_closed, is_wedge12_set
+from gbtlab.gbt import GbtSpace, is_pairwise_lambda_closed, is_wedge12_set
 
 
 def test_query_validation():
@@ -186,10 +199,72 @@ def test_census_log_resume(tmp_path):
     assert resumed.axiom_counts == row.axiom_counts
 
 
+# verdict words -----------------------------------------------------------
+
+
+def _assert_words_match_profiles(n, pairs):
+    gts = gts_on(n)
+    for (i, j), word in zip(pairs, verdict_words(n, pairs), strict=True):
+        want = axiom_profile(GbtSpace(gts[i].ground, gts[i], gts[j])).as_dict()
+        assert word_verdicts(word) == want, (n, i, j)
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_verdict_words_match_axiom_profile(symmetry):
+    for n in (1, 2, 3):
+        _assert_words_match_profiles(n, list(canonical_pair_indices(n, symmetry)))
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_verdict_words_match_axiom_profile_on_sampled_n4_pairs(symmetry):
+    pairs = list(canonical_pair_indices(4, symmetry))
+    _assert_words_match_profiles(4, random.Random(11).sample(pairs, 400))
+
+
+def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
+    t_half_only = mining._AXIOM_BITS["T1_2"]  # T1/2 holds, T5/8 fails
+    with pytest.raises(InternalDisagreementError, match="T1_2 holds but T5_8 fails"):
+        check_implication_chain(word_verdicts(t_half_only), "a hand-made word")
+    # a T1/2 kernel that holds everywhere makes such words in the sweeps
+    t_half = PAIR_KERNELS["T1_2"]
+    forced = PairKernel(t_half.signature, lambda *args: [True] * len(args[-1]))
+    kernels = tuple(forced if k is t_half else k for k in mining.WORD_KERNELS)
+    monkeypatch.setattr(mining, "WORD_KERNELS", kernels)
+    for sweep in (census, implication_lattice):
+        with pytest.raises(InternalDisagreementError, match="implication chain broken on GbtSpace"):
+            sweep(2)
+
+
+def test_census_and_lattice_decide_no_space_one_by_one(tmp_path, monkeypatch):
+    def per_space(*args, **kwargs):
+        raise AssertionError("a per-space route was called")
+
+    lattice = implication_lattice(3)
+    for module in (mining, lattice_module):
+        for name in ("axiom_profile", "canonical_key", "space_to_data"):
+            monkeypatch.setattr(module, name, per_space, raising=False)
+    log = tmp_path / "census.ndjson"
+    census(3, log_path=log)
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == CENSUS_N3_LOG_SHA256
+    assert implication_lattice(3) == lattice
+
+
+def test_resuming_a_finished_census_builds_no_kernel_columns(tmp_path, monkeypatch):
+    log = tmp_path / "census.ndjson"
+    row = census(3, log_path=log)
+
+    def column(n, kernel):
+        raise AssertionError("a kernel column was built")
+
+    monkeypatch.setattr(mining, "_kernel_column", column)
+    assert census(3, resume_path=log) == row
+
+
 # block log ---------------------------------------------------------------
 
 # the log format is what a resume reads back, so its bytes must not drift
 CENSUS_N3_LOG_SHA256 = "6d7681a0673eb0f0dd9dd78296ba60ffd933a3137378fd1fdb4c115392defa54"
+CENSUS_N4_LOG_SHA256 = "0833cfb0debfb4ac70bcb5c182cb2e63568a9d30d98e051386e9de508b7171b5"
 MINE_T1_R0_LOG_SHA256 = "eb5e3be2f44de0318db40a2287246c4a6396e010383b396d044ec5eec73b6527"
 
 
@@ -207,6 +282,13 @@ def test_log_bytes_are_pinned(tmp_path):
     mine_log = tmp_path / "mine.ndjson"
     mine(MiningQuery(("T1",), "R0", n_max=3, limit=4), log_path=mine_log)
     assert hashlib.sha256(mine_log.read_bytes()).hexdigest() == MINE_T1_R0_LOG_SHA256
+
+
+def test_n4_census_log_bytes_are_pinned(tmp_path):
+    """The bounded four-point census the benchmark writes: 27,356 classes."""
+    log = tmp_path / "census-n4.ndjson"
+    census(4, "perm+swap", max_open_sets=6, log_path=log)
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == CENSUS_N4_LOG_SHA256
 
 
 def test_census_resumes_from_every_block_boundary(tmp_path):
