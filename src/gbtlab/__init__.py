@@ -36,7 +36,6 @@ from .gt import (
     is_open,
     validate_gt,
     vee,
-    vee_family,
     wedge,
 )
 from .lattice import LatticeReport, implication_lattice

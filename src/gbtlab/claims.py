@@ -52,7 +52,6 @@ from .gt import (
     is_vee_set,
     is_wedge_set,
     validate_gt,
-    vee_family,
     wedge,
 )
 from .mining import find_g_intersection_violation, find_g_union_violation
@@ -103,7 +102,12 @@ class ClaimReport:
 
 
 class SpaceContext:
-    """One space with everything the claim checkers share precomputed."""
+    """One space with everything the claim checkers share.
+
+    The subset families are the space's and its topologies' cached ones
+    (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
+    keyed by side; the verdicts are computed once per space.
+    """
 
     def __init__(self, space: GbtSpace):
         self.space = space
@@ -114,55 +118,34 @@ class SpaceContext:
         self.label = space.ground.label
 
     def sides(self):
-        return ((1, self.t1, self.t2), (2, self.t2, self.t1))
+        return self.space.sides()
 
     def where(self, detail: str) -> str:
         return f"{self.space!r}: {detail}"
 
     @cached_property
-    def g_closed(self) -> dict[int, list[int]]:
-        out = {}
-        for i, ta, tb in self.sides():
-            out[i] = [
-                a for a in self.subsets if ta.closure_table[a] & ~tb.wedge_table[a] == 0
-            ]
-        return out
+    def g_closed(self) -> dict[int, frozenset[int]]:
+        return self.space.g_closed
 
     @cached_property
     def g_open(self) -> dict[int, set[int]]:
         return {i: {self.full ^ a for a in masks} for i, masks in self.g_closed.items()}
 
     @cached_property
-    def lambda_closed(self) -> dict[int, set[int]]:
-        out = {}
-        for i, ta, tb in self.sides():
-            out[i] = {
-                a for a in self.subsets if ta.closure_table[a] & tb.wedge_table[a] == a
-            }
-        return out
+    def lambda_closed(self) -> dict[int, frozenset[int]]:
+        return self.space.lambda_closed
 
     @cached_property
-    def pairwise_lambda(self) -> set[int]:
-        t1, t2 = self.t1, self.t2
-        return {
-            a
-            for a in self.subsets
-            if t1.closure_table[a] & t2.closure_table[a] & t1.wedge_table[a] & t2.wedge_table[a] == a
-        }
+    def pairwise_lambda(self) -> frozenset[int]:
+        return self.space.pairwise_lambda_closed
 
     @cached_property
-    def wedge_sets(self) -> dict[int, list[int]]:
-        return {
-            i: [a for a in self.subsets if t.wedge_table[a] == a]
-            for i, t, _ in self.sides()
-        }
+    def wedge_sets(self) -> dict[int, tuple[int, ...]]:
+        return {1: self.t1.wedge_sets, 2: self.t2.wedge_sets}
 
     @cached_property
-    def vee_sets(self) -> dict[int, list[int]]:
-        return {
-            i: [a for a in self.subsets if t.vee_table[a] == a]
-            for i, t, _ in self.sides()
-        }
+    def vee_sets(self) -> dict[int, tuple[int, ...]]:
+        return {1: self.t1.vee_sets, 2: self.t2.vee_sets}
 
     @cached_property
     def profile(self):
@@ -179,16 +162,6 @@ class SpaceContext:
     @cached_property
     def t_half_definitional(self) -> bool:
         return t_half_by_definition(self.t1, self.t2)
-
-    def singleton_kinds(self, x: int) -> tuple[bool, bool, bool, bool]:
-        """(mu1-open, mu2-open, mu1-closed, mu2-closed) for singleton x."""
-        p = 1 << x
-        return (
-            p in self.t1.open_mask_set,
-            p in self.t2.open_mask_set,
-            (self.full ^ p) in self.t1.open_mask_set,
-            (self.full ^ p) in self.t2.open_mask_set,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +190,7 @@ def check_lem7(ctx: SpaceContext) -> str | None:
 
 def check_rem9(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
-        g = set(ctx.g_closed[i])
+        g = ctx.g_closed[i]
         for c in ta.closed_masks:
             if c not in g:
                 return ctx.where(f"mu{i}-closed {ctx.label(c)} is not g-closed")
@@ -236,7 +209,7 @@ def check_note10(ctx: SpaceContext) -> str | None:
             if tb.wedge_table[w] != w:
                 return ctx.where(f"wedge of {ctx.label(a)} is not itself a wedge-set")
             if w == a:
-                g = ta.closure_table[a] & ~w == 0
+                g = a in ctx.g_closed[i]
                 closed = ta.closure_table[a] == a
                 if g != closed:
                     return ctx.where(
@@ -259,7 +232,7 @@ def check_thm12(ctx: SpaceContext) -> str | None:
 
 def check_union_g_conditional(ctx: SpaceContext) -> str | None:
     for i, ta, _ in ctx.sides():
-        g = set(ctx.g_closed[i])
+        g = ctx.g_closed[i]
         closed = ta.closed_masks
         if all(c1 | c2 in g for c1 in closed for c2 in closed):
             for a in g:
@@ -330,48 +303,35 @@ def check_thm20(ctx: SpaceContext) -> str | None:
     return None
 
 
-def _singleton_closed_somewhere(ctx: SpaceContext) -> bool:
-    return all(
-        ctx.singleton_kinds(x)[2] or ctx.singleton_kinds(x)[3]
-        for x in range(ctx.space.ground.size)
-    )
+def _singleton_masks(ctx: SpaceContext) -> tuple[int, int, int, int]:
+    """(o1, o2, c1, c2): the points whose singleton is mu1-open, mu2-open,
+    mu1-closed and mu2-closed.  A rule holds for every point when its mask is full."""
+    return ctx.t1.open_points, ctx.t2.open_points, ctx.t1.closed_points, ctx.t2.closed_points
 
 
 def check_thm21(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t1 and not _singleton_closed_somewhere(ctx):
+    if ctx.profile.t1 and ctx.t1.closed_points | ctx.t2.closed_points != ctx.full:
         return ctx.where("T1 but some singleton closed on neither side")
     return None
 
 
 def check_note23(ctx: SpaceContext) -> str | None:
-    both = all(
-        ctx.singleton_kinds(x)[2] and ctx.singleton_kinds(x)[3]
-        for x in range(ctx.space.ground.size)
-    )
-    if both and not ctx.profile.t1:
+    if ctx.t1.closed_points & ctx.t2.closed_points == ctx.full and not ctx.profile.t1:
         return ctx.where("all singletons closed on both sides but not T1")
     return None
 
 
 def check_thm28(ctx: SpaceContext) -> str | None:
-    rule = True
-    for x in range(ctx.space.ground.size):
-        o1, o2, c1, c2 = ctx.singleton_kinds(x)
-        if (not c2 and not o1) or (not c1 and not o2):
-            rule = False
-            break
+    o1, o2, c1, c2 = _singleton_masks(ctx)
+    rule = (c2 | o1) & (c1 | o2) == ctx.full
     if rule != ctx.t_half_definitional:
         return ctx.where(f"T1/2 definitional={ctx.t_half_definitional} but singleton rule={rule}")
     return None
 
 
 def check_cor29(ctx: SpaceContext) -> str | None:
-    rule = True
-    for x in range(ctx.space.ground.size):
-        o1, o2, c1, c2 = ctx.singleton_kinds(x)
-        if (not o1 and not c2) or (not o2 and not c1):
-            rule = False
-            break
+    o1, o2, c1, c2 = _singleton_masks(ctx)
+    rule = ctx.full & (~o1 & ~c2 | ~o2 & ~c1) == 0
     if rule != ctx.t_half_definitional:
         return ctx.where("contrapositive singleton rule disagrees with definitional T1/2")
     return None
@@ -379,10 +339,7 @@ def check_cor29(ctx: SpaceContext) -> str | None:
 
 def check_thm30(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
-        singles = all(
-            (1 << x) in ta.open_mask_set or (ctx.full ^ (1 << x)) in tb.open_mask_set
-            for x in range(ctx.space.ground.size)
-        )
+        singles = ta.open_points | tb.closed_points == ctx.full
         g_is_closed = all(ta.closure_table[a] == a for a in ctx.g_closed[i])
         if singles != g_is_closed:
             return ctx.where(
@@ -398,10 +355,8 @@ def check_rem32(ctx: SpaceContext) -> str | None:
 
 
 def check_thm33_literal(ctx: SpaceContext) -> str | None:
-    literal = all(
-        (o1 or c1) and (o2 or c2)
-        for o1, o2, c1, c2 in (ctx.singleton_kinds(x) for x in range(ctx.space.ground.size))
-    )
+    o1, o2, c1, c2 = _singleton_masks(ctx)
+    literal = (o1 | c1) & (o2 | c2) == ctx.full
     if literal != ctx.t_half_definitional:
         return ctx.where(
             f"same-index singleton condition={literal} but definitional T1/2={ctx.t_half_definitional}"
@@ -412,9 +367,11 @@ def check_thm33_literal(ctx: SpaceContext) -> str | None:
 def check_thm34(ctx: SpaceContext) -> str | None:
     if not ctx.profile.t_half:
         return None
-    for x in range(ctx.space.ground.size):
-        if not any(ctx.singleton_kinds(x)):
-            return ctx.where(f"T1/2 but singleton bit{x} is none of the four kinds")
+    o1, o2, c1, c2 = _singleton_masks(ctx)
+    none = ctx.full & ~(o1 | o2 | c1 | c2)
+    if none:
+        x = (none & -none).bit_length() - 1
+        return ctx.where(f"T1/2 but singleton bit{x} is none of the four kinds")
     return None
 
 
@@ -434,9 +391,9 @@ def check_thm40(ctx: SpaceContext) -> str | None:
 
 
 def check_rem41(ctx: SpaceContext) -> str | None:
-    for i, t, _ in ctx.sides():
+    for i in (1, 2):
         try:
-            validate_gt(ctx.space.ground, vee_family(t))
+            validate_gt(ctx.space.ground, ctx.vee_sets[i])
         except Exception as exc:
             return ctx.where(f"vee-family of side {i} is not a generalized topology: {exc}")
     return None
@@ -447,22 +404,14 @@ def check_cor42(ctx: SpaceContext) -> str | None:
         family = {a for a in ctx.subsets if (ctx.full ^ a) in ctx.lambda_closed[i]}
         if not set(ti.opens) <= family:
             return ctx.where(f"λ-open family wrt side {i} misses an open set")
-        if not {v for v in ctx.vee_sets[3 - i]} <= family:
+        if not set(ctx.vee_sets[3 - i]) <= family:
             return ctx.where(f"λ-open family wrt side {i} misses a vee-set of the other side")
     return None
 
 
 def check_lem43(ctx: SpaceContext) -> str | None:
-    for i, ta, tb in ctx.sides():
-        wsets = ctx.wedge_sets[3 - i]
-        closed = ta.closed_masks
-        products = {f & l for f in closed for l in wsets}
-        for a in ctx.subsets:
-            cl, wj = ta.closure_table[a], tb.wedge_table[a]
-            f4 = cl & wj == a
-            f1 = a in products
-            f2 = any(p & wj == a for p in closed)
-            f3 = any(cl & l == a for l in wsets)
+    for i in (1, 2):
+        for a, (f1, f2, f3, f4) in enumerate(gbt.lambda_closed_forms(ctx.space, i)):
             if not (f1 == f2 == f3 == f4):
                 return ctx.where(
                     f"λ-closed forms disagree at {ctx.label(a)} side {i}: "
@@ -472,16 +421,7 @@ def check_lem43(ctx: SpaceContext) -> str | None:
 
 
 def check_lem45(ctx: SpaceContext) -> str | None:
-    c12 = sorted({f1 & f2 for f1 in ctx.t1.closed_masks for f2 in ctx.t2.closed_masks})
-    w12 = sorted({l1 & l2 for l1 in ctx.wedge_sets[1] for l2 in ctx.wedge_sets[2]})
-    products = {c & w for c in c12 for w in w12}
-    for a in ctx.subsets:
-        cl = ctx.t1.closure_table[a] & ctx.t2.closure_table[a]
-        wd = ctx.t1.wedge_table[a] & ctx.t2.wedge_table[a]
-        f4 = cl & wd == a
-        f1 = a in products
-        f2 = any(c & wd == a for c in c12)
-        f3 = any(cl & w == a for w in w12)
+    for a, (f1, f2, f3, f4) in enumerate(gbt.pairwise_lambda_closed_forms(ctx.space)):
         if not (f1 == f2 == f3 == f4):
             return ctx.where(
                 f"pairwise λ-closed forms disagree at {ctx.label(a)}: ({f1},{f2},{f3},{f4})"
@@ -539,7 +479,7 @@ def check_note47(ctx: SpaceContext) -> str | None:
 
 def check_thm48(ctx: SpaceContext) -> str | None:
     for i, ta, _ in ctx.sides():
-        g = set(ctx.g_closed[i])
+        g = ctx.g_closed[i]
         for a in ctx.subsets:
             closed = ta.closure_table[a] == a
             both = a in g and a in ctx.lambda_closed[i]
@@ -836,28 +776,14 @@ def eval_predicate(space: GbtSpace, predicate: str, args: dict) -> object:
         return is_gt_T1(space.side(side))
     if predicate == "weakly-separated":
         return gbt.are_weakly_separated(space.side(side), subset(), subset("set2"))
+    full, t1, t2 = space.ground.full_mask, space.mu1, space.mu2
     if predicate == "singletons-closed-somewhere":
-        full = space.ground.full_mask
-        return all(
-            (full ^ (1 << x)) in space.mu1.open_mask_set
-            or (full ^ (1 << x)) in space.mu2.open_mask_set
-            for x in range(space.ground.size)
-        )
+        return t1.closed_points | t2.closed_points == full
     if predicate == "singletons-open-or-closed":
-        t_open = space.side(args["open_side"])
-        t_closed = space.side(args["closed_side"])
-        full = space.ground.full_mask
-        return all(
-            (1 << x) in t_open.open_mask_set or (full ^ (1 << x)) in t_closed.open_mask_set
-            for x in range(space.ground.size)
-        )
+        t_open, t_closed = space.side(args["open_side"]), space.side(args["closed_side"])
+        return t_open.open_points | t_closed.closed_points == full
     if predicate == "singletons-four-kind":
-        full = space.ground.full_mask
-        kinds = space.mu1.open_mask_set | space.mu2.open_mask_set
-        return all(
-            (1 << x) in kinds or (full ^ (1 << x)) in kinds
-            for x in range(space.ground.size)
-        )
+        return t1.open_points | t2.open_points | t1.closed_points | t2.closed_points == full
     try:
         axiom = normalize_axiom_name(predicate)
     except Exception:

@@ -11,12 +11,7 @@ import argparse
 import json
 import sys
 
-from .axioms import (
-    AXIOM_NAMES,
-    InternalDisagreementError,
-    UnknownAxiomError,
-    axiom_profile,
-)
+from .axioms import AXIOM_NAMES, InternalDisagreementError, axiom_profile
 from .claims import (
     eval_predicate,
     explain,
@@ -24,11 +19,9 @@ from .claims import (
     run_claims,
     statuses_match_expectations,
 )
-from .gt import GTValidationError
 from .lattice import implication_lattice
 from .mining import SPECIAL_QUERIES, MiningQuery, census, mine
-from .sets import GroundSetError
-from .spacefile import SpaceFileError, load_space, write_space_file
+from .spacefile import load_space, write_space_file
 
 
 def _profile_lines(profile) -> list[str]:
@@ -281,13 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpaceFileError, GTValidationError, GroundSetError, UnknownAxiomError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # the project's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalDisagreementError as exc:

@@ -63,9 +63,30 @@ class GeneralizedTopology:
         full = self.ground.full_mask
         return tuple(sorted(full ^ m for m in self.opens))
 
+    # Subset families and singleton masks, each filtered once here and
+    # shared by the predicates, the claim checkers and the pair kernels.
+
     @cached_property
-    def closed_mask_set(self) -> frozenset[int]:
-        return frozenset(self.closed_masks)
+    def wedge_sets(self) -> tuple[int, ...]:
+        """Masks of the ∧-sets (A = wedge(A)), ascending."""
+        wt = self.wedge_table
+        return tuple(a for a in range(1 << self.ground.size) if wt[a] == a)
+
+    @cached_property
+    def vee_sets(self) -> tuple[int, ...]:
+        """Masks of the ∨-sets (A = vee(A)), ascending; they form a generalized topology."""
+        vt = self.vee_table
+        return tuple(a for a in range(1 << self.ground.size) if vt[a] == a)
+
+    @cached_property
+    def open_points(self) -> int:
+        """Mask of the points whose singleton is open."""
+        return sum(u for u in self.opens if u & u - 1 == 0)
+
+    @cached_property
+    def closed_points(self) -> int:
+        """Mask of the points whose singleton is closed."""
+        return sum(c for c in self.closed_masks if c & c - 1 == 0)
 
     # Full operator tables, indexed by subset mask.  Built lazily once and
     # shared by every decider that touches this topology.
@@ -215,25 +236,11 @@ def derived_set(t: GeneralizedTopology, a: Subset) -> Subset:
 
 
 def is_wedge_set(t: GeneralizedTopology, a: Subset) -> bool:
-    a_bits = _check_ground(t, a)
-    return t._wedge_mask(a_bits) == a_bits
+    return _check_ground(t, a) in t.wedge_sets
 
 
 def is_vee_set(t: GeneralizedTopology, a: Subset) -> bool:
-    a_bits = _check_ground(t, a)
-    return t._vee_mask(a_bits) == a_bits
-
-
-def vee_family(t: GeneralizedTopology) -> tuple[int, ...]:
-    """Masks of all ∨-sets of t, ascending.  This family is itself a generalized topology."""
-    vt = t.vee_table
-    return tuple(a for a in range(1 << t.ground.size) if vt[a] == a)
-
-
-def wedge_family(t: GeneralizedTopology) -> tuple[int, ...]:
-    """Masks of all ∧-sets of t, ascending (closed under intersections, contains ∅ and X)."""
-    wt = t.wedge_table
-    return tuple(a for a in range(1 << t.ground.size) if wt[a] == a)
+    return _check_ground(t, a) in t.vee_sets
 
 
 def is_gt_T0(t: GeneralizedTopology) -> bool:

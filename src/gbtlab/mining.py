@@ -57,7 +57,7 @@ import os
 import shutil
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, groupby
@@ -199,6 +199,24 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
     return hits, checked
 
 
+def _block_results(tasks, query: MiningQuery, workers: int):
+    """Yield the ``_scan_block`` result of each (n, index, lo, hi) task, in
+    task order; with more than one worker the blocks run in a process pool,
+    whose pending blocks are cancelled when the caller stops early."""
+    if workers <= 1:
+        for n, _, lo, hi in tasks:
+            yield _scan_block(n, lo, hi, query)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_scan_block, n, lo, hi, query) for n, _, lo, hi in tasks]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
+
+
 def _blocks(count: int) -> list[tuple[int, int]]:
     size = max(1, -(-count // BLOCKS_PER_LEVEL))
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
@@ -335,45 +353,29 @@ def mine(
         ]
         workers = min(workers, os.cpu_count() or 1, len(tasks))
         stopped = False
-
-        def consume(task, hits, checked):
-            nonlocal stopped
-            n, index, _, _ = task
-            checked_by_n[n] = checked_by_n.get(n, 0) + checked
-            gts = gts_on(n)
-            g = gts[0].ground
-            for i, j in hits:
-                if stopped:
-                    break
-                key = canonical_key(GbtSpace(g, gts[i], gts[j]), query.symmetry)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                witness = _verify_witness(query, key)
-                witnesses.append(witness)
-                if log is not None:
-                    log.record(witness.as_dict())
-                if len(witnesses) >= query.limit:
-                    stopped = True
-            # a block interrupted by the witness limit is not durable: a
-            # resume must rescan it for the hits that were never consumed
-            if log is not None and not stopped:
-                log.block(n, index, checked)
-
-        if workers <= 1:
-            for task in tasks:
-                n, _, lo, hi = task
-                consume(task, *_scan_block(n, lo, hi, query))
-                if stopped:
-                    break
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_scan_block, task[0], task[2], task[3], query) for task in tasks]
-                for task, future in zip(tasks, futures):
-                    if stopped:
-                        future.cancel()
+        with closing(_block_results(tasks, query, workers)) as results:
+            for (n, index, _, _), (hits, checked) in zip(tasks, results):
+                checked_by_n[n] = checked_by_n.get(n, 0) + checked
+                gts = gts_on(n)
+                g = gts[0].ground
+                for i, j in hits:
+                    key = canonical_key(GbtSpace(g, gts[i], gts[j]), query.symmetry)
+                    if key in seen_keys:
                         continue
-                    consume(task, *future.result())
+                    seen_keys.add(key)
+                    witness = _verify_witness(query, key)
+                    witnesses.append(witness)
+                    if log is not None:
+                        log.record(witness.as_dict())
+                    if len(witnesses) >= query.limit:
+                        stopped = True
+                        break
+                # a block interrupted by the witness limit is not durable: a
+                # resume must rescan it for the hits that were never consumed
+                if stopped:
+                    break
+                if log is not None:
+                    log.block(n, index, checked)
 
         complete = not stopped
         if log is not None and complete:
@@ -551,18 +553,24 @@ class SetWitness:
         }
 
 
+def _spaces_up_to(n_max: int):
+    """Every canonical space on 1 to ``n_max`` points; refuses a scope with none."""
+    if n_max < 1:
+        raise ValueError(f"n must be at least 1, got {n_max}")
+    check_size(n_max)
+    return chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1)))
+
+
 def find_note50_witness(n_max: int) -> tuple[SetWitness | None, int]:
     """Singleton that is pairwise λ-closed but not an intersection of its
     two wedges; such a set separates the two notions."""
-    check_size(n_max)
     checked = 0
-    for space in chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1))):
+    for space in _spaces_up_to(n_max):
         checked += 1
         t1, t2 = space.mu1, space.mu2
         for x in range(space.ground.size):
             p = 1 << x
-            four = t1.closure_table[p] & t2.closure_table[p] & t1.wedge_table[p] & t2.wedge_table[p]
-            if four == p and t1.wedge_table[p] & t2.wedge_table[p] != p:
+            if p in space.pairwise_lambda_closed and t1.wedge_table[p] & t2.wedge_table[p] != p:
                 label = space.ground.names[x]
                 return (
                     SetWitness(
@@ -575,29 +583,19 @@ def find_note50_witness(n_max: int) -> tuple[SetWitness | None, int]:
     return None, checked
 
 
-def _g_closed_masks(t_in: GeneralizedTopology, t_other: GeneralizedTopology) -> list[int]:
-    full = t_in.ground.full_mask
-    return [
-        a
-        for a in range(full + 1)
-        if t_in.closure_table[a] & ~t_other.wedge_table[a] == 0
-    ]
-
-
 def _find_g_combination_violation(n_max: int, combine, verb: str) -> tuple[SetWitness | None, int]:
-    check_size(n_max)
     checked = 0
-    for space in chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1))):
+    for space in _spaces_up_to(n_max):
         checked += 1
         label = space.ground.label
-        for side, (ta, tb) in ((1, (space.mu1, space.mu2)), (2, (space.mu2, space.mu1))):
-            g_masks = _g_closed_masks(ta, tb)
+        for side, g in space.g_closed.items():
+            g_masks = sorted(g)
             for a in g_masks:
                 for b in g_masks:
                     if b <= a:
                         continue
                     u = combine(a, b)
-                    if ta.closure_table[u] & ~tb.wedge_table[u]:
+                    if u not in g:
                         return (
                             SetWitness(
                                 space,

@@ -96,19 +96,26 @@ class OracleSpace:
 
     def lambda_closed(self, i, a):
         """Literal decomposition: A = F ∩ L, F i-closed, L a j-wedge-set."""
-        j = 3 - i
-        return any(
-            f & l_set == a for f in self.closed(i) for l_set in self.wedge_sets(j)
-        )
+        wedge_sets = self.wedge_sets(3 - i)
+        return any(f & l_set == a for f in self.closed(i) for l_set in wedge_sets)
 
     def pairwise_lambda_closed(self, a):
+        wedge_sets_1, wedge_sets_2 = self.wedge_sets(1), self.wedge_sets(2)
         return any(
             f1 & f2 & l1 & l2 == a
             for f1 in self.closed(1)
             for f2 in self.closed(2)
-            for l1 in self.wedge_sets(1)
-            for l2 in self.wedge_sets(2)
+            for l1 in wedge_sets_1
+            for l2 in wedge_sets_2
         )
+
+    def open_singletons(self, i):
+        """Points x with {x} i-open."""
+        return {x for x in self.points if frozenset([x]) in self.opens[i]}
+
+    def closed_singletons(self, i):
+        """Points x with {x} i-closed: X minus x is i-open."""
+        return {x for x in self.points if self.x - {x} in self.opens[i]}
 
     def wedge12_set(self, a):
         return self.wedge(1, a) & self.wedge(2, a) == a
@@ -229,21 +236,12 @@ def oracle_eval_predicate(oracle: OracleSpace, predicate: str, args: dict):
     if predicate == "LSYM":
         return oracle.lambda_symmetric()
     if predicate == "singletons-closed-somewhere":
-        return all(
-            (oracle.x - frozenset([x])) in oracle.opens[1]
-            or (oracle.x - frozenset([x])) in oracle.opens[2]
-            for x in oracle.points
-        )
+        return oracle.closed_singletons(1) | oracle.closed_singletons(2) == oracle.x
     if predicate == "singletons-open-or-closed":
-        i, j = args["open_side"], args["closed_side"]
-        return all(
-            frozenset([x]) in oracle.opens[i]
-            or (oracle.x - frozenset([x])) in oracle.opens[j]
-            for x in oracle.points
-        )
+        return oracle.open_singletons(args["open_side"]) | oracle.closed_singletons(args["closed_side"]) == oracle.x
     if predicate == "singletons-four-kind":
-        kinds = oracle.opens[1] | oracle.opens[2] | oracle.closed(1) | oracle.closed(2)
-        return all(frozenset([x]) in kinds for x in oracle.points)
+        kinds = [oracle.open_singletons(i) | oracle.closed_singletons(i) for i in (1, 2)]
+        return kinds[0] | kinds[1] == oracle.x
     raise KeyError(f"oracle has no predicate {predicate!r}")
 
 

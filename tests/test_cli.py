@@ -259,12 +259,22 @@ def test_sweeps_beyond_four_points_are_refused(capsys, argv):
         (("lattice", "--n", "-1"), "n must be at least 1"),
         (("census", "--n", "2", "--max-open-sets", "-1"), "max_open_sets must be at least 0"),
         (("mine", "--require", "T1", "--forbid", "R0", "--n", "2", "--workers", "-3"), "workers"),
+        (("mine", "--special", "note50-converse", "--n", "0"), "n must be at least 1"),
+        (("mine", "--special", "g-union-escape", "--n", "-1"), "n must be at least 1"),
+        (("mine", "--special", "g-intersection-escape", "--n", "0"), "n must be at least 1"),
     ],
 )
 def test_bad_numeric_arguments_exit_1(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_a_directory_given_as_a_file_exits_1(tmp_path, capsys):
+    for argv in (("classify", str(tmp_path)), ("census", "--n", "2", "--resume", str(tmp_path))):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_mine_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys):

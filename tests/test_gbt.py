@@ -23,6 +23,7 @@ from gbtlab.gbt import (
     pairwise_lambda_closed_forms,
     pairwise_lambda_open_family,
 )
+from gbtlab.enumeration import enumerate_gbt_pairs
 from gbtlab.fixtures import get_fixture
 from gbtlab.gt import complete_unions, validate_gt
 from gbtlab.sets import Subset, full, ground, parse_subset
@@ -159,16 +160,17 @@ def test_g_open_kernel_characterization(s):
 @given(spaces())
 def test_lambda_forms_agree(s):
     g = s.ground
-    for bits in range(g.full_mask + 1):
-        a = Subset(bits, g)
-        for i in (1, 2):
-            forms = lambda_closed_forms(s, i, a)
-            assert len(set(forms)) == 1
-            assert forms[3] == is_lambda_closed_wrt(s, i, a)
+    for i in (1, 2):
+        forms = lambda_closed_forms(s, i)
+        assert len(forms) == g.full_mask + 1
+        for bits, row in enumerate(forms):
+            a = Subset(bits, g)
+            assert set(row) == {is_lambda_closed_wrt(s, i, a)}
             assert lambda_open_by_decomposition(s, i, a) == is_lambda_open_wrt(s, i, a)
-        pairwise_forms = pairwise_lambda_closed_forms(s, a)
-        assert len(set(pairwise_forms)) == 1
-        assert pairwise_forms[3] == is_pairwise_lambda_closed(s, a)
+    pairwise_forms = pairwise_lambda_closed_forms(s)
+    assert len(pairwise_forms) == g.full_mask + 1
+    for bits, row in enumerate(pairwise_forms):
+        assert set(row) == {is_pairwise_lambda_closed(s, Subset(bits, g))}
 
 
 @given(spaces())
@@ -198,6 +200,28 @@ def test_predicates_match_label_set_oracle(s):
             assert is_lambda_closed_wrt(s, i, a) == oracle.lambda_closed(i, a_labels)
         assert is_pairwise_lambda_closed(s, a) == oracle.pairwise_lambda_closed(a_labels)
         assert is_wedge12_set(s, a) == oracle.wedge12_set(a_labels)
+
+
+def test_families_match_label_set_oracle_on_every_small_space():
+    """The cached subset families and singleton masks of every canonical
+    space with at most three points, against the definitional oracle."""
+    for s in (s for n in (1, 2, 3) for s in enumerate_gbt_pairs(n)):
+        oracle = OracleSpace.from_space(s)
+        subsets = list(oracle.subsets())
+
+        def labeled(masks):
+            return {frozenset(s.ground.labels(m)) for m in masks}
+
+        for i, t, _ in s.sides():
+            assert labeled(t.wedge_sets) == oracle.wedge_sets(i)
+            assert labeled(t.vee_sets) == {a for a in subsets if oracle.vee(i, a) == a}
+            assert set(s.ground.labels(t.open_points)) == oracle.open_singletons(i)
+            assert set(s.ground.labels(t.closed_points)) == oracle.closed_singletons(i)
+            assert labeled(s.g_closed[i]) == {a for a in subsets if oracle.g_closed(i, a)}
+            assert labeled(s.lambda_closed[i]) == {a for a in subsets if oracle.lambda_closed(i, a)}
+        assert labeled(s.pairwise_lambda_closed) == {
+            a for a in subsets if oracle.pairwise_lambda_closed(a)
+        }
 
 
 def test_make_space_checks_grounds():

@@ -18,7 +18,6 @@ from gbtlab.gt import (
     is_open,
     validate_gt,
     vee,
-    vee_family,
     wedge,
 )
 from gbtlab.sets import GroundSetError, Subset, full, ground, parse_subset
@@ -127,8 +126,8 @@ def test_derived_set_frozen_values(e11, e13):
 def test_vee_family_values(e17):
     g3 = ground(3)
     degenerate = validate_gt(g3, [0])
-    assert {g3.labels(m) for m in vee_family(degenerate)} == {(), ("a", "b", "c")}
-    assert {g3.labels(m) for m in vee_family(e17.mu1)} == {(), ("b", "c"), ("a", "b", "c")}
+    assert {g3.labels(m) for m in degenerate.vee_sets} == {(), ("a", "b", "c")}
+    assert {g3.labels(m) for m in e17.mu1.vee_sets} == {(), ("b", "c"), ("a", "b", "c")}
 
 
 def test_gt_separation(e17):
@@ -188,8 +187,7 @@ def test_closure_interior_laws(t):
 
 @given(topologies())
 def test_vee_family_is_generalized_topology(t):
-    family = vee_family(t)
-    validated = validate_gt(t.ground, family)
+    validated = validate_gt(t.ground, t.vee_sets)
     assert 0 in validated.opens
 
 
