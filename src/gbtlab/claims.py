@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
 from random import Random
@@ -55,7 +55,7 @@ from .gt import (
     wedge,
 )
 from .mining import find_g_intersection_violation, find_g_union_violation
-from .sets import Subset, parse_subset
+from .sets import parse_subset
 
 STATUS_VERIFIED = "verified"
 STATUS_REFUTED = "refuted-with-witness"
@@ -72,13 +72,7 @@ class ClaimRecord:
     checker: str
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "statement": self.statement,
-            "scope": self.scope,
-            "checker": self.checker,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -89,16 +83,13 @@ class ClaimReport:
     spaces_checked: int
     elapsed: float
 
-    def as_dict(self, with_timing: bool = False) -> dict:
-        data = {
+    def as_dict(self) -> dict:
+        return {
             "id": self.id,
             "status": self.status,
             "witness": self.witness,
             "spaces_checked": self.spaces_checked,
         }
-        if with_timing:
-            data["elapsed"] = self.elapsed
-        return data
 
 
 class SpaceContext:
@@ -221,12 +212,14 @@ def check_note10(ctx: SpaceContext) -> str | None:
 def check_thm12(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
         for a in ctx.g_closed[i]:
-            gap = ta.closure_table[a] & ~a
-            for f in tb.closed_masks:
-                if f and f & ~gap == 0:
-                    return ctx.where(
-                        f"g-closed {ctx.label(a)} (side {i}) has closed {ctx.label(f)} in its closure gap"
-                    )
+            inside = gbt.closed_in_gap(ta, tb, a)
+            if inside:
+                # name the least closed set in the gap, in ascending mask order
+                cl = tb.closure_table
+                f = next(f for f in range(1, inside + 1) if f & ~inside == 0 and cl[f] == f)
+                return ctx.where(
+                    f"g-closed {ctx.label(a)} (side {i}) has closed {ctx.label(f)} in its closure gap"
+                )
     return None
 
 
@@ -248,19 +241,15 @@ def check_union_g_conditional(ctx: SpaceContext) -> str | None:
 def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
     for i, _, tb in ctx.sides():
         g_open = ctx.g_open[i]
-        opens_j = tb.opens
         for a in sorted(g_open):
             rest = ctx.full & ~a
             b = rest
             while True:
-                if b in g_open:
-                    sep_a = any(a & ~u == 0 and u & b == 0 for u in opens_j)
-                    sep_b = any(b & ~v == 0 and v & a == 0 for v in opens_j)
-                    if sep_a and sep_b and (a | b) not in g_open:
-                        return ctx.where(
-                            f"side {i}: weakly separated g-open {ctx.label(a)}, {ctx.label(b)} "
-                            f"have non-g-open union"
-                        )
+                if b in g_open and (a | b) not in g_open and gbt.weakly_separated(tb, a, b):
+                    return ctx.where(
+                        f"side {i}: weakly separated g-open {ctx.label(a)}, {ctx.label(b)} "
+                        f"have non-g-open union"
+                    )
                 if b == 0:
                     break
                 b = (b - 1) & rest
@@ -303,12 +292,6 @@ def check_thm20(ctx: SpaceContext) -> str | None:
     return None
 
 
-def _singleton_masks(ctx: SpaceContext) -> tuple[int, int, int, int]:
-    """(o1, o2, c1, c2): the points whose singleton is mu1-open, mu2-open,
-    mu1-closed and mu2-closed.  A rule holds for every point when its mask is full."""
-    return ctx.t1.open_points, ctx.t2.open_points, ctx.t1.closed_points, ctx.t2.closed_points
-
-
 def check_thm21(ctx: SpaceContext) -> str | None:
     if ctx.profile.t1 and ctx.t1.closed_points | ctx.t2.closed_points != ctx.full:
         return ctx.where("T1 but some singleton closed on neither side")
@@ -322,16 +305,16 @@ def check_note23(ctx: SpaceContext) -> str | None:
 
 
 def check_thm28(ctx: SpaceContext) -> str | None:
-    o1, o2, c1, c2 = _singleton_masks(ctx)
-    rule = (c2 | o1) & (c1 | o2) == ctx.full
+    t1, t2 = ctx.t1, ctx.t2
+    rule = (t2.closed_points | t1.open_points) & (t1.closed_points | t2.open_points) == ctx.full
     if rule != ctx.t_half_definitional:
         return ctx.where(f"T1/2 definitional={ctx.t_half_definitional} but singleton rule={rule}")
     return None
 
 
 def check_cor29(ctx: SpaceContext) -> str | None:
-    o1, o2, c1, c2 = _singleton_masks(ctx)
-    rule = ctx.full & (~o1 & ~c2 | ~o2 & ~c1) == 0
+    t1, t2 = ctx.t1, ctx.t2
+    rule = ctx.full & (~t1.open_points & ~t2.closed_points | ~t2.open_points & ~t1.closed_points) == 0
     if rule != ctx.t_half_definitional:
         return ctx.where("contrapositive singleton rule disagrees with definitional T1/2")
     return None
@@ -355,8 +338,8 @@ def check_rem32(ctx: SpaceContext) -> str | None:
 
 
 def check_thm33_literal(ctx: SpaceContext) -> str | None:
-    o1, o2, c1, c2 = _singleton_masks(ctx)
-    literal = (o1 | c1) & (o2 | c2) == ctx.full
+    t1, t2 = ctx.t1, ctx.t2
+    literal = (t1.open_points | t1.closed_points) & (t2.open_points | t2.closed_points) == ctx.full
     if literal != ctx.t_half_definitional:
         return ctx.where(
             f"same-index singleton condition={literal} but definitional T1/2={ctx.t_half_definitional}"
@@ -367,8 +350,8 @@ def check_thm33_literal(ctx: SpaceContext) -> str | None:
 def check_thm34(ctx: SpaceContext) -> str | None:
     if not ctx.profile.t_half:
         return None
-    o1, o2, c1, c2 = _singleton_masks(ctx)
-    none = ctx.full & ~(o1 | o2 | c1 | c2)
+    t1, t2 = ctx.t1, ctx.t2
+    none = ctx.full & ~(t1.open_points | t2.open_points | t1.closed_points | t2.closed_points)
     if none:
         x = (none & -none).bit_length() - 1
         return ctx.where(f"T1/2 but singleton bit{x} is none of the four kinds")
@@ -491,18 +474,18 @@ def check_thm48(ctx: SpaceContext) -> str | None:
 
 
 def check_note50(ctx: SpaceContext) -> str | None:
-    for a in ctx.subsets:
-        if ctx.t1.wedge_table[a] & ctx.t2.wedge_table[a] == a and a not in ctx.pairwise_lambda:
-            return ctx.where(f"∧12-set {ctx.label(a)} not pairwise λ-closed")
+    escaped = ctx.space.wedge12_sets - ctx.pairwise_lambda
+    if escaped:
+        return ctx.where(f"∧12-set {ctx.label(min(escaped))} not pairwise λ-closed")
     return None
 
 
 def check_thm51(ctx: SpaceContext) -> str | None:
     if not ctx.profile.t1:
         return None
-    for a in ctx.subsets:
-        if ctx.t1.wedge_table[a] & ctx.t2.wedge_table[a] != a:
-            return ctx.where(f"T1 but {ctx.label(a)} is not a ∧12-set")
+    missing = set(ctx.subsets) - ctx.space.wedge12_sets
+    if missing:
+        return ctx.where(f"T1 but {ctx.label(min(missing))} is not a ∧12-set")
     return None
 
 
@@ -733,64 +716,63 @@ def explain(claim_id: str) -> ClaimRecord:
 # fixture assertion evaluation (shared with the CLI check command)
 
 
+# Predicate name -> (argument names, evaluator).  The evaluator takes the
+# space, then the arguments in that order: "side" as given, "set" and
+# "set2" parsed to subsets.  Entries that reach a name bench/tracing.py
+# patches in this module (is_gt_T0, axiom_profile, ...) look it up when
+# called, so its wrappers count the calls.
+_SIDE_SET = ("side", "set")
+_PREDICATES = {
+    "g-closed-wrt": (_SIDE_SET, gbt.is_g_closed_wrt),
+    "g-open-wrt": (_SIDE_SET, gbt.is_g_open_wrt),
+    "lambda-closed-wrt": (_SIDE_SET, gbt.is_lambda_closed_wrt),
+    "lambda-open-wrt": (_SIDE_SET, gbt.is_lambda_open_wrt),
+    "pairwise-lambda-closed": (("set",), gbt.is_pairwise_lambda_closed),
+    "pairwise-lambda-open": (("set",), gbt.is_pairwise_lambda_open),
+    "wedge12-set": (("set",), gbt.is_wedge12_set),
+    "mu-closed": (_SIDE_SET, lambda s, i, a: is_closed(s.side(i), a)),
+    "mu-open": (_SIDE_SET, lambda s, i, a: is_open(s.side(i), a)),
+    "wedge-set": (_SIDE_SET, lambda s, i, a: is_wedge_set(s.side(i), a)),
+    "vee-set": (_SIDE_SET, lambda s, i, a: is_vee_set(s.side(i), a)),
+    "closure-equals": (_SIDE_SET, lambda s, i, a: closure(s.side(i), a).labels()),
+    "gap-has-no-closed": (_SIDE_SET, lambda s, i, a: not gbt.closed_in_gap(s.side(i), s.side(3 - i), a.bits)),
+    "gt-T0": (("side",), lambda s, i: is_gt_T0(s.side(i))),
+    "gt-T1": (("side",), lambda s, i: is_gt_T1(s.side(i))),
+    "weakly-separated": (("side", "set", "set2"), lambda s, i, a, b: gbt.are_weakly_separated(s.side(i), a, b)),
+    "singletons-closed-somewhere": (
+        (),
+        lambda s: s.mu1.closed_points | s.mu2.closed_points == s.ground.full_mask,
+    ),
+    # open on side i, closed on the other side: THM-30's per-side condition
+    "singletons-open-or-closed": (
+        ("side",),
+        lambda s, i: s.side(i).open_points | s.side(3 - i).closed_points == s.ground.full_mask,
+    ),
+    "singletons-four-kind": (
+        (),
+        lambda s: s.mu1.open_points | s.mu2.open_points | s.mu1.closed_points | s.mu2.closed_points
+        == s.ground.full_mask,
+    ),
+    **{name: ((), lambda s, name=name: axiom_profile(s).as_dict()[name]) for name in AXIOM_NAMES},
+}
+
+
+def predicate_entry(predicate: str):
+    """(argument names, evaluator) of a named predicate; an axiom may be
+    named by any alias.  Raises KeyError for an unknown name."""
+    if predicate not in _PREDICATES:
+        try:
+            predicate = normalize_axiom_name(predicate)
+        except ValueError:
+            raise KeyError(f"unknown predicate {predicate!r}") from None
+    return _PREDICATES[predicate]
+
+
 def eval_predicate(space: GbtSpace, predicate: str, args: dict) -> object:
     """Evaluate a named predicate on a space; returns a bool or a label tuple."""
-
-    def subset(key: str = "set") -> Subset:
-        return parse_subset(args[key], space.ground)
-
-    side = args.get("side")
-    if predicate == "g-closed-wrt":
-        return gbt.is_g_closed_wrt(space, side, subset())
-    if predicate == "g-open-wrt":
-        return gbt.is_g_open_wrt(space, side, subset())
-    if predicate == "lambda-closed-wrt":
-        return gbt.is_lambda_closed_wrt(space, side, subset())
-    if predicate == "lambda-open-wrt":
-        return gbt.is_lambda_open_wrt(space, side, subset())
-    if predicate == "pairwise-lambda-closed":
-        return gbt.is_pairwise_lambda_closed(space, subset())
-    if predicate == "pairwise-lambda-open":
-        return gbt.is_pairwise_lambda_open(space, subset())
-    if predicate == "wedge12-set":
-        return gbt.is_wedge12_set(space, subset())
-    if predicate == "mu-closed":
-        return is_closed(space.side(side), subset())
-    if predicate == "mu-open":
-        return is_open(space.side(side), subset())
-    if predicate == "wedge-set":
-        return is_wedge_set(space.side(side), subset())
-    if predicate == "vee-set":
-        return is_vee_set(space.side(side), subset())
-    if predicate == "closure-equals":
-        return closure(space.side(side), subset()).labels()
-    if predicate == "gap-has-no-closed":
-        t_in = space.side(side)
-        t_other = space.side(3 - side)
-        a = subset().bits
-        gap = t_in.closure_table[a] & ~a
-        return not any(f and f & ~gap == 0 for f in t_other.closed_masks)
-    if predicate == "gt-T0":
-        return is_gt_T0(space.side(side))
-    if predicate == "gt-T1":
-        return is_gt_T1(space.side(side))
-    if predicate == "weakly-separated":
-        return gbt.are_weakly_separated(space.side(side), subset(), subset("set2"))
-    full, t1, t2 = space.ground.full_mask, space.mu1, space.mu2
-    if predicate == "singletons-closed-somewhere":
-        return t1.closed_points | t2.closed_points == full
-    if predicate == "singletons-open-or-closed":
-        t_open, t_closed = space.side(args["open_side"]), space.side(args["closed_side"])
-        return t_open.open_points | t_closed.closed_points == full
-    if predicate == "singletons-four-kind":
-        return t1.open_points | t2.open_points | t1.closed_points | t2.closed_points == full
-    try:
-        axiom = normalize_axiom_name(predicate)
-    except Exception:
-        raise KeyError(f"unknown predicate {predicate!r}") from None
-    if axiom in AXIOM_NAMES:
-        return axiom_profile(space).as_dict()[axiom]
-    raise KeyError(f"unknown predicate {predicate!r}")
+    names, evaluate = predicate_entry(predicate)
+    values = (args[k] if k == "side" else parse_subset(args[k], space.ground) for k in names)
+    return evaluate(space, *values)
 
 
 def _mismatch_detail(space: GbtSpace, assertion: Assertion, actual: object) -> str:

@@ -16,6 +16,7 @@ from .claims import (
     eval_predicate,
     explain,
     list_claims,
+    predicate_entry,
     run_claims,
     statuses_match_expectations,
 )
@@ -60,22 +61,18 @@ def cmd_classify(args) -> int:
 
 def cmd_check(args) -> int:
     space, _ = load_space(args.path)
-    call_args: dict = {}
-    if args.side is not None:
-        call_args["side"] = args.side
-    if args.set is not None:
-        call_args["set"] = tuple(s for s in args.set.split(",") if s)
-    if args.set2 is not None:
-        call_args["set2"] = tuple(s for s in args.set2.split(",") if s)
     try:
-        result = eval_predicate(space, args.predicate, call_args)
+        names, _ = predicate_entry(args.predicate)
     except KeyError as exc:
-        missing = exc.args[0]
-        if missing in ("set", "set2", "side", "open_side", "closed_side"):
-            print(f"error: predicate {args.predicate!r} needs --{missing.replace('_', '-')}", file=sys.stderr)
-        else:
-            print(f"error: {missing}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
+    values = {name: getattr(args, name) for name in names}
+    missing = " ".join(f"--{name}" for name, value in values.items() if value is None)
+    if missing:
+        print(f"error: predicate {args.predicate!r} needs {missing}", file=sys.stderr)
+        return 1
+    call_args = {k: v if k == "side" else tuple(s for s in v.split(",") if s) for k, v in values.items()}
+    result = eval_predicate(space, args.predicate, call_args)
     if isinstance(result, bool):
         print(str(result).lower())
     else:

@@ -123,7 +123,7 @@ FIXTURES: tuple[Fixture, ...] = (
     Fixture(
         "e31",
         (
-            _a("singletons-open-or-closed", True, open_side=1, closed_side=2),
+            _a("singletons-open-or-closed", True, side=1),
             _a("g-closed-wrt", True, side=2, set=("b", "c", "d")),
             _a("mu-closed", False, side=2, set=("b", "c", "d")),
             _a("T1_2", False),

@@ -1,23 +1,25 @@
 """Predicates on a space carrying an ordered pair of generalized topologies.
 
 The side index i selects one topology, j = 3 - i the other.  All subset
-inclusions are non-strict.  The canonical decision procedures are the
-closed-form equality tests
+inclusions are non-strict.  Each set predicate is decided once, from the
+operator tables of ``gt``:
 
-* g-closed   wrt the other side:   closure_i(A) ⊆ wedge_j(A),
-* λ-closed   wrt the other side:   A = closure_i(A) ∩ wedge_j(A),
-* pairwise λ-closed:               A = closure_1(A) ∩ closure_2(A)
-                                       ∩ wedge_1(A) ∩ wedge_2(A);
+* g-closed wrt the other side:    closure_i(A) ⊆ wedge_j(A),
+* λ-closed wrt the other side:    A = closure_i(A) ∩ wedge_j(A),
+* pairwise λ-closed:              A = closure_1(A) ∩ closure_2(A) ∩ wedge_1(A) ∩ wedge_2(A),
+* ∧12-set:                        A = wedge_1(A) ∩ wedge_2(A),
+* weakly separated in μj:         A ∩ closure_j(B) = ∅ = B ∩ closure_j(A),
+* closed set in the closure gap:  vee_j(closure_i(A) − A) ≠ ∅.
 
-each is applied once per space, to every subset, by the cached families
-``GbtSpace.g_closed``, ``lambda_closed`` and ``pairwise_lambda_closed``,
-which the predicates, the λ-open families, the claim checkers and the
-set-level mining queries read.  The equivalent existential decomposition
-forms are oracles: ``lambda_closed_forms`` and
-``pairwise_lambda_closed_forms`` decide all four forms for every subset
-in one pass (the claims LEM-43 and LEM-45 and the tests compare them),
-and ``g_open_by_kernels`` and ``lambda_open_by_decomposition`` are
-checked by the tests.
+The first four are cached per space (``GbtSpace.g_closed``, ``lambda_closed``,
+``pairwise_lambda_closed``, ``wedge12_sets``), the last two are the mask
+functions ``weakly_separated`` and ``closed_in_gap``; the predicates, the
+λ-open families, the claim checkers and the mining queries read them.  The
+existential decomposition forms are oracles: ``lambda_closed_forms`` and
+``pairwise_lambda_closed_forms`` decide all four forms of every subset in
+one pass (LEM-43, LEM-45 and the tests compare them), and
+``g_open_by_kernels`` and ``lambda_open_by_decomposition`` are checked by
+the tests.
 """
 
 from __future__ import annotations
@@ -77,6 +79,12 @@ class GbtSpace:
         cl1, cl2 = self.mu1.closure_table, self.mu2.closure_table
         w1, w2 = self.mu1.wedge_table, self.mu2.wedge_table
         return frozenset(a for a in range(self.n_subsets) if cl1[a] & cl2[a] & w1[a] & w2[a] == a)
+
+    @cached_property
+    def wedge12_sets(self) -> frozenset[int]:
+        """Masks of the ∧12-sets, A = wedge_1(A) ∩ wedge_2(A)."""
+        w1, w2 = self.mu1.wedge_table, self.mu2.wedge_table
+        return frozenset(a for a in range(self.n_subsets) if w1[a] & w2[a] == a)
 
     def __repr__(self) -> str:
         label = self.ground.label_family
@@ -208,18 +216,28 @@ def pairwise_lambda_closed_forms(s: GbtSpace) -> list[tuple[bool, bool, bool, bo
 
 def is_wedge12_set(s: GbtSpace, a: Subset) -> bool:
     """A equals wedge_1(A) ∩ wedge_2(A)."""
-    a_bits = _bits(s, a)
-    return s.mu1.wedge_table[a_bits] & s.mu2.wedge_table[a_bits] == a_bits
+    return _bits(s, a) in s.wedge12_sets
+
+
+def weakly_separated(t: GeneralizedTopology, a: int, b: int) -> bool:
+    """Opens U ⊇ A and V ⊇ B exist with A ∩ V = B ∩ U = ∅.  The opens
+    missing A have the open union X − closure(A), so V exists exactly when
+    B misses closure(A)."""
+    cl = t.closure_table
+    return not (a & cl[b] or b & cl[a])
 
 
 def are_weakly_separated(t: GeneralizedTopology, a: Subset, b: Subset) -> bool:
-    """Opens U ⊇ A and V ⊇ B exist with A ∩ V = B ∩ U = ∅."""
-    a_bits, b_bits = a.bits, b.bits
     if a.ground != t.ground or b.ground != t.ground:
         raise GroundSetError("subsets belong to a different ground set")
-    has_u = any(a_bits & ~u == 0 and u & b_bits == 0 for u in t.opens)
-    has_v = any(b_bits & ~v == 0 and v & a_bits == 0 for v in t.opens)
-    return has_u and has_v
+    return weakly_separated(t, a.bits, b.bits)
+
+
+def closed_in_gap(ti: GeneralizedTopology, tj: GeneralizedTopology, a: int) -> int:
+    """Union of the nonempty j-closed sets inside the closure gap
+    closure_i(A) − A, that is vee_j of the gap: nonzero exactly when such a
+    set exists."""
+    return tj.vee_table[ti.closure_table[a] & ~a]
 
 
 def lambda_open_family_wrt(s: GbtSpace, i: int) -> tuple[int, ...]:

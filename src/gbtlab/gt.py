@@ -8,10 +8,12 @@ open; a point may have no open neighbourhood at all.  The operator
 conventions below are what make that case consistent:
 
 * closure(A)  = intersection of the closed supersets of A (X is always
-  closed, so the collection is never empty),
+  closed, so the collection is never empty); X − closure(A) is the
+  largest open set missing A,
 * wedge(A)    = intersection of the open supersets of A, X if there are
   none,
 * vee(A)      = union of the closed subsets of A, empty if there are none,
+  so vee(A) ≠ ∅ exactly when a nonempty closed set lies inside A,
 * a point with no open neighbourhood is vacuously a limit point of every
   set, including the empty set.
 """

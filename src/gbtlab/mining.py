@@ -567,10 +567,9 @@ def find_note50_witness(n_max: int) -> tuple[SetWitness | None, int]:
     checked = 0
     for space in _spaces_up_to(n_max):
         checked += 1
-        t1, t2 = space.mu1, space.mu2
         for x in range(space.ground.size):
             p = 1 << x
-            if p in space.pairwise_lambda_closed and t1.wedge_table[p] & t2.wedge_table[p] != p:
+            if p in space.pairwise_lambda_closed and p not in space.wedge12_sets:
                 label = space.ground.names[x]
                 return (
                     SetWitness(

@@ -1,10 +1,12 @@
 """Test-only reference implementations, kept deliberately naive.
 
-Everything here works on frozensets of labels and follows the
-definitional quantifier shapes directly: no bitmasks, no precomputed
-tables, no derived characterizations.  The naive family enumerator walks
-all 2^(2^n - 1) candidate families.  These are the independent side of
-every dual-route check in the suite.
+Everything here follows the definitional quantifier shapes directly: no
+precomputed tables, no derived characterizations.  ``OracleSpace`` works
+on frozensets of labels.  The two scans below it work on one topology's
+open or closed masks; they are the definitions that gbtlab decides from
+its closure and vee tables.  The naive family enumerator walks all
+2^(2^n - 1) candidate families.  These are the independent side of every
+dual-route check in the suite.
 """
 
 from __future__ import annotations
@@ -195,6 +197,18 @@ class OracleSpace:
         )
 
 
+def weakly_separated_by_opens(opens, a, b):
+    """Opens U ⊇ A and V ⊇ B exist with A ∩ V = B ∩ U = ∅."""
+    has_u = any(a & ~u == 0 and u & b == 0 for u in opens)
+    has_v = any(b & ~v == 0 and v & a == 0 for v in opens)
+    return has_u and has_v
+
+
+def closed_inside_by_scan(closed_masks, m):
+    """Some nonempty closed set lies inside M."""
+    return any(f and f & ~m == 0 for f in closed_masks)
+
+
 def oracle_eval_predicate(oracle: OracleSpace, predicate: str, args: dict):
     """Definitional evaluation of the fixture predicates."""
     side = args.get("side")
@@ -238,7 +252,7 @@ def oracle_eval_predicate(oracle: OracleSpace, predicate: str, args: dict):
     if predicate == "singletons-closed-somewhere":
         return oracle.closed_singletons(1) | oracle.closed_singletons(2) == oracle.x
     if predicate == "singletons-open-or-closed":
-        return oracle.open_singletons(args["open_side"]) | oracle.closed_singletons(args["closed_side"]) == oracle.x
+        return oracle.open_singletons(side) | oracle.closed_singletons(3 - side) == oracle.x
     if predicate == "singletons-four-kind":
         kinds = [oracle.open_singletons(i) | oracle.closed_singletons(i) for i in (1, 2)]
         return kinds[0] | kinds[1] == oracle.x

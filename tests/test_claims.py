@@ -11,11 +11,14 @@ from gbtlab.claims import (
     STATUS_OUT_OF_SCOPE,
     STATUS_REFUTED,
     STATUS_VERIFIED,
+    SpaceContext,
+    _UNIVERSAL_CHECKERS,
     eval_fixture,
     eval_predicate,
     expected_statuses,
     explain,
     list_claims,
+    predicate_entry,
     run_claims,
     statuses_match_expectations,
 )
@@ -170,3 +173,62 @@ def test_converse_failure_witnesses_reverify(claim_id, fixture_id, predicate, ar
 def test_eval_predicate_unknown():
     with pytest.raises(KeyError):
         eval_predicate(get_fixture("e11").space(), "no-such-predicate", {})
+
+
+def test_fixture_assertions_pass_the_arguments_the_predicate_table_names():
+    """`gbt check` reads a predicate's arguments from the same table that
+    evaluates the fixtures, so every recorded assertion must fit it."""
+    for fixture in FIXTURES:
+        for assertion in fixture.assertions:
+            names, _ = predicate_entry(assertion.predicate)
+            assert sorted(names) == [key for key, _ in assertion.args], assertion.describe()
+
+
+def _altered(fixture_id, alter):
+    ctx = SpaceContext(get_fixture(fixture_id).space())
+    for name, family in alter(ctx).items():
+        setattr(ctx, name, family)
+    return ctx
+
+
+E43B = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a}, {a,d}}, mu2={{}, {a,b}, {c}, {a,b,c}})"
+E14 = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a,d}, {c,d}, {a,c,d}}, mu2={{}, {d}, {a,c,d}})"
+E46A = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a,d}, {b,d}, {a,b,d}}, mu2={{}, {a,b,c}})"
+E36 = (
+    "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a}, {b}, {a,b}, {a,b,d}, {a,c,d}, {a,b,c,d}}, "
+    "mu2={{}, {a}, {a,b,c}, {d}, {a,d}, {a,b,d}, {a,b,c,d}})"
+)
+
+# claim, fixture, cached families to replace, witness.  Each altered family
+# breaks the claim on purpose.  The witness names the first offending sets
+# in the order the checker walks them (ascending masks, or the g-closed
+# family's own order for THM-12), so its text is pinned exactly.
+VIOLATIONS = [
+    (
+        "THM-UNION-WS", "e43b", lambda c: {"g_open": {**c.g_open, 1: c.g_open[1] - {0b0111}}},
+        f"{E43B}: side 1: weakly separated g-open {{a,b}}, {{c}} have non-g-open union",
+    ),
+    (
+        "THM-UNION-WS", "e43b", lambda c: {"g_open": {**c.g_open, 1: c.g_open[1] - {0b0110, 0b0111}}},
+        f"{E43B}: side 1: weakly separated g-open {{b}}, {{c}} have non-g-open union",
+    ),
+    (
+        "THM-12", "e14", lambda c: {"g_closed": {**c.g_closed, 1: c.g_closed[1] | {0b1000}}},
+        f"{E14}: g-closed {{d}} (side 1) has closed {{b}} in its closure gap",
+    ),
+    (
+        "THM-12", "e46a", lambda c: {"g_closed": {**c.g_closed, 2: c.g_closed[2] | {0b0001, 0b0010}}},
+        f"{E46A}: g-closed {{a}} (side 2) has closed {{c}} in its closure gap",
+    ),
+    (
+        "NOTE-50", "e36", lambda c: {"pairwise_lambda": c.pairwise_lambda - {0b0101, 0b1000}},
+        f"{E36}: ∧12-set {{a,c}} not pairwise λ-closed",
+    ),
+]
+
+
+@pytest.mark.parametrize("claim_id,fixture_id,alter,witness", VIOLATIONS)
+def test_violation_witness_names_the_first_offending_sets(claim_id, fixture_id, alter, witness):
+    checker = _UNIVERSAL_CHECKERS[claim_id]
+    assert checker(SpaceContext(get_fixture(fixture_id).space())) is None
+    assert checker(_altered(fixture_id, alter)) == witness

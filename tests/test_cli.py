@@ -195,6 +195,15 @@ def test_claims_unknown_fixture_and_claim(capsys):
 def test_check_missing_argument(capsys):
     code, _, err = _run(capsys, "check", _fixture_path("e11"), "g-closed-wrt", "--side", "1")
     assert code == 1 and "--set" in err
+    code, _, err = _run(capsys, "check", _fixture_path("e11"), "g-closed-wrt", "--set", "a")
+    assert code == 1 and "needs --side" in err
+    code, _, err = _run(capsys, "check", _fixture_path("e31"), "singletons-open-or-closed")
+    assert code == 1 and "needs --side" in err
+
+
+def test_check_singletons_open_or_closed_takes_a_side(capsys):
+    code, out, _ = _run(capsys, "check", _fixture_path("e31"), "singletons-open-or-closed", "--side", "1")
+    assert code == 0 and out == "true\n"
 
 
 def test_resume_with_a_witness_that_fails_reverification_exits_3(tmp_path, capsys):

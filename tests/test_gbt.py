@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from gbtlab.gbt import (
     GbtSpace,
     are_weakly_separated,
+    closed_in_gap,
     g_open_by_kernels,
     is_g_closed_wrt,
     is_g_open_wrt,
@@ -22,13 +25,14 @@ from gbtlab.gbt import (
     other,
     pairwise_lambda_closed_forms,
     pairwise_lambda_open_family,
+    weakly_separated,
 )
-from gbtlab.enumeration import enumerate_gbt_pairs
+from gbtlab.enumeration import enumerate_gbt_pairs, gts_on
 from gbtlab.fixtures import get_fixture
 from gbtlab.gt import complete_unions, validate_gt
 from gbtlab.sets import Subset, full, ground, parse_subset
 
-from oracles import OracleSpace
+from oracles import OracleSpace, closed_inside_by_scan, weakly_separated_by_opens
 
 
 def _sub(space, labels):
@@ -219,9 +223,29 @@ def test_families_match_label_set_oracle_on_every_small_space():
             assert set(s.ground.labels(t.closed_points)) == oracle.closed_singletons(i)
             assert labeled(s.g_closed[i]) == {a for a in subsets if oracle.g_closed(i, a)}
             assert labeled(s.lambda_closed[i]) == {a for a in subsets if oracle.lambda_closed(i, a)}
+            no_closed_in_gap = [a for a in range(s.n_subsets) if not closed_in_gap(t, s.side(other(i)), a)]
+            assert labeled(no_closed_in_gap) == {a for a in subsets if oracle.gap_has_no_closed(i, a)}
         assert labeled(s.pairwise_lambda_closed) == {
             a for a in subsets if oracle.pairwise_lambda_closed(a)
         }
+        assert labeled(s.wedge12_sets) == {a for a in subsets if oracle.wedge12_set(a)}
+
+
+def test_table_forms_match_the_scans():
+    """Weak separation read off the closure table and the closed-set-inside
+    test read off the vee table, against the open- and closed-set scans
+    they replace: every topology with at most three points and 200 seeded
+    four-point topologies, for all A and B."""
+    gts4 = gts_on(4)
+    rng = Random(2024)
+    topologies = [t for n in (1, 2, 3) for t in gts_on(n)]
+    topologies += [gts4[rng.randrange(len(gts4))] for _ in range(200)]
+    for t in topologies:
+        masks = range(t.ground.full_mask + 1)
+        for a in masks:
+            assert (t.vee_table[a] != 0) == closed_inside_by_scan(t.closed_masks, a)
+            for b in masks:
+                assert weakly_separated(t, a, b) == weakly_separated_by_opens(t.opens, a, b)
 
 
 def test_make_space_checks_grounds():
