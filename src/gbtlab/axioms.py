@@ -25,7 +25,7 @@ from functools import cache, reduce
 from operator import or_
 
 from .gbt import GbtSpace
-from .gt import GeneralizedTopology
+from .gt import GeneralizedTopology, meet_table
 
 
 class UnknownAxiomError(ValueError):
@@ -121,10 +121,10 @@ def decide_t_half(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[boo
     full = t1.ground.full_mask
     for x in range(t1.ground.size):
         p = 1 << x
-        open1 = p in t1.open_mask_set
-        open2 = p in t2.open_mask_set
-        closed1 = (full ^ p) in t1.open_mask_set
-        closed2 = (full ^ p) in t2.open_mask_set
+        open1 = t1.open_family >> p & 1
+        open2 = t2.open_family >> p & 1
+        closed1 = t1.open_family >> (full ^ p) & 1
+        closed2 = t2.open_family >> (full ^ p) & 1
         if not (open1 or closed2):
             return False, f"singleton {{{t1.ground.names[x]}}} neither mu1-open nor mu2-closed"
         if not (open2 or closed1):
@@ -155,17 +155,12 @@ def decide_all_lambda(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple
 def t_fraction_by_definition(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
     """Separation of every subset from every outside point by one of the four
     kinds of set (open or closed on either side).  On a finite carrier this is
-    the definitional algorithm for T1/4, T3/8 and T5/8 alike."""
-    kinds = sorted(set(t1.opens) | set(t2.opens) | set(t1.closed_masks) | set(t2.closed_masks))
-    n = t1.ground.size
-    for p_mask in range(t1.ground.full_mask + 1):
-        for y in range(n):
-            q = 1 << y
-            if p_mask & q:
-                continue
-            if not any(p_mask & ~k == 0 and not k & q for k in kinds):
-                return False
-    return True
+    the definitional algorithm for T1/4, T3/8 and T5/8 alike.  The kinds
+    containing P meet in their hull, and a point outside P is separated from
+    P exactly when it lies outside the hull; the hulls of all P come from
+    one superset DP (``gt.meet_table``)."""
+    kinds = t1.open_family | t2.open_family | t1.closed_family | t2.closed_family
+    return all(hull == p for p, hull in enumerate(meet_table(kinds, t1.ground.size)))
 
 
 def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, str | None]:

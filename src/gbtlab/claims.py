@@ -30,6 +30,7 @@ from random import Random
 from . import gbt
 from .axioms import (
     AXIOM_NAMES,
+    InternalDisagreementError,
     axiom_profile,
     decide_all_lambda,
     decide_t0,
@@ -51,11 +52,12 @@ from .gt import (
     is_open,
     is_vee_set,
     is_wedge_set,
+    union_closed,
     validate_gt,
     wedge,
 )
 from .mining import find_g_intersection_violation, find_g_union_violation
-from .sets import parse_subset
+from .sets import complemented, members, parse_subset
 
 STATUS_VERIFIED = "verified"
 STATUS_REFUTED = "refuted-with-witness"
@@ -95,48 +97,47 @@ class ClaimReport:
 class SpaceContext:
     """One space with everything the claim checkers share.
 
-    The subset families are the space's and its topologies' cached ones
-    (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
-    keyed by side; the verdicts are computed once per space.
+    The subset families are the space's and its topologies' cached family
+    masks (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
+    keyed by side and read when the context is made; the verdicts are
+    computed once per space, when a checker first asks.  ``verified``
+    maps a one-topology claim to the topologies that already passed it,
+    keyed by ``id`` (the value keeps the topology, so the id stays its own);
+    a sweep shares one such dict among all its spaces, whose topologies are
+    the shared objects of ``gts_on``.
     """
 
-    def __init__(self, space: GbtSpace):
+    def __init__(self, space: GbtSpace, verified: dict[str, dict] | None = None):
         self.space = space
         self.t1 = space.mu1
         self.t2 = space.mu2
+        self.size = space.ground.size
         self.full = space.ground.full_mask
         self.subsets = range(self.full + 1)
         self.label = space.ground.label
+        self.verified = {} if verified is None else verified
+        self.g_closed: dict[int, int] = space.g_closed
+        self.g_open = {i: complemented(family, self.size) for i, family in self.g_closed.items()}
+        self.lambda_closed: dict[int, int] = space.lambda_closed
+        self.pairwise_lambda: int = space.pairwise_lambda_closed
+        self.wedge_sets = {1: self.t1.wedge_sets, 2: self.t2.wedge_sets}
+        self.vee_sets = {1: self.t1.vee_sets, 2: self.t2.vee_sets}
 
     def sides(self):
         return self.space.sides()
 
+    def unverified_sides(self, claim_id: str):
+        """(i, mu_i) for the sides whose topology has not yet passed the
+        one-topology claim; a topology counts as passed once the caller
+        asks for the next side, so a side that yields a witness does not."""
+        done = self.verified.setdefault(claim_id, {})
+        for i, t, _ in self.sides():
+            if done.get(id(t)) is not t:
+                yield i, t
+                done[id(t)] = t
+
     def where(self, detail: str) -> str:
         return f"{self.space!r}: {detail}"
-
-    @cached_property
-    def g_closed(self) -> dict[int, frozenset[int]]:
-        return self.space.g_closed
-
-    @cached_property
-    def g_open(self) -> dict[int, set[int]]:
-        return {i: {self.full ^ a for a in masks} for i, masks in self.g_closed.items()}
-
-    @cached_property
-    def lambda_closed(self) -> dict[int, frozenset[int]]:
-        return self.space.lambda_closed
-
-    @cached_property
-    def pairwise_lambda(self) -> frozenset[int]:
-        return self.space.pairwise_lambda_closed
-
-    @cached_property
-    def wedge_sets(self) -> dict[int, tuple[int, ...]]:
-        return {1: self.t1.wedge_sets, 2: self.t2.wedge_sets}
-
-    @cached_property
-    def vee_sets(self) -> dict[int, tuple[int, ...]]:
-        return {1: self.t1.vee_sets, 2: self.t2.vee_sets}
 
     @cached_property
     def profile(self):
@@ -158,10 +159,13 @@ class SpaceContext:
 # ---------------------------------------------------------------------------
 # universal / equivalence / conditional checkers: return None when the claim
 # holds on the given space, otherwise a description of the first violation.
+# Family checks are mask operations; a witness names the least offending
+# subset.  LEM-7 and REM-41 read one topology and check each topology once
+# per sweep.
 
 
 def check_lem7(ctx: SpaceContext) -> str | None:
-    for i, t, _ in ctx.sides():
+    for i, t in ctx.unverified_sides("LEM-7"):
         w, v = t.wedge_table, t.vee_table
         if w[0] != 0 or v[0] != 0 or w[ctx.full] != ctx.full or v[ctx.full] != ctx.full:
             return ctx.where(f"wedge/vee boundary values wrong on side {i}")
@@ -172,7 +176,7 @@ def check_lem7(ctx: SpaceContext) -> str | None:
                 return ctx.where(f"side {i}: vee of {ctx.label(a)} escapes the set")
             if w[w[a]] != w[a] or v[v[a]] != v[a]:
                 return ctx.where(f"side {i}: wedge/vee not idempotent at {ctx.label(a)}")
-            for x in range(ctx.space.ground.size):
+            for x in range(ctx.size):
                 b = a | 1 << x
                 if b != a and (w[a] & ~w[b] or v[a] & ~v[b]):
                     return ctx.where(f"side {i}: wedge/vee not monotone at {ctx.label(a)}")
@@ -182,36 +186,35 @@ def check_lem7(ctx: SpaceContext) -> str | None:
 def check_rem9(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
         g = ctx.g_closed[i]
-        for c in ta.closed_masks:
-            if c not in g:
-                return ctx.where(f"mu{i}-closed {ctx.label(c)} is not g-closed")
-        for a in g:
-            if a in tb.open_mask_set and ta.closure_table[a] != a:
-                return ctx.where(
-                    f"{ctx.label(a)} g-closed on side {i} and open on the other side but not closed"
-                )
+        missing = ta.closed_family & ~g
+        if missing:
+            return ctx.where(f"mu{i}-closed {ctx.label(members(missing)[0])} is not g-closed")
+        unclosed = g & tb.open_family & ~ta.closed_family
+        if unclosed:
+            a = members(unclosed)[0]
+            return ctx.where(f"{ctx.label(a)} g-closed on side {i} and open on the other side but not closed")
     return None
 
 
 def check_note10(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
-        for a in ctx.subsets:
-            w = tb.wedge_table[a]
-            if tb.wedge_table[w] != w:
-                return ctx.where(f"wedge of {ctx.label(a)} is not itself a wedge-set")
-            if w == a:
-                g = a in ctx.g_closed[i]
-                closed = ta.closure_table[a] == a
-                if g != closed:
-                    return ctx.where(
-                        f"wedge-set {ctx.label(a)}: g-closed({g}) != closed({closed}) on side {i}"
-                    )
+        wedge_sets = ctx.wedge_sets[3 - i]
+        # the first subset whose wedge is no wedge-set, and the wedge-sets on
+        # which g-closed and closed differ; the lesser subset is reported
+        escape = next((a for a, w in enumerate(tb.wedge_table) if not wedge_sets >> w & 1), ctx.full + 1)
+        differs = members((ctx.g_closed[i] ^ ta.closed_family) & wedge_sets)
+        if differs and differs[0] < escape:
+            a = differs[0]
+            g, closed = bool(ctx.g_closed[i] >> a & 1), bool(ta.closed_family >> a & 1)
+            return ctx.where(f"wedge-set {ctx.label(a)}: g-closed({g}) != closed({closed}) on side {i}")
+        if escape <= ctx.full:
+            return ctx.where(f"wedge of {ctx.label(escape)} is not itself a wedge-set")
     return None
 
 
 def check_thm12(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
-        for a in ctx.g_closed[i]:
+        for a in members(ctx.g_closed[i]):
             inside = gbt.closed_in_gap(ta, tb, a)
             if inside:
                 # name the least closed set in the gap, in ascending mask order
@@ -227,10 +230,13 @@ def check_union_g_conditional(ctx: SpaceContext) -> str | None:
     for i, ta, _ in ctx.sides():
         g = ctx.g_closed[i]
         closed = ta.closed_masks
-        if all(c1 | c2 in g for c1 in closed for c2 in closed):
-            for a in g:
-                for b in g:
-                    if a | b not in g:
+        # union_closed also asks for ∅, which unions of two members need not give
+        hypothesis = all(g >> (c1 | c2) & 1 for c1 in closed for c2 in closed)
+        if hypothesis and not union_closed(g | 1, ctx.size):
+            g_masks = members(g)
+            for a in g_masks:
+                for b in g_masks:
+                    if not g >> (a | b) & 1:
                         return ctx.where(
                             f"side {i}: closed-union hypothesis holds but "
                             f"{ctx.label(a)} ∪ {ctx.label(b)} escapes the g-closed family"
@@ -241,11 +247,11 @@ def check_union_g_conditional(ctx: SpaceContext) -> str | None:
 def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
     for i, _, tb in ctx.sides():
         g_open = ctx.g_open[i]
-        for a in sorted(g_open):
+        for a in members(g_open):
             rest = ctx.full & ~a
             b = rest
             while True:
-                if b in g_open and (a | b) not in g_open and gbt.weakly_separated(tb, a, b):
+                if g_open >> b & 1 and not g_open >> (a | b) & 1 and gbt.weakly_separated(tb, a, b):
                     return ctx.where(
                         f"side {i}: weakly separated g-open {ctx.label(a)}, {ctx.label(b)} "
                         f"have non-g-open union"
@@ -323,7 +329,7 @@ def check_cor29(ctx: SpaceContext) -> str | None:
 def check_thm30(ctx: SpaceContext) -> str | None:
     for i, ta, tb in ctx.sides():
         singles = ta.open_points | tb.closed_points == ctx.full
-        g_is_closed = all(ta.closure_table[a] == a for a in ctx.g_closed[i])
+        g_is_closed = ctx.g_closed[i] & ~ta.closed_family == 0
         if singles != g_is_closed:
             return ctx.where(
                 f"side {i}: singleton condition={singles} but g-closed-implies-closed={g_is_closed}"
@@ -364,19 +370,31 @@ def check_rem37(ctx: SpaceContext) -> str | None:
     return None
 
 
+def _open_family_fault(ctx: SpaceContext, closed_family: int, validate, *args) -> str | None:
+    """None when the complements of ``closed_family`` form a generalized
+    topology, else the error that ``validate(*args)``, the route through
+    ``validate_gt``, raises on them."""
+    if union_closed(complemented(closed_family, ctx.size), ctx.size):
+        return None
+    try:
+        validate(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise InternalDisagreementError(f"union-closure pass and validate_gt disagree on {ctx.space!r}")
+
+
 def check_thm40(ctx: SpaceContext) -> str | None:
     for i in (1, 2):
-        try:
-            gbt.lambda_open_family_wrt(ctx.space, i)
-        except Exception as exc:
-            return ctx.where(f"λ-open family wrt side {i} is not a generalized topology: {exc}")
+        fault = _open_family_fault(ctx, ctx.space.lambda_closed[i], gbt.lambda_open_family_wrt, ctx.space, i)
+        if fault:
+            return ctx.where(f"λ-open family wrt side {i} is not a generalized topology: {fault}")
     return None
 
 
 def check_rem41(ctx: SpaceContext) -> str | None:
-    for i in (1, 2):
+    for i, t in ctx.unverified_sides("REM-41"):
         try:
-            validate_gt(ctx.space.ground, ctx.vee_sets[i])
+            validate_gt(ctx.space.ground, members(t.vee_sets))
         except Exception as exc:
             return ctx.where(f"vee-family of side {i} is not a generalized topology: {exc}")
     return None
@@ -384,31 +402,38 @@ def check_rem41(ctx: SpaceContext) -> str | None:
 
 def check_cor42(ctx: SpaceContext) -> str | None:
     for i, ti, tj in ctx.sides():
-        family = {a for a in ctx.subsets if (ctx.full ^ a) in ctx.lambda_closed[i]}
-        if not set(ti.opens) <= family:
+        family = complemented(ctx.lambda_closed[i], ctx.size)
+        if ti.open_family & ~family:
             return ctx.where(f"λ-open family wrt side {i} misses an open set")
-        if not set(ctx.vee_sets[3 - i]) <= family:
+        if ctx.vee_sets[3 - i] & ~family:
             return ctx.where(f"λ-open family wrt side {i} misses a vee-set of the other side")
     return None
 
 
+def _forms_disagree(forms: tuple[int, int, int, int]) -> tuple[int, str] | None:
+    """Least subset on which the four form masks differ, with its verdicts."""
+    f4 = forms[3]
+    differs = (forms[0] ^ f4) | (forms[1] ^ f4) | (forms[2] ^ f4)
+    if not differs:
+        return None
+    a = members(differs)[0]
+    return a, ",".join(str(bool(f >> a & 1)) for f in forms)
+
+
 def check_lem43(ctx: SpaceContext) -> str | None:
     for i in (1, 2):
-        for a, (f1, f2, f3, f4) in enumerate(gbt.lambda_closed_forms(ctx.space, i)):
-            if not (f1 == f2 == f3 == f4):
-                return ctx.where(
-                    f"λ-closed forms disagree at {ctx.label(a)} side {i}: "
-                    f"({f1},{f2},{f3},{f4})"
-                )
+        found = _forms_disagree(gbt.lambda_closed_forms(ctx.space, i))
+        if found:
+            a, verdicts = found
+            return ctx.where(f"λ-closed forms disagree at {ctx.label(a)} side {i}: ({verdicts})")
     return None
 
 
 def check_lem45(ctx: SpaceContext) -> str | None:
-    for a, (f1, f2, f3, f4) in enumerate(gbt.pairwise_lambda_closed_forms(ctx.space)):
-        if not (f1 == f2 == f3 == f4):
-            return ctx.where(
-                f"pairwise λ-closed forms disagree at {ctx.label(a)}: ({f1},{f2},{f3},{f4})"
-            )
+    found = _forms_disagree(gbt.pairwise_lambda_closed_forms(ctx.space))
+    if found:
+        a, verdicts = found
+        return ctx.where(f"pairwise λ-closed forms disagree at {ctx.label(a)}: ({verdicts})")
     return None
 
 
@@ -429,63 +454,61 @@ def check_rem46(ctx: SpaceContext) -> str | None:
                 hull_open = ctx.full
             if hull_closed != ta.closure_table[a] or hull_open != tb.wedge_table[a]:
                 return ctx.where(f"hull recomputation differs from tables at {ctx.label(a)}")
-            if (hull_closed & hull_open == a) != (a in ctx.lambda_closed[i]):
+            if (hull_closed & hull_open == a) != bool(ctx.lambda_closed[i] >> a & 1):
                 return ctx.where(f"intersection-of-hulls reading fails at {ctx.label(a)}")
     return None
 
 
 def check_obs39(ctx: SpaceContext) -> str | None:
     for i, ta, _ in ctx.sides():
-        for c in ta.closed_masks:
-            if c not in ctx.lambda_closed[i]:
-                return ctx.where(f"closed {ctx.label(c)} not λ-closed on side {i}")
-        for w in ctx.wedge_sets[3 - i]:
-            if w not in ctx.lambda_closed[i]:
-                return ctx.where(f"wedge-set {ctx.label(w)} not λ-closed wrt side {3 - i}")
+        lam = ctx.lambda_closed[i]
+        missing = ta.closed_family & ~lam
+        if missing:
+            return ctx.where(f"closed {ctx.label(members(missing)[0])} not λ-closed on side {i}")
+        missing = ctx.wedge_sets[3 - i] & ~lam
+        if missing:
+            return ctx.where(f"wedge-set {ctx.label(members(missing)[0])} not λ-closed wrt side {3 - i}")
     return None
 
 
 def check_obs46(ctx: SpaceContext) -> str | None:
-    for a in ctx.subsets:
-        if (a in ctx.lambda_closed[1] or a in ctx.lambda_closed[2]) and a not in ctx.pairwise_lambda:
-            return ctx.where(f"one-sided λ-closed {ctx.label(a)} not pairwise λ-closed")
+    escaped = (ctx.lambda_closed[1] | ctx.lambda_closed[2]) & ~ctx.pairwise_lambda
+    if escaped:
+        return ctx.where(f"one-sided λ-closed {ctx.label(members(escaped)[0])} not pairwise λ-closed")
     return None
 
 
 def check_note47(ctx: SpaceContext) -> str | None:
-    try:
-        gbt.pairwise_lambda_open_family(ctx.space)
-    except Exception as exc:
-        return ctx.where(f"pairwise λ-open family is not a generalized topology: {exc}")
+    fault = _open_family_fault(ctx, ctx.space.pairwise_lambda_closed, gbt.pairwise_lambda_open_family, ctx.space)
+    if fault:
+        return ctx.where(f"pairwise λ-open family is not a generalized topology: {fault}")
     return None
 
 
 def check_thm48(ctx: SpaceContext) -> str | None:
     for i, ta, _ in ctx.sides():
-        g = ctx.g_closed[i]
-        for a in ctx.subsets:
-            closed = ta.closure_table[a] == a
-            both = a in g and a in ctx.lambda_closed[i]
-            if closed != both:
-                return ctx.where(
-                    f"side {i}, {ctx.label(a)}: closed={closed} but g∧λ={both}"
-                )
+        g_and_lambda = ctx.g_closed[i] & ctx.lambda_closed[i]
+        differs = ta.closed_family ^ g_and_lambda
+        if differs:
+            a = members(differs)[0]
+            closed, both = bool(ta.closed_family >> a & 1), bool(g_and_lambda >> a & 1)
+            return ctx.where(f"side {i}, {ctx.label(a)}: closed={closed} but g∧λ={both}")
     return None
 
 
 def check_note50(ctx: SpaceContext) -> str | None:
-    escaped = ctx.space.wedge12_sets - ctx.pairwise_lambda
+    escaped = ctx.space.wedge12_sets & ~ctx.pairwise_lambda
     if escaped:
-        return ctx.where(f"∧12-set {ctx.label(min(escaped))} not pairwise λ-closed")
+        return ctx.where(f"∧12-set {ctx.label(members(escaped)[0])} not pairwise λ-closed")
     return None
 
 
 def check_thm51(ctx: SpaceContext) -> str | None:
     if not ctx.profile.t1:
         return None
-    missing = set(ctx.subsets) - ctx.space.wedge12_sets
+    missing = ~ctx.space.wedge12_sets & ((1 << ctx.space.n_subsets) - 1)
     if missing:
-        return ctx.where(f"T1 but {ctx.label(min(missing))} is not a ∧12-set")
+        return ctx.where(f"T1 but {ctx.label(members(missing)[0])} is not a ∧12-set")
     return None
 
 
@@ -828,21 +851,27 @@ def run_claims(
     Universal claims sweep all canonical spaces up to ``n_scope`` and are
     then spot-checked on ``n4_samples`` random labeled four-point spaces
     (deterministic in ``seed``).  Fixture claims are evaluated pointwise.
+    Both scopes may be 0; a negative one raises ValueError.
     """
+    for name, value in (("n", n_scope), ("n4_samples", n4_samples)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
     check_size(n_scope)
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
     elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
+    verified: dict[str, dict] = {}
 
     def sweep(spaces):
+        clock = time.perf_counter
         for space in spaces:
-            ctx = SpaceContext(space)
+            ctx = SpaceContext(space, verified)
             for claim_id, checker in _UNIVERSAL_CHECKERS.items():
                 if claim_id in violations:
                     continue
-                start = time.perf_counter()
+                start = clock()
                 result = checker(ctx)
-                elapsed[claim_id] += time.perf_counter() - start
+                elapsed[claim_id] += clock() - start
                 checked[claim_id] += 1
                 if result is not None:
                     violations[claim_id] = result

@@ -71,6 +71,12 @@ def cmd_check(args) -> int:
     if missing:
         print(f"error: predicate {args.predicate!r} needs {missing}", file=sys.stderr)
         return 1
+    extra = " ".join(
+        f"--{name}" for name in ("side", "set", "set2") if name not in names and getattr(args, name) is not None
+    )
+    if extra:
+        print(f"error: predicate {args.predicate!r} takes no {extra}", file=sys.stderr)
+        return 1
     call_args = {k: v if k == "side" else tuple(s for s in v.split(",") if s) for k, v in values.items()}
     result = eval_predicate(space, args.predicate, call_args)
     if isinstance(result, bool):

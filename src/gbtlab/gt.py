@@ -16,15 +16,31 @@ conventions below are what make that case consistent:
   so vee(A) ≠ ∅ exactly when a nonempty closed set lies inside A,
 * a point with no open neighbourhood is vacuously a limit point of every
   set, including the empty set.
+
+The four operator tables, indexed by subset mask, are built by one DP
+pass each over the subsets:
+
+* wedge[a]    = a if a is open, else the AND of wedge[a ∪ {x}] over the
+  points x outside a (X at a = X when X is not open),
+* closure[a]  = the same recurrence over the closed sets,
+* interior[a] = a if a is open, else the OR of interior[a − {x}] over
+  the points x in a (∅ at a = ∅),
+* vee[a]      = the same recurrence over the closed sets.
+
+If a is not a member, every member containing a also contains a ∪ {x}
+for some x outside a, and every member inside a lies inside a − {x} for
+some x in a, so one point more (or less) reaches them all.  ``meet_table``
+and ``join_table`` are the two passes on any family mask (bit a set when
+subset a is a member; see ``sets``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .sets import GroundSet, GroundSetError, Subset, parse_subset
+from .sets import GroundSet, GroundSetError, Subset, family_of, parse_subset
 
 
 class GTValidationError(ValueError):
@@ -57,8 +73,14 @@ class GeneralizedTopology:
         return tuple(self.ground.labels(m) for m in self.opens if m)
 
     @cached_property
-    def open_mask_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
+    def open_family(self) -> int:
+        """Family mask of the opens."""
+        return family_of(self.opens)
+
+    @cached_property
+    def closed_family(self) -> int:
+        """Family mask of the closed sets."""
+        return family_of(self.closed_masks)
 
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
@@ -69,16 +91,14 @@ class GeneralizedTopology:
     # shared by the predicates, the claim checkers and the pair kernels.
 
     @cached_property
-    def wedge_sets(self) -> tuple[int, ...]:
-        """Masks of the ∧-sets (A = wedge(A)), ascending."""
-        wt = self.wedge_table
-        return tuple(a for a in range(1 << self.ground.size) if wt[a] == a)
+    def wedge_sets(self) -> int:
+        """Family mask of the ∧-sets (A = wedge(A))."""
+        return family_of(a for a, w in enumerate(self.wedge_table) if w == a)
 
     @cached_property
-    def vee_sets(self) -> tuple[int, ...]:
-        """Masks of the ∨-sets (A = vee(A)), ascending; they form a generalized topology."""
-        vt = self.vee_table
-        return tuple(a for a in range(1 << self.ground.size) if vt[a] == a)
+    def vee_sets(self) -> int:
+        """Family mask of the ∨-sets (A = vee(A)); they form a generalized topology."""
+        return family_of(a for a, v in enumerate(self.vee_table) if v == a)
 
     @cached_property
     def open_points(self) -> int:
@@ -91,51 +111,25 @@ class GeneralizedTopology:
         return sum(c for c in self.closed_masks if c & c - 1 == 0)
 
     # Full operator tables, indexed by subset mask.  Built lazily once and
-    # shared by every decider that touches this topology.
+    # shared by every decider that touches this topology.  They make their
+    # own family masks, so a topology that needs only its tables (as in a
+    # census) caches no family mask.
 
     @cached_property
     def closure_table(self) -> tuple[int, ...]:
-        return tuple(self._closure_mask(a) for a in range(1 << self.ground.size))
+        return meet_table(family_of(self.closed_masks), self.ground.size)
 
     @cached_property
     def interior_table(self) -> tuple[int, ...]:
-        return tuple(self._interior_mask(a) for a in range(1 << self.ground.size))
+        return join_table(family_of(self.opens), self.ground.size)
 
     @cached_property
     def wedge_table(self) -> tuple[int, ...]:
-        return tuple(self._wedge_mask(a) for a in range(1 << self.ground.size))
+        return meet_table(family_of(self.opens), self.ground.size)
 
     @cached_property
     def vee_table(self) -> tuple[int, ...]:
-        return tuple(self._vee_mask(a) for a in range(1 << self.ground.size))
-
-    def _closure_mask(self, a: int) -> int:
-        acc = self.ground.full_mask
-        for c in self.closed_masks:
-            if a & ~c == 0:
-                acc &= c
-        return acc
-
-    def _interior_mask(self, a: int) -> int:
-        acc = 0
-        for u in self.opens:
-            if u & ~a == 0:
-                acc |= u
-        return acc
-
-    def _wedge_mask(self, a: int) -> int:
-        acc = self.ground.full_mask  # X when no open contains a
-        for u in self.opens:
-            if a & ~u == 0:
-                acc &= u
-        return acc
-
-    def _vee_mask(self, a: int) -> int:
-        acc = 0
-        for c in self.closed_masks:
-            if c & ~a == 0:
-                acc |= c
-        return acc
+        return join_table(family_of(self.closed_masks), self.ground.size)
 
     def _derived_mask(self, a: int) -> int:
         out = 0
@@ -148,6 +142,55 @@ class GeneralizedTopology:
 
     def __repr__(self) -> str:
         return f"GT({self.ground.label_family(self.opens)} on {self.ground!r})"
+
+
+@lru_cache(maxsize=None)
+def _neighbours(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Per subset mask a: the masks with one point more, and with one point less."""
+    points = [1 << x for x in range(size)]
+    masks = range(1 << size)
+    return (
+        tuple(tuple(a | p for p in points if not a & p) for a in masks),
+        tuple(tuple(a ^ p for p in points if a & p) for a in masks),
+    )
+
+
+def meet_table(family: int, size: int) -> tuple[int, ...]:
+    """Entry a: the intersection of the members containing a, X if none."""
+    full = (1 << size) - 1
+    up = _neighbours(size)[0]
+    table = [full] * (full + 1)
+    for a in range(full, -1, -1):
+        if family >> a & 1:
+            table[a] = a
+        else:
+            acc = full
+            for b in up[a]:
+                acc &= table[b]
+            table[a] = acc
+    return tuple(table)
+
+
+def join_table(family: int, size: int) -> tuple[int, ...]:
+    """Entry a: the union of the members inside a, ∅ if none."""
+    down = _neighbours(size)[1]
+    table = [0] * (1 << size)
+    for a in range(1 << size):
+        if family >> a & 1:
+            table[a] = a
+        else:
+            acc = 0
+            for b in down[a]:
+                acc |= table[b]
+            table[a] = acc
+    return tuple(table)
+
+
+def union_closed(family: int, size: int) -> bool:
+    """The family mask holds ∅ and is closed under unions.  One join pass:
+    the union of the members inside every a must be a member (at a = ∅ that
+    union is ∅, at a = A ∪ B for members A and B it is A ∪ B)."""
+    return all(family >> u & 1 for u in join_table(family, size))
 
 
 def _mask_set(ground: GroundSet, masks) -> set[int]:
@@ -207,29 +250,29 @@ def _check_ground(t: GeneralizedTopology, a: Subset) -> int:
 
 
 def is_open(t: GeneralizedTopology, a: Subset) -> bool:
-    return _check_ground(t, a) in t.open_mask_set
+    return bool(t.open_family >> _check_ground(t, a) & 1)
 
 
 def is_closed(t: GeneralizedTopology, a: Subset) -> bool:
-    return (_check_ground(t, a) ^ t.ground.full_mask) in t.open_mask_set
+    return bool(t.closed_family >> _check_ground(t, a) & 1)
 
 
 def closure(t: GeneralizedTopology, a: Subset) -> Subset:
-    return Subset(t._closure_mask(_check_ground(t, a)), t.ground)
+    return Subset(t.closure_table[_check_ground(t, a)], t.ground)
 
 
 def interior(t: GeneralizedTopology, a: Subset) -> Subset:
-    return Subset(t._interior_mask(_check_ground(t, a)), t.ground)
+    return Subset(t.interior_table[_check_ground(t, a)], t.ground)
 
 
 def wedge(t: GeneralizedTopology, a: Subset) -> Subset:
     """Intersection of the opens containing A (a ∧-set hull); X if none."""
-    return Subset(t._wedge_mask(_check_ground(t, a)), t.ground)
+    return Subset(t.wedge_table[_check_ground(t, a)], t.ground)
 
 
 def vee(t: GeneralizedTopology, a: Subset) -> Subset:
     """Union of the closed sets inside A (a ∨-set kernel); ∅ if none."""
-    return Subset(t._vee_mask(_check_ground(t, a)), t.ground)
+    return Subset(t.vee_table[_check_ground(t, a)], t.ground)
 
 
 def derived_set(t: GeneralizedTopology, a: Subset) -> Subset:
@@ -238,11 +281,11 @@ def derived_set(t: GeneralizedTopology, a: Subset) -> Subset:
 
 
 def is_wedge_set(t: GeneralizedTopology, a: Subset) -> bool:
-    return _check_ground(t, a) in t.wedge_sets
+    return bool(t.wedge_sets >> _check_ground(t, a) & 1)
 
 
 def is_vee_set(t: GeneralizedTopology, a: Subset) -> bool:
-    return _check_ground(t, a) in t.vee_sets
+    return bool(t.vee_sets >> _check_ground(t, a) & 1)
 
 
 def is_gt_T0(t: GeneralizedTopology) -> bool:

@@ -86,7 +86,7 @@ from .enumeration import (
 )
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
-from .sets import ground
+from .sets import ground, members
 from .spacefile import space_to_data
 
 BLOCKS_PER_LEVEL = 32
@@ -567,9 +567,9 @@ def find_note50_witness(n_max: int) -> tuple[SetWitness | None, int]:
     checked = 0
     for space in _spaces_up_to(n_max):
         checked += 1
+        escaped = space.pairwise_lambda_closed & ~space.wedge12_sets
         for x in range(space.ground.size):
-            p = 1 << x
-            if p in space.pairwise_lambda_closed and p not in space.wedge12_sets:
+            if escaped >> (1 << x) & 1:
                 label = space.ground.names[x]
                 return (
                     SetWitness(
@@ -588,13 +588,13 @@ def _find_g_combination_violation(n_max: int, combine, verb: str) -> tuple[SetWi
         checked += 1
         label = space.ground.label
         for side, g in space.g_closed.items():
-            g_masks = sorted(g)
+            g_masks = members(g)
             for a in g_masks:
                 for b in g_masks:
                     if b <= a:
                         continue
                     u = combine(a, b)
-                    if u not in g:
+                    if not g >> u & 1:
                         return (
                             SetWitness(
                                 space,

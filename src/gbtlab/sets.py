@@ -6,6 +6,10 @@ elements: a subset then always fits a machine word and a family of
 subsets fits a 2^16-bit mask.  Topologies hold plain masks; ``Subset``
 is the labeled view, used where labels are parsed or a labeled subset is
 an argument, and ``GroundSet`` renders masks back into labels.
+
+A family mask is an integer whose bit a is set exactly when subset a
+belongs to the family.  ``family_of`` builds one, and ``members`` and
+``complemented`` read and transform one.
 """
 
 from __future__ import annotations
@@ -124,6 +128,27 @@ def is_subset(a: Subset, b: Subset) -> bool:
 
 def full(g: GroundSet) -> Subset:
     return Subset(g.full_mask, g)
+
+
+def family_of(masks) -> int:
+    """Family mask of distinct subset masks."""
+    return sum(1 << a for a in masks)
+
+
+def members(family: int) -> list[int]:
+    """Subset masks of a family mask, ascending."""
+    out = []
+    while family:
+        low = family & -family
+        out.append(low.bit_length() - 1)
+        family ^= low
+    return out
+
+
+def complemented(family: int, size: int) -> int:
+    """Family mask of the complements X − A of the members A.  Subset a
+    moves to (2^n − 1) − a, so the 2^n-bit string is read backwards."""
+    return int(format(family, f"0{1 << size}b")[::-1], 2)
 
 
 def parse_subset(labels, g: GroundSet) -> Subset:

@@ -2,11 +2,13 @@
 
 Everything here follows the definitional quantifier shapes directly: no
 precomputed tables, no derived characterizations.  ``OracleSpace`` works
-on frozensets of labels.  The two scans below it work on one topology's
-open or closed masks; they are the definitions that gbtlab decides from
-its closure and vee tables.  The naive family enumerator walks all
-2^(2^n - 1) candidate families.  These are the independent side of every
-dual-route check in the suite.
+on frozensets of labels.  The scans below it work on one topology's open
+or closed masks: the four operator scans that gbtlab's DP tables replaced,
+the weak-separation and closed-inside scans that it decides from its
+closure and vee tables, and the four-kind separation scan that its hull DP
+replaced.  The naive family enumerator walks all 2^(2^n - 1) candidate
+families.  These are the independent side of every dual-route check in
+the suite.
 """
 
 from __future__ import annotations
@@ -195,6 +197,54 @@ class OracleSpace:
             any(x in u and y not in u for u in self.opens[i])
             for x, y in permutations(self.points, 2)
         )
+
+
+def closure_by_scan(t, a):
+    """Intersection of the closed supersets of A (X is closed)."""
+    acc = t.ground.full_mask
+    for c in t.closed_masks:
+        if a & ~c == 0:
+            acc &= c
+    return acc
+
+
+def interior_by_scan(t, a):
+    """Union of the opens inside A."""
+    acc = 0
+    for u in t.opens:
+        if u & ~a == 0:
+            acc |= u
+    return acc
+
+
+def wedge_by_scan(t, a):
+    """Intersection of the opens containing A, X if there are none."""
+    acc = t.ground.full_mask
+    for u in t.opens:
+        if a & ~u == 0:
+            acc &= u
+    return acc
+
+
+def vee_by_scan(t, a):
+    """Union of the closed sets inside A."""
+    acc = 0
+    for c in t.closed_masks:
+        if c & ~a == 0:
+            acc |= c
+    return acc
+
+
+def t_fraction_by_scan(t1, t2):
+    """Every subset P and point y outside it: some open or closed set of
+    either side contains P and misses y."""
+    kinds = set(t1.opens) | set(t2.opens) | set(t1.closed_masks) | set(t2.closed_masks)
+    for p in range(t1.ground.full_mask + 1):
+        for y in range(t1.ground.size):
+            q = 1 << y
+            if not p & q and not any(p & ~k == 0 and not k & q for k in kinds):
+                return False
+    return True
 
 
 def weakly_separated_by_opens(opens, a, b):

@@ -23,9 +23,11 @@ from gbtlab.axioms import (
     decide_t_half,
     evaluate_axiom,
     normalize_axiom_name,
+    t_fraction_by_definition,
 )
 from gbtlab.enumeration import (
     canonical_pair_indices,
+    enumerate_gbt_pairs,
     gts_on,
     permute_space,
 )
@@ -34,7 +36,7 @@ from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import complete_unions
 from gbtlab.sets import ground
 
-from oracles import OracleSpace
+from oracles import OracleSpace, t_fraction_by_scan
 
 
 def _space(points, mu1, mu2):
@@ -133,6 +135,22 @@ def test_cross_validation_clean_small():
     gts = gts_on(2)
     for i, j in canonical_pair_indices(2, "perm"):
         cross_validate_space(GbtSpace(gts[0].ground, gts[i], gts[j]))
+
+
+def test_four_kind_hull_matches_the_separation_scan():
+    """The hull DP behind t_fraction_by_definition against the subset and
+    point scan it replaced: every canonical space with at most three points
+    and 2,000 seeded labeled four-point spaces."""
+    gts4 = gts_on(4)
+    rng = random.Random(7)
+    spaces = [s for n in (1, 2, 3) for s in enumerate_gbt_pairs(n)]
+    spaces += [GbtSpace(gts4[0].ground, rng.choice(gts4), rng.choice(gts4)) for _ in range(2000)]
+    verdicts = set()
+    for s in spaces:
+        verdict = t_fraction_by_definition(s.mu1, s.mu2)
+        assert verdict == t_fraction_by_scan(s.mu1, s.mu2), s
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_witnesses_recorded_for_false_verdicts():

@@ -23,6 +23,8 @@ from gbtlab.claims import (
     statuses_match_expectations,
 )
 from gbtlab.fixtures import FIXTURES, get_fixture
+from gbtlab.gbt import GbtSpace
+from gbtlab.gt import GeneralizedTopology
 
 EXPECTED_IDS = {
     "LEM-7", "REM-9", "NOTE-10", "THM-12", "THM-UNION-G", "THM-UNION-WS",
@@ -185,12 +187,28 @@ def test_fixture_assertions_pass_the_arguments_the_predicate_table_names():
 
 
 def _altered(fixture_id, alter):
-    ctx = SpaceContext(get_fixture(fixture_id).space())
+    """Context of a copy of the fixture space with some family masks
+    replaced.  A family the space caches is replaced on the copy as well, for
+    the checkers that read it there (LEM-43, THM-40)."""
+    fixture_space = get_fixture(fixture_id).space()
+    ctx = SpaceContext(GbtSpace(fixture_space.ground, fixture_space.mu1, fixture_space.mu2))
     for name, family in alter(ctx).items():
         setattr(ctx, name, family)
+        if name in GbtSpace.__dict__:
+            ctx.space.__dict__[name] = family
     return ctx
 
 
+def _bits(*masks):
+    return sum(1 << m for m in masks)
+
+
+def _side_family(name, side, remove=(), add=()):
+    """Alteration of one side's family: the masks ``remove`` taken out, ``add`` put in."""
+    return lambda c: {name: {**getattr(c, name), side: getattr(c, name)[side] & ~_bits(*remove) | _bits(*add)}}
+
+
+E43A = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a}, {a,d}}, mu2={{}, {b}, {b,d}})"
 E43B = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a}, {a,d}}, mu2={{}, {a,b}, {c}, {a,b,c}})"
 E14 = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a,d}, {c,d}, {a,c,d}}, mu2={{}, {d}, {a,c,d}})"
 E46A = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a,d}, {b,d}, {a,b,d}}, mu2={{}, {a,b,c}})"
@@ -199,30 +217,81 @@ E36 = (
     "mu2={{}, {a}, {a,b,c}, {d}, {a,d}, {a,b,d}, {a,b,c,d}})"
 )
 
-# claim, fixture, cached families to replace, witness.  Each altered family
-# breaks the claim on purpose.  The witness names the first offending sets
-# in the order the checker walks them (ascending masks, or the g-closed
-# family's own order for THM-12), so its text is pinned exactly.
+# claim, fixture, families to replace, witness.  Each altered family breaks
+# the claim on purpose, and most alterations offend at more than one set.
+# The witness names the first offending set in the order the checker walks
+# the subsets (ascending masks), so its text is pinned exactly.  The texts
+# were recorded from the frozenset-family checkers that the family masks
+# replaced, on the same alterations.
 VIOLATIONS = [
     (
-        "THM-UNION-WS", "e43b", lambda c: {"g_open": {**c.g_open, 1: c.g_open[1] - {0b0111}}},
+        "THM-UNION-WS", "e43b", _side_family("g_open", 1, remove=[0b0111]),
         f"{E43B}: side 1: weakly separated g-open {{a,b}}, {{c}} have non-g-open union",
     ),
     (
-        "THM-UNION-WS", "e43b", lambda c: {"g_open": {**c.g_open, 1: c.g_open[1] - {0b0110, 0b0111}}},
+        "THM-UNION-WS", "e43b", _side_family("g_open", 1, remove=[0b0110, 0b0111]),
         f"{E43B}: side 1: weakly separated g-open {{b}}, {{c}} have non-g-open union",
     ),
     (
-        "THM-12", "e14", lambda c: {"g_closed": {**c.g_closed, 1: c.g_closed[1] | {0b1000}}},
+        "THM-12", "e14", _side_family("g_closed", 1, add=[0b1000]),
         f"{E14}: g-closed {{d}} (side 1) has closed {{b}} in its closure gap",
     ),
     (
-        "THM-12", "e46a", lambda c: {"g_closed": {**c.g_closed, 2: c.g_closed[2] | {0b0001, 0b0010}}},
+        "THM-12", "e46a", _side_family("g_closed", 2, add=[0b0001, 0b0010]),
         f"{E46A}: g-closed {{a}} (side 2) has closed {{c}} in its closure gap",
     ),
     (
-        "NOTE-50", "e36", lambda c: {"pairwise_lambda": c.pairwise_lambda - {0b0101, 0b1000}},
+        "NOTE-50", "e36", lambda c: {"pairwise_lambda": c.pairwise_lambda & ~_bits(0b0101, 0b1000)},
         f"{E36}: ∧12-set {{a,c}} not pairwise λ-closed",
+    ),
+    (
+        "REM-9", "e43a", _side_family("g_closed", 1, remove=[0b0110, 0b1110]),
+        f"{E43A}: mu1-closed {{b,c}} is not g-closed",
+    ),
+    (
+        "REM-9", "e43a", _side_family("g_closed", 1, add=[0b0010, 0b1010]),
+        f"{E43A}: {{b}} g-closed on side 1 and open on the other side but not closed",
+    ),
+    (
+        "OBS-39", "e43a", _side_family("lambda_closed", 1, remove=[0b0110, 0b1110]),
+        f"{E43A}: closed {{b,c}} not λ-closed on side 1",
+    ),
+    (
+        "OBS-39", "e43a", _side_family("lambda_closed", 1, remove=[0b0010, 0b1010]),
+        f"{E43A}: wedge-set {{b}} not λ-closed wrt side 2",
+    ),
+    (
+        "THM-48", "e43a", _side_family("lambda_closed", 1, add=[0b0011, 0b1001]),
+        f"{E43A}: side 1, {{a,b}}: closed=False but g∧λ=True",
+    ),
+    (
+        "THM-48", "e43a", _side_family("g_closed", 2, remove=[0b1101]),
+        f"{E43A}: side 2, {{a,c,d}}: closed=True but g∧λ=False",
+    ),
+    (
+        "COR-42", "e43a", _side_family("lambda_closed", 1, remove=[0b0110]),
+        f"{E43A}: λ-open family wrt side 1 misses an open set",
+    ),
+    (
+        "COR-42", "e43a", _side_family("lambda_closed", 1, remove=[0b1010]),
+        f"{E43A}: λ-open family wrt side 1 misses a vee-set of the other side",
+    ),
+    (
+        "LEM-43", "e43a", _side_family("lambda_closed", 2, remove=[0b1001], add=[0b1100]),
+        f"{E43A}: λ-closed forms disagree at {{a,d}} side 2: (True,True,True,False)",
+    ),
+    (
+        "LEM-43", "e43a", _side_family("lambda_closed", 1, add=[0b0001]),
+        f"{E43A}: λ-closed forms disagree at {{a}} side 1: (False,False,False,True)",
+    ),
+    (
+        "THM-40", "e43a", _side_family("lambda_closed", 1, remove=[0b0010]),
+        f"{E43A}: λ-open family wrt side 1 is not a generalized topology: "
+        "family not closed under union: {a,c} ∪ {a,d} = {a,c,d} is missing",
+    ),
+    (
+        "THM-40", "e43a", _side_family("lambda_closed", 2, remove=[0b1111]),
+        f"{E43A}: λ-open family wrt side 2 is not a generalized topology: the empty set must be open",
     ),
 ]
 
@@ -232,3 +301,52 @@ def test_violation_witness_names_the_first_offending_sets(claim_id, fixture_id, 
     checker = _UNIVERSAL_CHECKERS[claim_id]
     assert checker(SpaceContext(get_fixture(fixture_id).space())) is None
     assert checker(_altered(fixture_id, alter)) == witness
+    assert checker(SpaceContext(get_fixture(fixture_id).space())) is None
+
+
+NOTE10_CASES = [
+    # entries of mu2's wedge table replaced, sets added to side 1's g-closed
+    # family, witness (recorded from the frozenset-family checker)
+    ({0b0001: 0b0011, 0b0100: 0b0101}, (), "wedge of {a} is not itself a wedge-set"),
+    ({}, (0b0010, 0b1010), "wedge-set {b}: g-closed(True) != closed(False) on side 1"),
+    ({0b0100: 0b0101}, (0b0010,), "wedge-set {b}: g-closed(True) != closed(False) on side 1"),
+    ({0b0001: 0b0011}, (0b0010,), "wedge of {a} is not itself a wedge-set"),
+]
+
+
+@pytest.mark.parametrize("changes,added,witness", NOTE10_CASES)
+def test_note10_witness_names_the_first_offending_subset(changes, added, witness):
+    """NOTE-10 walks the subsets once for both of its parts, so a broken
+    wedge table and a changed g-closed family are reported in that order."""
+    e43a = get_fixture("e43a").space()
+    mu2 = GeneralizedTopology(e43a.ground, e43a.mu2.opens)
+    table = list(e43a.mu2.wedge_table)
+    for a, w in changes.items():
+        table[a] = w
+    mu2.__dict__["wedge_table"] = tuple(table)
+    ctx = SpaceContext(GbtSpace(e43a.ground, e43a.mu1, mu2))
+    ctx.g_closed = {**ctx.g_closed, 1: ctx.g_closed[1] | _bits(*added)}
+    assert _UNIVERSAL_CHECKERS["NOTE-10"](ctx) == f"{E43A}: {witness}"
+
+
+def test_one_topology_claims_check_each_topology_once_per_sweep():
+    """LEM-7 and REM-41 remember, per claim, the topologies that passed; a
+    topology that fails is reported on the side where it first appears."""
+    e17 = get_fixture("e17").space()
+    verified = {}
+    for claim_id in ("LEM-7", "REM-41"):
+        assert _UNIVERSAL_CHECKERS[claim_id](SpaceContext(e17, verified)) is None
+    assert {claim_id: set(done.values()) for claim_id, done in verified.items()} == {
+        "LEM-7": {e17.mu1, e17.mu2},
+        "REM-41": {e17.mu1, e17.mu2},
+    }
+
+    broken = GeneralizedTopology(e17.ground, (0, 0b011))  # {a,b} alone: not e17's topologies
+    broken.__dict__["vee_sets"] = _bits(0, 0b001, 0b010, 0b111)  # {a} ∪ {b} is missing
+    reason = "is not a generalized topology: family not closed under union: {a} ∪ {b} = {a,b} is missing"
+    for space, side in ((GbtSpace(e17.ground, e17.mu1, broken), 2), (GbtSpace(e17.ground, broken, broken), 1)):
+        witness = _UNIVERSAL_CHECKERS["REM-41"](SpaceContext(space, verified))
+        assert witness == f"{space!r}: vee-family of side {side} {reason}"
+    assert broken not in verified["REM-41"].values()
+    assert _UNIVERSAL_CHECKERS["LEM-7"](SpaceContext(GbtSpace(e17.ground, e17.mu1, broken), verified)) is None
+    assert set(verified["LEM-7"].values()) == {e17.mu1, e17.mu2, broken}

@@ -201,6 +201,18 @@ def test_check_missing_argument(capsys):
     assert code == 1 and "needs --side" in err
 
 
+def test_check_refuses_options_the_predicate_does_not_take(capsys):
+    code, out, err = _run(capsys, "check", _fixture_path("e11"), "T0", "--set", "zz")
+    assert (code, out) == (1, "")
+    assert err == "error: predicate 'T0' takes no --set\n"
+    code, out, err = _run(capsys, "check", _fixture_path("e11"), "gt-T0", "--side", "1", "--set", "zz", "--set2", "q")
+    assert (code, out) == (1, "")
+    assert err == "error: predicate 'gt-T0' takes no --set --set2\n"
+    code, out, err = _run(capsys, "check", _fixture_path("e11"), "wedge12-set", "--side", "2", "--set", "a")
+    assert (code, out) == (1, "")
+    assert err == "error: predicate 'wedge12-set' takes no --side\n"
+
+
 def test_check_singletons_open_or_closed_takes_a_side(capsys):
     code, out, _ = _run(capsys, "check", _fixture_path("e31"), "singletons-open-or-closed", "--side", "1")
     assert code == 0 and out == "true\n"
@@ -271,6 +283,8 @@ def test_sweeps_beyond_four_points_are_refused(capsys, argv):
         (("mine", "--special", "note50-converse", "--n", "0"), "n must be at least 1"),
         (("mine", "--special", "g-union-escape", "--n", "-1"), "n must be at least 1"),
         (("mine", "--special", "g-intersection-escape", "--n", "0"), "n must be at least 1"),
+        (("claims", "--n4-samples", "-5"), "n4_samples must be at least 0"),
+        (("claims", "--n", "-1"), "n must be at least 0"),
     ],
 )
 def test_bad_numeric_arguments_exit_1(capsys, argv, message):

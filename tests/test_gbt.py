@@ -30,7 +30,7 @@ from gbtlab.gbt import (
 from gbtlab.enumeration import enumerate_gbt_pairs, gts_on
 from gbtlab.fixtures import get_fixture
 from gbtlab.gt import complete_unions, validate_gt
-from gbtlab.sets import Subset, full, ground, parse_subset
+from gbtlab.sets import Subset, full, ground, members, parse_subset
 
 from oracles import OracleSpace, closed_inside_by_scan, weakly_separated_by_opens
 
@@ -163,18 +163,19 @@ def test_g_open_kernel_characterization(s):
 
 @given(spaces())
 def test_lambda_forms_agree(s):
+    """Each form's family mask, read bit by bit, against the predicates."""
     g = s.ground
     for i in (1, 2):
         forms = lambda_closed_forms(s, i)
-        assert len(forms) == g.full_mask + 1
-        for bits, row in enumerate(forms):
+        assert len(forms) == 4
+        for bits in range(g.full_mask + 1):
             a = Subset(bits, g)
-            assert set(row) == {is_lambda_closed_wrt(s, i, a)}
+            assert {form >> bits & 1 for form in forms} == {is_lambda_closed_wrt(s, i, a)}
             assert lambda_open_by_decomposition(s, i, a) == is_lambda_open_wrt(s, i, a)
     pairwise_forms = pairwise_lambda_closed_forms(s)
-    assert len(pairwise_forms) == g.full_mask + 1
-    for bits, row in enumerate(pairwise_forms):
-        assert set(row) == {is_pairwise_lambda_closed(s, Subset(bits, g))}
+    assert len(pairwise_forms) == 4
+    for bits in range(g.full_mask + 1):
+        assert {form >> bits & 1 for form in pairwise_forms} == {is_pairwise_lambda_closed(s, Subset(bits, g))}
 
 
 @given(spaces())
@@ -213,8 +214,8 @@ def test_families_match_label_set_oracle_on_every_small_space():
         oracle = OracleSpace.from_space(s)
         subsets = list(oracle.subsets())
 
-        def labeled(masks):
-            return {frozenset(s.ground.labels(m)) for m in masks}
+        def labeled(family):
+            return {frozenset(s.ground.labels(m)) for m in members(family)}
 
         for i, t, _ in s.sides():
             assert labeled(t.wedge_sets) == oracle.wedge_sets(i)
@@ -223,7 +224,7 @@ def test_families_match_label_set_oracle_on_every_small_space():
             assert set(s.ground.labels(t.closed_points)) == oracle.closed_singletons(i)
             assert labeled(s.g_closed[i]) == {a for a in subsets if oracle.g_closed(i, a)}
             assert labeled(s.lambda_closed[i]) == {a for a in subsets if oracle.lambda_closed(i, a)}
-            no_closed_in_gap = [a for a in range(s.n_subsets) if not closed_in_gap(t, s.side(other(i)), a)]
+            no_closed_in_gap = sum(1 << a for a in range(s.n_subsets) if not closed_in_gap(t, s.side(other(i)), a))
             assert labeled(no_closed_in_gap) == {a for a in subsets if oracle.gap_has_no_closed(i, a)}
         assert labeled(s.pairwise_lambda_closed) == {
             a for a in subsets if oracle.pairwise_lambda_closed(a)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gbtlab.enumeration import gts_on
 from gbtlab.fixtures import get_fixture
 from gbtlab.gt import (
+    GeneralizedTopology,
     GTValidationError,
     closure,
     complete_unions,
@@ -16,11 +18,14 @@ from gbtlab.gt import (
     is_gt_T0,
     is_gt_T1,
     is_open,
+    union_closed,
     validate_gt,
     vee,
     wedge,
 )
-from gbtlab.sets import GroundSetError, Subset, full, ground, parse_subset
+from gbtlab.sets import GroundSetError, Subset, complemented, full, ground, members, parse_subset
+
+from oracles import closure_by_scan, interior_by_scan, vee_by_scan, wedge_by_scan
 
 
 def _sub(g, labels):
@@ -126,8 +131,8 @@ def test_derived_set_frozen_values(e11, e13):
 def test_vee_family_values(e17):
     g3 = ground(3)
     degenerate = validate_gt(g3, [0])
-    assert {g3.labels(m) for m in degenerate.vee_sets} == {(), ("a", "b", "c")}
-    assert {g3.labels(m) for m in e17.mu1.vee_sets} == {(), ("b", "c"), ("a", "b", "c")}
+    assert {g3.labels(m) for m in members(degenerate.vee_sets)} == {(), ("a", "b", "c")}
+    assert {g3.labels(m) for m in members(e17.mu1.vee_sets)} == {(), ("b", "c"), ("a", "b", "c")}
 
 
 def test_gt_separation(e17):
@@ -187,7 +192,7 @@ def test_closure_interior_laws(t):
 
 @given(topologies())
 def test_vee_family_is_generalized_topology(t):
-    validated = validate_gt(t.ground, t.vee_sets)
+    validated = validate_gt(t.ground, members(t.vee_sets))
     assert 0 in validated.opens
 
 
@@ -203,3 +208,53 @@ def test_gt_from_labels_implies_empty():
     g = ground(3)
     t = gt_from_labels(g, [["a"], ["a", "b"]])
     assert t.opens == (0, 1, 3)
+
+
+def test_dp_tables_match_the_scans_on_every_topology_up_to_four_points():
+    """The four operator tables, each built by one DP pass, against the scans
+    of the opens and closed sets they replaced: every generalized topology
+    on one to four points (2 + 7 + 61 + 2,480 of them)."""
+    for n in (1, 2, 3, 4):
+        for shared in gts_on(n):
+            t = GeneralizedTopology(shared.ground, shared.opens)
+            masks = range(t.ground.full_mask + 1)
+            assert t.closure_table == tuple(closure_by_scan(t, a) for a in masks)
+            assert t.interior_table == tuple(interior_by_scan(t, a) for a in masks)
+            assert t.wedge_table == tuple(wedge_by_scan(t, a) for a in masks)
+            assert t.vee_table == tuple(vee_by_scan(t, a) for a in masks)
+            assert t.open_family == sum(1 << a for a in masks if interior_by_scan(t, a) == a)
+            assert t.closed_family == sum(1 << a for a in masks if closure_by_scan(t, a) == a)
+
+
+@st.composite
+def families(draw, max_n=4):
+    """A family mask on up to four points: half of the draws close a few
+    seed sets under unions, the rest are arbitrary (∅ may be missing)."""
+    n = draw(st.integers(1, max_n))
+    g = ground(n)
+    if draw(st.booleans()):
+        t, _ = complete_unions(g, draw(st.lists(st.integers(0, g.full_mask), max_size=5)))
+        family = t.open_family
+        if draw(st.booleans()):  # one member dropped: usually no longer union-closed
+            family &= ~(1 << draw(st.sampled_from(t.opens)))
+        return g, family
+    return g, draw(st.integers(0, (1 << (1 << n)) - 1))
+
+
+@given(families())
+def test_union_closure_pass_agrees_with_validate_gt(drawn):
+    g, family = drawn
+    try:
+        validate_gt(g, members(family))
+        valid = True
+    except GTValidationError:
+        valid = False
+    assert union_closed(family, g.size) == valid
+
+
+@given(families())
+def test_complemented_families(drawn):
+    g, family = drawn
+    flipped = complemented(family, g.size)
+    assert members(flipped) == sorted(g.full_mask ^ a for a in members(family))
+    assert complemented(flipped, g.size) == family
