@@ -17,6 +17,7 @@ when its encoding pair is lexicographically minimal over the group.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .gbt import GbtSpace
@@ -124,16 +125,38 @@ def permute_family(masks, table) -> tuple[int, ...]:
     return tuple(sorted(table[m] for m in masks))
 
 
+def _byte_images(table, width: int) -> list[list[int]]:
+    """Per byte of a family encoding, the encoding of each byte value's image
+    under the mask map ``table``: bit k of byte b stands for mask 8b + k + 1."""
+    images = []
+    for b in range(width):
+        lut = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            m = 8 * b + low.bit_length()
+            lut[value] = lut[value ^ low] | (1 << (table[m] - 1) if m < len(table) else 0)
+        images.append(lut)
+    return images
+
+
 @lru_cache(maxsize=None)
 def _gt_index_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    """gt_perm[p][i] = index of the image of family i under permutation p."""
-    families = gt_mask_families(n)
-    index_of = {family_encoding(f): i for i, f in enumerate(families)}
+    """gt_perm[p][i] = index of the image of family i under permutation p.
+
+    A family's image encoding is the OR of its bytes' images, read from
+    per-permutation lookup tables.
+    """
+    encodings = [family_encoding(f) for f in gt_mask_families(n)]
+    index_of = {enc: i for i, enc in enumerate(encodings)}
+    width = key_width(n)
+    byte_columns = [[enc >> 8 * b & 255 for enc in encodings] for b in range(width)]
     out = []
     for table in _perm_mask_tables(n):
-        out.append(
-            tuple(index_of[family_encoding(permute_family(f, table))] for f in families)
-        )
+        luts = _byte_images(table, width)
+        images = map(luts[0].__getitem__, byte_columns[0])
+        for lut, column in zip(luts[1:], byte_columns[1:]):
+            images = map(operator.or_, images, map(lut.__getitem__, column))
+        out.append(tuple(map(index_of.__getitem__, images)))
     return tuple(out)
 
 
@@ -185,12 +208,13 @@ def canonical_index_key(n: int, i: int, j: int) -> bytes:
     return bytes([n]) + encoded[i] + encoded[j]
 
 
-def permute_space(s: GbtSpace, perm: tuple[int, ...]) -> GbtSpace:
-    """Image of a space under a point permutation (same ground labels)."""
-    n = s.ground.size
-    table = _perm_mask_tables(n)[sorted(itertools.permutations(range(n))).index(perm)]
-    mu1, mu2 = (GeneralizedTopology(s.ground, permute_family(t.opens, table)) for t in (s.mu1, s.mu2))
-    return GbtSpace(s.ground, mu1, mu2)
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(mask: int, count: int):
+    """The set bits of ``mask`` below ``count``, ascending."""
+    digits = format(mask, f"0{count}b")[::-1].encode().translate(_BITS)
+    return itertools.compress(range(count), digits)
 
 
 def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
@@ -199,27 +223,39 @@ def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
     A pair is canonical when (i, j) is minimal over the group among the
     index pairs of its orbit; indices are in encoding order, so this
     agrees with canonical_pair_encoding, and ``canonical_index_key``
-    needs no permutation search.  With ``orbit_min[j]`` the least index
-    of j's orbit, the swapped images (p(j), p(i)) of a pair with i
-    minimal in its orbit can undercut it only when ``orbit_min[j] == i``,
-    so under perm+swap every other j costs one comparison.  The tests
-    hold this against a brute-force filter over each pair's image set.
+    needs no permutation search.  Only an i that is least in its orbit
+    comes first, and a point permutation can undercut (i, j) only if it
+    fixes i and sends j below j.  Each permutation p has the int mask of
+    the j with p(j) < j; one row per first index i ORs these masks over
+    i's stabilizer and yields the j whose bits stay clear, without
+    building the full pair list.  Under perm+swap every j whose orbit
+    starts below i is masked out, since its swapped image comes first
+    (that covers each j < i), and a j in i's own orbit also needs no
+    swapped image (p(j), p(i)) = (i, p(i)) below (i, j).  The tests hold
+    these rows exhaustively against the scan over each pair's stabilizer.
     """
     check_symmetry(symmetry)
     gt_perm = _gt_index_permutations(n)
+    count = len(gt_perm[0])
+    full = (1 << count) - 1
+    below = [sum(1 << j for j, image in enumerate(perm) if image < j) for perm in gt_perm[1:]]
     orbit_min = [min(images) for images in zip(*gt_perm)]
     swap = symmetry == "perm+swap"
+    earlier = 0  # under perm+swap, the j whose orbit starts below i
     for i, least in enumerate(orbit_min):
         if least < i:
             continue
-        stab = [perm for perm in gt_perm[1:] if perm[i] == i]
-        for j in range(i if swap else 0, len(orbit_min)):
-            if swap and orbit_min[j] <= i:
-                if orbit_min[j] < i or min(perm[i] for perm in gt_perm if perm[j] == i) < j:
-                    continue
-            if any(perm[j] < j for perm in stab):
-                continue
-            yield i, j
+        excluded = earlier
+        for perm, mask in zip(gt_perm[1:], below):
+            if perm[i] == i:
+                excluded |= mask
+        if swap:
+            orbit = {perm[i] for perm in gt_perm}
+            for j in orbit:
+                if any(perm[j] == i and perm[i] < j for perm in gt_perm):
+                    excluded |= 1 << j
+            earlier |= sum(1 << j for j in orbit)
+        yield from zip(itertools.repeat(i), _set_bits(full & ~excluded, count))
 
 
 def enumerate_gbt_pairs(n: int, symmetry: str = "perm+swap"):

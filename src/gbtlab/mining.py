@@ -23,11 +23,17 @@ A census (and the implication lattice, which reads the same words)
 decides the canonical pairs of a level with every kernel at once:
 ``verdict_words`` gives each pair a verdict word, one bit per distinct
 kernel, from rows computed once per first index, and asserts the
-implication chain of ``axiom_profile`` on every word.  The pairs of
+implication chain of ``axiom_profile`` on every word.  The kernel
+columns hold only the topologies a census's ``max_open_sets`` bound
+admits, found through a position map; without a bound (the unbounded
+census, the lattice and ``mine``) that is every topology.  The pairs of
 ``canonical_pair_indices`` are minimal in encoding order, so each logged
 key is ``canonical_index_key`` of the pair's indices, and a logged space
-lists each topology's cached ``open_labels``.  ``axiom_profile``,
-``canonical_key`` and ``space_to_data`` are the tests' oracles for them.
+lists each topology's cached ``open_labels``.  A census log line is
+assembled from JSON fragments made once: each topology's labels and each
+verdict word's profile; its bytes are those of ``_dump`` of the record.
+``axiom_profile``, ``canonical_key`` and ``space_to_data`` are the tests'
+oracles for them.
 
 Work is split into fixed-size blocks of first-coordinate indices.  Block
 boundaries depend only on the size level, never on the worker count, and
@@ -56,6 +62,7 @@ import operator
 import os
 import shutil
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
@@ -163,8 +170,21 @@ class MiningResult:
 
 
 @lru_cache(maxsize=None)
-def _kernel_column(n: int, kernel: PairKernel) -> tuple[tuple[int, ...], ...]:
-    return kernel.column(gts_on(n))
+def _admitted(n: int, max_open_sets: int | None = None) -> Sequence[int]:
+    """Indices of the topologies on n points with at most ``max_open_sets``
+    nonempty opens; every index when there is no bound."""
+    gts = gts_on(n)
+    if max_open_sets is None:
+        return range(len(gts))
+    return tuple(i for i, t in enumerate(gts) if len(t.opens) - 1 <= max_open_sets)
+
+
+@lru_cache(maxsize=None)
+def _kernel_column(
+    n: int, kernel: PairKernel, max_open_sets: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The kernel's column over the admitted topologies, in index order."""
+    return kernel.column(map(gts_on(n).__getitem__, _admitted(n, max_open_sets)))
 
 
 def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tuple[int, int]], int]:
@@ -242,8 +262,12 @@ def _verify_witness(query: MiningQuery, key: bytes) -> Witness:
     return Witness(space, profile, key)
 
 
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return _compact(record) + "\n"
 
 
 def _replay(path, header: dict, done: dict[tuple[int, int], int]):
@@ -272,7 +296,10 @@ class _LogWriter:
         self._handle = handle
 
     def record(self, record: dict) -> None:
-        self._handle.write(_dump(record))
+        self.line(_dump(record))
+
+    def line(self, text: str) -> None:
+        self._handle.write(text)
 
     def block(self, n: int, index: int, checked: int) -> None:
         """Close a block; flushed, because it makes every record before it durable."""
@@ -425,29 +452,57 @@ def word_verdicts(word: int) -> dict[str, bool]:
     return {name: bool(word & bit) for name, bit in _AXIOM_BITS.items()}
 
 
-def verdict_words(n: int, pairs):
+def verdict_words(n: int, pairs, max_open_sets: int | None = None):
     """Yield the verdict word of each index pair (i, j) of ``pairs``, in order.
 
-    The pairs of one first index i that follow each other share one row
-    per kernel, computed once from the cached kernel columns (built on
-    the first pair), so each pair costs a few list lookups.  The
-    implication chain of ``axiom_profile`` is asserted on every distinct
-    word, which covers every pair that has it.  The tests hold the words
-    against ``axiom_profile`` on canonical pairs.
+    Both topologies of every pair must be admitted by ``max_open_sets``.
+    The kernel columns (cached, built on the first pair) hold the admitted
+    topologies only, and a position map takes an index to its place in
+    them; with no bound every topology is admitted.  The pairs of one
+    first index i that follow each other share one row per kernel, so
+    each pair costs a few list lookups.  The implication chain of
+    ``axiom_profile`` is asserted on every distinct word, which covers
+    every pair that has it.  The tests hold the words against
+    ``axiom_profile`` on canonical pairs.
     """
     gts = gts_on(n)
-    columns = [(kernel, _kernel_column(n, kernel)) for kernel in WORD_KERNELS]
+    position = {index: k for k, index in enumerate(_admitted(n, max_open_sets))}
+    columns = [(kernel, _kernel_column(n, kernel, max_open_sets)) for kernel in WORD_KERNELS]
     seen: set[int] = set()
     for i, group in groupby(pairs, key=operator.itemgetter(0)):
         js = [j for _, j in group]
-        start = min(js)
-        rows = [kernel.verdicts(column, i, start) for kernel, column in columns]
-        picked = [[row[j - start] for j in js] for row in rows]
+        places = [position[j] for j in js]
+        start = min(places)
+        rows = [kernel.verdicts(column, position[i], start) for kernel, column in columns]
+        picked = [[row[k - start] for k in places] for row in rows]
         for j, word in zip(js, map(_packed_word, *picked)):
             if word not in seen:
                 check_implication_chain(word_verdicts(word), GbtSpace(gts[i].ground, gts[i], gts[j]))
                 seen.add(word)
             yield word
+
+
+def _census_lines(n: int):
+    """A function giving the census log line of the pair (i, j) with verdict word ``word``.
+
+    A line is assembled from cached JSON fragments: each topology's
+    ``open_labels`` and each word's profile are serialized once.  It is
+    byte-identical to ``_dump`` of the record with the pair's
+    ``canonical_index_key``, its space (points, then each topology's
+    ``open_labels``) and ``word_verdicts(word)``.
+    """
+    gts = gts_on(n)
+    points = _compact(gts[0].ground.names)
+    labels = lru_cache(maxsize=None)(lambda i: _compact(gts[i].open_labels))
+    profile = lru_cache(maxsize=None)(lambda word: _compact(word_verdicts(word)))
+
+    def line(i: int, j: int, word: int) -> str:
+        return (
+            f'{{"key":"{canonical_index_key(n, i, j).hex()}","profile":{profile(word)},'
+            f'"space":{{"mu1":{labels(i)},"mu2":{labels(j)},"points":{points}}}}}\n'
+        )
+
+    return line
 
 
 def census(
@@ -475,13 +530,13 @@ def census(
     if max_open_sets is not None and max_open_sets < 0:
         raise ValueError(f"max_open_sets must be at least 0, got {max_open_sets}")
     _refuse_used_log(log_path, resume_path)
-    gts = gts_on(n)
-
-    def admitted(index: int) -> bool:
-        return max_open_sets is None or len(gts[index].opens) - 1 <= max_open_sets
-
-    admitted_count = sum(1 for i in range(len(gts)) if admitted(i))
-    pairs = [(i, j) for i, j in canonical_pair_indices(n, symmetry) if admitted(i) and admitted(j)]
+    admitted = set(_admitted(n, max_open_sets))
+    admitted_count = len(admitted)
+    pairs = [
+        pair
+        for pair in canonical_pair_indices(n, symmetry)
+        if pair[0] in admitted and pair[1] in admitted
+    ]
     header = {
         "header": {"n": n, "symmetry": symmetry, "max_open_sets": max_open_sets},
         "log": "census",
@@ -496,25 +551,15 @@ def census(
 
     word_counts: Counter[int] = Counter()
     with _appending(log_path, header, resume_path) as log:
-        points = gts[0].ground.names
+        line = _census_lines(n)
         for index, (lo, hi) in enumerate(_blocks(len(pairs))):
             if (n, index) in done_blocks:
                 continue
             block = pairs[lo:hi]
-            for (i, j), word in zip(block, verdict_words(n, block)):
+            for (i, j), word in zip(block, verdict_words(n, block, max_open_sets)):
                 word_counts[word] += 1
                 if log is not None:
-                    log.record(
-                        {
-                            "key": canonical_index_key(n, i, j).hex(),
-                            "space": {
-                                "points": points,
-                                "mu1": gts[i].open_labels,
-                                "mu2": gts[j].open_labels,
-                            },
-                            "profile": word_verdicts(word),
-                        }
-                    )
+                    log.line(line(i, j, word))
             if log is not None:
                 log.block(n, index, hi - lo)
     for word, count in word_counts.items():

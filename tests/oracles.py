@@ -7,13 +7,19 @@ or closed masks: the four operator scans that gbtlab's DP tables replaced,
 the weak-separation and closed-inside scans that it decides from its
 closure and vee tables, and the four-kind separation scan that its hull DP
 replaced.  The naive family enumerator walks all 2^(2^n - 1) candidate
-families.  These are the independent side of every dual-route check in
-the suite.
+families.  The permutation index that sorts and re-encodes each permuted
+family, and the pair filter that scans each pair's stabilizer, are the
+routes gbtlab's byte lookup tables and stabilizer masks replaced.  These
+are the independent side of every dual-route check in the suite.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from gbtlab.enumeration import gt_mask_families
+from gbtlab.gbt import GbtSpace
+from gbtlab.gt import GeneralizedTopology
 
 LABELS = "abcdefghijklmnop"
 
@@ -330,3 +336,51 @@ def orbit_classes(pairs, images):
         classes.append(frozenset(orbit))
         seen |= orbit
     return classes
+
+
+def permute_mask(mask, perm):
+    """Image of a subset mask under the point permutation ``perm``."""
+    return sum(1 << perm[b] for b in range(len(perm)) if mask >> b & 1)
+
+
+def permute_space(s, perm):
+    """Image of a space under a point permutation (same ground labels)."""
+    mu1, mu2 = (
+        GeneralizedTopology(s.ground, tuple(sorted(permute_mask(m, perm) for m in t.opens)))
+        for t in (s.mu1, s.mu2)
+    )
+    return GbtSpace(s.ground, mu1, mu2)
+
+
+def gt_index_permutations_by_sorting(n):
+    """``result[p][i]``: the index of family i's image under the p-th point
+    permutation (lexicographic order, identity first), found by sorting the
+    permuted masks and looking the family up."""
+    families = gt_mask_families(n)
+    index_of = {f: i for i, f in enumerate(families)}
+    return tuple(
+        tuple(index_of[tuple(sorted(permute_mask(m, perm) for m in f))] for f in families)
+        for perm in permutations(range(n))
+    )
+
+
+def canonical_pair_indices_by_scan(n, symmetry):
+    """Canonical index pairs in ascending order: for each pair, a scan over
+    the stabilizer of its first index, and under perm+swap over the
+    permutations that send its second index to the first."""
+    gt_perm = gt_index_permutations_by_sorting(n)
+    orbit_min = [min(images) for images in zip(*gt_perm)]
+    swap = symmetry == "perm+swap"
+    pairs = []
+    for i, least in enumerate(orbit_min):
+        if least < i:
+            continue
+        stab = [perm for perm in gt_perm[1:] if perm[i] == i]
+        for j in range(i if swap else 0, len(orbit_min)):
+            if swap and orbit_min[j] <= i:
+                if orbit_min[j] < i or min(perm[i] for perm in gt_perm if perm[j] == i) < j:
+                    continue
+            if any(perm[j] < j for perm in stab):
+                continue
+            pairs.append((i, j))
+    return pairs

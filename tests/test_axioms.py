@@ -29,14 +29,13 @@ from gbtlab.enumeration import (
     canonical_pair_indices,
     enumerate_gbt_pairs,
     gts_on,
-    permute_space,
 )
 from gbtlab.fixtures import get_fixture
 from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import complete_unions
 from gbtlab.sets import ground
 
-from oracles import OracleSpace, t_fraction_by_scan
+from oracles import OracleSpace, permute_space, t_fraction_by_scan
 
 
 def _space(points, mu1, mu2):

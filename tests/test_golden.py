@@ -3,9 +3,10 @@
 The digests pin the bytes the commands printed before the mining pair
 kernel replaced the deciders in the sweep, before topologies became
 tuples of open masks, and before census and lattice read verdict words
-(the four-point lattice was pinned then), so any change of verdicts,
-witnesses, counts or formatting (labels, ``GbtSpace`` reprs) shows up
-here.
+(the four-point lattice was pinned then; the four-point census was pinned
+before its canonical pairs, kernel columns and log lines were made
+faster), so any change of verdicts, witnesses, counts or formatting
+(labels, ``GbtSpace`` reprs) shows up here.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ GOLDEN = [
     (
         "lattice --n 3 --format json",
         "65f2bb5b82e58f3a7f0ccfdf6c506e6581a960b9434c7bb9f95f5bf9ea06ba40",
+    ),
+    (
+        "census --n 4 --symmetry perm+swap --format json",
+        "16dbc658f6969ab07ac9c71406ea1f04bf7b63ab78b95554ff20aad9dfb301f4",
     ),
     (
         "lattice --n 4 --format json",

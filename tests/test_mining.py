@@ -18,7 +18,7 @@ from gbtlab.axioms import (
     check_implication_chain,
     evaluate_axiom,
 )
-from gbtlab.enumeration import canonical_pair_indices, gts_on
+from gbtlab.enumeration import canonical_key, canonical_pair_indices, gts_on
 from gbtlab.lattice import implication_lattice
 from gbtlab.mining import (
     MiningQuery,
@@ -31,6 +31,7 @@ from gbtlab.mining import (
     word_verdicts,
 )
 from gbtlab.gbt import GbtSpace, is_pairwise_lambda_closed, is_wedge12_set
+from gbtlab.spacefile import space_to_data
 
 
 def test_query_validation():
@@ -202,9 +203,9 @@ def test_census_log_resume(tmp_path):
 # verdict words -----------------------------------------------------------
 
 
-def _assert_words_match_profiles(n, pairs):
+def _assert_words_match_profiles(n, pairs, max_open_sets=None):
     gts = gts_on(n)
-    for (i, j), word in zip(pairs, verdict_words(n, pairs), strict=True):
+    for (i, j), word in zip(pairs, verdict_words(n, pairs, max_open_sets), strict=True):
         want = axiom_profile(GbtSpace(gts[i].ground, gts[i], gts[j])).as_dict()
         assert word_verdicts(word) == want, (n, i, j)
 
@@ -219,6 +220,51 @@ def test_verdict_words_match_axiom_profile(symmetry):
 def test_verdict_words_match_axiom_profile_on_sampled_n4_pairs(symmetry):
     pairs = list(canonical_pair_indices(4, symmetry))
     _assert_words_match_profiles(4, random.Random(11).sample(pairs, 400))
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_bounded_verdict_words_match_axiom_profile(symmetry, bound):
+    """Columns over the admitted topologies only, read through the position map."""
+    gts = gts_on(3)
+    admitted = {i for i, t in enumerate(gts) if len(t.opens) - 1 <= bound}
+    pairs = [(i, j) for i, j in canonical_pair_indices(3, symmetry) if {i, j} <= admitted]
+    _assert_words_match_profiles(3, pairs, bound)
+
+
+def test_a_bounded_census_builds_signatures_of_admitted_topologies_only(monkeypatch):
+    signed = []
+
+    def counted(kernel):
+        def signature(t):
+            signed.append(id(t))
+            return kernel.signature(t)
+
+        return PairKernel(signature, kernel.row)
+
+    monkeypatch.setattr(mining, "WORD_KERNELS", tuple(map(counted, mining.WORD_KERNELS)))
+    row = census(3, "perm+swap", max_open_sets=2)
+    admitted = [t for t in gts_on(3) if len(t.opens) - 1 <= 2]
+    assert row.labeled_gt_count == len(admitted) < len(gts_on(3))
+    assert sorted(signed) == sorted(id(t) for t in admitted for _ in mining.WORD_KERNELS)
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_census_lines_equal_the_dumped_records(symmetry):
+    """Every census record up to three points, assembled from fragments,
+    against ``_dump`` of the record built by the per-space oracles."""
+    for n in (1, 2, 3):
+        gts = gts_on(n)
+        line = mining._census_lines(n)
+        pairs = list(canonical_pair_indices(n, symmetry))
+        for (i, j), word in zip(pairs, verdict_words(n, pairs), strict=True):
+            space = GbtSpace(gts[i].ground, gts[i], gts[j])
+            record = {
+                "key": canonical_key(space, symmetry).hex(),
+                "space": space_to_data(space),
+                "profile": axiom_profile(space).as_dict(),
+            }
+            assert line(i, j, word) == mining._dump(record), (n, i, j)
 
 
 def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
@@ -253,7 +299,7 @@ def test_resuming_a_finished_census_builds_no_kernel_columns(tmp_path, monkeypat
     log = tmp_path / "census.ndjson"
     row = census(3, log_path=log)
 
-    def column(n, kernel):
+    def column(n, kernel, max_open_sets=None):
         raise AssertionError("a kernel column was built")
 
     monkeypatch.setattr(mining, "_kernel_column", column)
