@@ -23,6 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import or_
+from typing import NamedTuple
 
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology, meet_table
@@ -260,12 +261,20 @@ def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) 
 
 # Pair kernel.  Mining decides millions of pairs drawn from one list of
 # topologies, so every axiom also has a packed form: a few integers per
-# topology, built once from its operator tables, on which the verdict of a
-# pair is a few bitwise operations.  Each signature records what a pair
-# must not have in common, so a row needs nothing but the signatures.  Bit
-# fields are n bits wide (n + 1 for LSYM); field k of a packing belongs to
-# subset mask k or to point k.  The deciders above are the kernel's oracles: mining
-# re-decides every pair the kernel reports.
+# topology (its signature), built once from its operator tables.  Each
+# signature records what a pair must not have in common.  Bit fields are
+# n bits wide (n + 1 for LSYM); field k of a packing belongs to subset
+# mask k or to point k.
+#
+# The signatures are bit-sliced into a column: per signature component,
+# slice k is the int whose bit p is set when topology p's component has
+# bit k.  A row (first topology fixed) is then one int whose bit p is the
+# verdict on the pair (first, topology p): the complement of the positions
+# whose signatures meet the first's, and those are the OR of the slices
+# named by the set bits of the first's signature (``_meet``).  Signatures
+# are sparse, so a row costs a few big-int ORs, not one step per pair.
+# The deciders above are the kernel's oracles: mining re-decides every
+# pair the kernel reports.
 
 
 def _packed(fields, width: int) -> int:
@@ -282,6 +291,40 @@ def _off_diagonal(n: int) -> int:
     return _packed((((1 << n) - 1) ^ 1 << x for x in range(n)), n)
 
 
+def _sliced(values, width: int) -> tuple[int, ...]:
+    """Slice k of ``values``: bit p set when values[p] has bit k.
+
+    The values are written out as one string of ``width``-digit binary
+    numerals, last value first; every width-th digit of it, from the one
+    of bit k on, is slice k's binary numeral.
+    """
+    digits = "".join([format(v, f"0{width}b") for v in reversed(values)])
+    return tuple(int(digits[width - 1 - k :: width], 2) for k in range(width))
+
+
+def _meet(slices: tuple[int, ...], x: int) -> int:
+    """The positions whose component meets x: the OR of the slices of x's bits."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= slices[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+class KernelColumn(NamedTuple):
+    """The signatures of a list of topologies, bit-sliced.
+
+    ``slices`` holds, per signature component, one slice per bit (as many
+    as the widest component has bits, at least one); ``every`` has one bit
+    per position.
+    """
+
+    signatures: tuple[tuple[int, ...], ...]
+    slices: tuple[tuple[int, ...], ...]
+    every: int
+
+
 def _lambda_excess(t: GeneralizedTopology) -> tuple[int]:
     """Per subset a: cl(a) ∩ wedge(a) minus a.  A pair is T1/4 iff these are disjoint."""
     cl, w, n = t.closure_table, t.wedge_table, t.ground.size
@@ -295,21 +338,29 @@ def _t0_signature(t: GeneralizedTopology) -> tuple[int]:
     return (sum(1 << k for k, s in enumerate(split) if not s),)
 
 
-def _disjoint_row(p, ps):
-    return [p & b == 0 for b in ps]
+def _disjoint_row(column: KernelColumn, p: int) -> int:
+    """Holds iff p1 ∩ p2 is empty (T0, and T1/4 to T5/8)."""
+    return column.every & ~_meet(column.slices[0], p)
 
 
-def _t1_signature(t: GeneralizedTopology) -> tuple[int, int]:
-    """Bit y of field x (x != y): no open contains x but not y; and its transpose."""
+def _t1_signature(t: GeneralizedTopology) -> tuple[int, int, int]:
+    """Bit y of field x (x != y): no open contains x but not y; its
+    transpose; and 1 when those two meet, which fails every pair."""
     n, full = t.ground.size, t.ground.full_mask
     o = _packed((reduce(or_, (full & ~u for u in t.opens if u >> x & 1), 0) for x in range(n)), n)
     missing = _off_diagonal(n) & ~o
-    return missing, _transposed(missing, n)
+    missing_t = _transposed(missing, n)
+    return missing, missing_t, int(missing & missing_t != 0)
 
 
-def _t1_row(m, mt, ms, mts):
-    """Holds iff no ordered point pair is left unseparated by both readings."""
-    return [(m | bt) & (mt | b) == 0 for b, bt in zip(ms, mts)]
+def _t1_row(column: KernelColumn, m: int, mt: int, alone: int) -> int:
+    """Holds iff no ordered point pair is left unseparated by both readings:
+    (m1 ∪ mt2) ∩ (mt1 ∪ m2) is empty.  Of its four terms, m1 ∩ mt1 is the
+    first topology's flag, m2 ∩ mt2 is the slice of the second's flags."""
+    if alone:
+        return 0
+    ms, mts, alones = column.slices
+    return column.every & ~(_meet(ms, m) | _meet(mts, mt) | alones[0])
 
 
 def _t_half_signature(t: GeneralizedTopology) -> tuple[int, int]:
@@ -335,9 +386,10 @@ def _symmetric_signature(t: GeneralizedTopology) -> tuple[int, int]:
     return c, _off_diagonal(n) & ~_transposed(c, n)
 
 
-def _crossed_disjoint_row(p, q, ps, qs):
+def _crossed_disjoint_row(column: KernelColumn, p: int, q: int) -> int:
     """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, R0 and SYM)."""
-    return [p & b | a & q == 0 for a, b in zip(ps, qs)]
+    ps, qs = column.slices
+    return column.every & ~(_meet(qs, p) | _meet(ps, q))
 
 
 @cache
@@ -359,35 +411,46 @@ def _lambda_symmetric_signature(t: GeneralizedTopology) -> tuple[int, int, int, 
     )
 
 
-def _lambda_symmetric_row(lam, clx, wx, g, lams, clxs, wxs, _):
+def _lambda_symmetric_row(column: KernelColumn, lam: int, clx: int, wx: int, g: int) -> int:
     """A subset that is pairwise λ-closed (its field of lam1 ∩ lam2 is empty)
     must be λ-closed on both sides (its field of cl1 ∩ w2 ∪ cl2 ∩ w1 is empty).
-    The first field lies inside the second, so their empty fields must agree:
-    a field's guard survives g - v iff the field of v is empty."""
-    return [
-        (g - (lam & m)) & g == (g - (clx & w | c & wx)) & g
-        for m, c, w in zip(lams, clxs, wxs)
-    ]
+    Per field (the bits between two guards of g), the positions where the
+    first is not empty must be those where the second is not."""
+    lams, clxs, wxs, _ = column.slices
+    fails = below = 0
+    while g:
+        guard = g & -g
+        g ^= guard
+        field = guard - 1 & ~below
+        below = guard | guard - 1
+        c, w = clx & field, wx & field
+        if c | w:
+            fails |= _meet(lams, lam & field) ^ (_meet(wxs, c) | _meet(clxs, w))
+    return column.every & ~fails
 
 
 @dataclass(frozen=True)
 class PairKernel:
-    """Packed decision of one axiom over pairs from a list of topologies.
+    """Bit-sliced decision of one axiom over pairs from a list of topologies.
 
-    ``row`` takes the signature of the pair's first topology, then for each
-    signature component the sequence of it over the second topologies.
+    ``row`` takes a column and the signature of the pair's first topology
+    and returns the int whose bit p is the verdict on (first, topology p).
     """
 
     signature: Callable[[GeneralizedTopology], tuple[int, ...]]
-    row: Callable[..., list[bool]]
+    row: Callable[..., int]
 
-    def column(self, topologies) -> tuple[tuple[int, ...], ...]:
-        """Per signature component, its value on every one of ``topologies``."""
-        return tuple(zip(*map(self.signature, topologies)))
+    def column(self, topologies) -> KernelColumn:
+        """The signatures of ``topologies`` and their slices."""
+        signatures = tuple(map(self.signature, topologies))
+        components = tuple(zip(*signatures))
+        width = max([1, *(max(c).bit_length() for c in components)])
+        slices = tuple(_sliced(c, width) for c in components)
+        return KernelColumn(signatures, slices, (1 << len(signatures)) - 1)
 
-    def verdicts(self, column: tuple[tuple[int, ...], ...], i: int, start: int) -> list[bool]:
-        """Verdicts on the pairs (i, j) for every j >= start, in order of j."""
-        return self.row(*(c[i] for c in column), *(c[start:] for c in column))
+    def verdicts(self, column: KernelColumn, i: int) -> int:
+        """The row of position i: bit p is the verdict on the pair (i, p)."""
+        return self.row(column, *column.signatures[i])
 
 
 _LAMBDA_KERNEL = PairKernel(_lambda_excess, _disjoint_row)

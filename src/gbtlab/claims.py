@@ -32,6 +32,7 @@ from .axioms import (
     AXIOM_NAMES,
     InternalDisagreementError,
     axiom_profile,
+    # unused here, but bench/tracing.py patches these three names in this module
     decide_all_lambda,
     decide_t0,
     decide_t_half,
@@ -143,9 +144,9 @@ class SpaceContext:
     def profile(self):
         return axiom_profile(self.space)
 
-    @cached_property
+    @property
     def all_lambda(self) -> bool:
-        return decide_all_lambda(self.t1, self.t2)[0]
+        return self.profile.t_quarter
 
     @cached_property
     def fraction_definitional(self) -> bool:
@@ -263,7 +264,7 @@ def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
 
 
 def check_thm15(ctx: SpaceContext) -> str | None:
-    if decide_t0(ctx.t1, ctx.t2)[0] != t0_by_one_point_sets(ctx.t1, ctx.t2):
+    if ctx.profile.t0 != t0_by_one_point_sets(ctx.t1, ctx.t2):
         return ctx.where("T0 differs from the one-point-set characterization")
     return None
 
@@ -338,7 +339,7 @@ def check_thm30(ctx: SpaceContext) -> str | None:
 
 
 def check_rem32(ctx: SpaceContext) -> str | None:
-    if decide_t_half(ctx.t1, ctx.t2)[0] != ctx.t_half_definitional:
+    if ctx.profile.t_half != ctx.t_half_definitional:
         return ctx.where("two-condition singleton rule disagrees with definitional T1/2")
     return None
 
@@ -539,7 +540,7 @@ def check_thm57(ctx: SpaceContext) -> str | None:
 
 
 def check_thm58(ctx: SpaceContext) -> str | None:
-    if decide_t0(ctx.t1, ctx.t2)[0] != t0_by_singletons(ctx.t1, ctx.t2):
+    if ctx.profile.t0 != t0_by_singletons(ctx.t1, ctx.t2):
         return ctx.where("T0 differs from singleton pairwise-λ-closedness")
     return None
 

@@ -13,17 +13,19 @@ checked-space count documents the proof.
 
 The sweep decides pairs with the pair kernels of ``axioms.PAIR_KERNELS``:
 each topology of a size level gets a few packed integers per axiom the
-query names, built on first use, and a row of pairs (first index fixed)
-is decided by a few integer operations per pair.  The deciders are the
-kernels' oracles: every pair a kernel reports as a hit is decided again
-by ``evaluate_axiom``, and a disagreement raises
-InternalDisagreementError.
+query names, and the level's column of them is bit-sliced once, on first
+use.  A row of pairs (first index i fixed) is then one int per kernel,
+bit j the verdict on (i, j), made by a few big-int ORs; the query's hits
+are the set bits of the antecedents' rows and of the complement of the
+consequent's.  The deciders are the kernels' oracles: every pair a
+kernel reports as a hit is decided again by ``evaluate_axiom``, and a
+disagreement raises InternalDisagreementError.
 
 A census (and the implication lattice, which reads the same words)
 decides the canonical pairs of a level with every kernel at once:
 ``verdict_words`` gives each pair a verdict word, one bit per distinct
-kernel, from rows computed once per first index, and asserts the
-implication chain of ``axiom_profile`` on every word.  The kernel
+kernel, read from the int rows made once per first index, and asserts
+the implication chain of ``axiom_profile`` on every word.  The kernel
 columns hold only the topologies a census's ``max_open_sets`` bound
 admits, found through a position map; without a bound (the unbounded
 census, the lattice and ``mine``) that is every topology.  The pairs of
@@ -67,12 +69,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
 
 from .axioms import (
     PAIR_KERNELS,
     AxiomProfile,
     InternalDisagreementError,
+    KernelColumn,
     PairKernel,
     axiom_profile,
     check_implication_chain,
@@ -180,9 +183,7 @@ def _admitted(n: int, max_open_sets: int | None = None) -> Sequence[int]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_column(
-    n: int, kernel: PairKernel, max_open_sets: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def _kernel_column(n: int, kernel: PairKernel, max_open_sets: int | None = None) -> KernelColumn:
     """The kernel's column over the admitted topologies, in index order."""
     return kernel.column(map(gts_on(n).__getitem__, _admitted(n, max_open_sets)))
 
@@ -190,23 +191,30 @@ def _kernel_column(
 def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tuple[int, int]], int]:
     """Scan first-coordinate indices [lo, hi); returns hit index pairs and pair count.
 
-    Each row (i fixed, every j from ``start`` on) is decided by the pair
-    kernels of the query's axioms; every hit is re-decided by the deciders.
+    Each row (i fixed) is one int per kernel the query names, bit j the
+    verdict on (i, j); the pairs that match the query are the set bits of
+    the antecedents' rows and the complement of the consequent's, from
+    ``start`` on.  Every hit is re-decided by the deciders.
     """
     gts = gts_on(n)
     unordered = query.symmetry == "perm+swap"
-    kernels = {PAIR_KERNELS[a] for a in (*query.antecedents, query.consequent)}
-    columns = {k: _kernel_column(n, k) for k in kernels}
+    consequent = PAIR_KERNELS[query.consequent]
+    antecedents = {PAIR_KERNELS[a] for a in query.antecedents}
+    columns = {k: _kernel_column(n, k) for k in (*antecedents, consequent)}
+    every = columns[consequent].every
     hits: list[tuple[int, int]] = []
     checked = 0
     for i in range(lo, hi):
         start = i if unordered else 0
-        rows = {k: k.verdicts(column, i, start) for k, column in columns.items()}
-        match = map(operator.not_, rows[PAIR_KERNELS[query.consequent]])
-        for a in query.antecedents:
-            match = map(operator.and_, match, rows[PAIR_KERNELS[a]])
+        rows = {k: k.verdicts(column, i) for k, column in columns.items()}
+        match = (every & ~rows[consequent]) >> start << start
+        for k in antecedents:
+            match &= rows[k]
         t1 = gts[i]
-        for j in compress(range(start, len(gts)), match):
+        while match:
+            low = match & -match
+            match ^= low
+            j = low.bit_length() - 1
             t2 = gts[j]
             if not all(evaluate_axiom(a, t1, t2) for a in query.antecedents) or evaluate_axiom(
                 query.consequent, t1, t2
@@ -438,18 +446,22 @@ class CensusRow:
 
 
 # The distinct pair kernels: bit k of a verdict word is kernel k's verdict.
+# There are seven, so a word fits in the byte ``verdict_words`` reads it from.
 WORD_KERNELS = tuple(dict.fromkeys(PAIR_KERNELS.values()))
-_WORD_BITS = tuple(1 << k for k in range(len(WORD_KERNELS)))
 _AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
-
-
-def _packed_word(*verdicts: bool) -> int:
-    return sum(compress(_WORD_BITS, verdicts))
 
 
 def word_verdicts(word: int) -> dict[str, bool]:
     """The nine verdicts a verdict word holds, in the order of AXIOM_NAMES."""
     return {name: bool(word & bit) for name, bit in _AXIOM_BITS.items()}
+
+
+_BYTE_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _spread(row: int, count: int) -> int:
+    """Bit p of ``row`` (of ``count`` bits) moved to bit 8p: a byte per bit."""
+    return int.from_bytes(format(row, f"0{count}b").encode().translate(_BYTE_DIGITS), "big")
 
 
 def verdict_words(n: int, pairs, max_open_sets: int | None = None):
@@ -459,23 +471,23 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
     The kernel columns (cached, built on the first pair) hold the admitted
     topologies only, and a position map takes an index to its place in
     them; with no bound every topology is admitted.  The pairs of one
-    first index i that follow each other share one row per kernel, so
-    each pair costs a few list lookups.  The implication chain of
-    ``axiom_profile`` is asserted on every distinct word, which covers
-    every pair that has it.  The tests hold the words against
-    ``axiom_profile`` on canonical pairs.
+    first index i that follow each other share one int row per kernel;
+    the rows are spread to a byte per place and added, kernel k's at bit
+    k, so the word of (i, j) is the byte at the place of j.  The
+    implication chain of ``axiom_profile`` is asserted on every distinct
+    word, which covers every pair that has it.  The tests hold the words
+    against ``axiom_profile`` on canonical pairs.
     """
     gts = gts_on(n)
     position = {index: k for k, index in enumerate(_admitted(n, max_open_sets))}
     columns = [(kernel, _kernel_column(n, kernel, max_open_sets)) for kernel in WORD_KERNELS]
     seen: set[int] = set()
+    count = len(position)
     for i, group in groupby(pairs, key=operator.itemgetter(0)):
-        js = [j for _, j in group]
-        places = [position[j] for j in js]
-        start = min(places)
-        rows = [kernel.verdicts(column, position[i], start) for kernel, column in columns]
-        picked = [[row[k - start] for k in places] for row in rows]
-        for j, word in zip(js, map(_packed_word, *picked)):
+        rows = (kernel.verdicts(column, position[i]) for kernel, column in columns)
+        words = sum(_spread(row, count) << k for k, row in enumerate(rows)).to_bytes(count, "little")
+        for _, j in group:
+            word = words[position[j]]
             if word not in seen:
                 check_implication_chain(word_verdicts(word), GbtSpace(gts[i].ground, gts[i], gts[j]))
                 seen.add(word)

@@ -9,8 +9,10 @@ closure and vee tables, and the four-kind separation scan that its hull DP
 replaced.  The naive family enumerator walks all 2^(2^n - 1) candidate
 families.  The permutation index that sorts and re-encodes each permuted
 family, and the pair filter that scans each pair's stabilizer, are the
-routes gbtlab's byte lookup tables and stabilizer masks replaced.  These
-are the independent side of every dual-route check in the suite.
+routes gbtlab's byte lookup tables and stabilizer masks replaced.  The
+list rows decide a pair kernel's row one second topology at a time, as the
+kernels did before their signatures were bit-sliced.  These are the
+independent side of every dual-route check in the suite.
 """
 
 from __future__ import annotations
@@ -384,3 +386,50 @@ def canonical_pair_indices_by_scan(n, symmetry):
                 continue
             pairs.append((i, j))
     return pairs
+
+
+def disjoint_list_row(p, ps):
+    return [p & b == 0 for b in ps]
+
+
+def t1_list_row(m, mt, ms, mts):
+    """Holds iff no ordered point pair is left unseparated by both readings."""
+    return [(m | bt) & (mt | b) == 0 for b, bt in zip(ms, mts)]
+
+
+def crossed_disjoint_list_row(p, q, ps, qs):
+    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, R0 and SYM)."""
+    return [p & b | a & q == 0 for a, b in zip(ps, qs)]
+
+
+def lambda_symmetric_list_row(lam, clx, wx, g, lams, clxs, wxs, _):
+    """A subset that is pairwise λ-closed (its field of lam1 ∩ lam2 is empty)
+    must be λ-closed on both sides (its field of cl1 ∩ w2 ∪ cl2 ∩ w1 is empty).
+    The first field lies inside the second, so their empty fields must agree:
+    a field's guard survives g - v iff the field of v is empty."""
+    return [
+        (g - (lam & m)) & g == (g - (clx & w | c & wx)) & g
+        for m, c, w in zip(lams, clxs, wxs)
+    ]
+
+
+LIST_ROWS = {
+    "T0": disjoint_list_row,
+    "T1_4": disjoint_list_row,
+    "T3_8": disjoint_list_row,
+    "T5_8": disjoint_list_row,
+    "T1_2": crossed_disjoint_list_row,
+    "T1": t1_list_row,
+    "R0": crossed_disjoint_list_row,
+    "SYM": crossed_disjoint_list_row,
+    "LSYM": lambda_symmetric_list_row,
+}
+
+
+def kernel_list_row(name, first, seconds):
+    """The verdicts of axiom ``name``'s kernel on (first, s) for each
+    signature s of ``seconds``, by the list row; T1's list row does not
+    read the flag that ends its signature."""
+    if name == "T1":
+        first, seconds = first[:2], [s[:2] for s in seconds]
+    return LIST_ROWS[name](*first, *zip(*seconds))

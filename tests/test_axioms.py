@@ -33,9 +33,10 @@ from gbtlab.enumeration import (
 from gbtlab.fixtures import get_fixture
 from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import complete_unions
+from gbtlab.mining import _kernel_column
 from gbtlab.sets import ground
 
-from oracles import OracleSpace, permute_space, t_fraction_by_scan
+from oracles import OracleSpace, kernel_list_row, permute_space, t_fraction_by_scan
 
 
 def _space(points, mu1, mu2):
@@ -212,29 +213,75 @@ def test_internal_disagreement_is_raised_for_broken_engine(monkeypatch):
 
 def _kernel_rows(name):
     """Per size n: the sampled indices (all of them for n <= 3, a seeded
-    sample of 40 for n = 4) and the kernel's full verdict row of each."""
+    sample of 40 for n = 4) and the kernel's int row of each."""
     rng = random.Random(5)
     kernel = PAIR_KERNELS[name]
     for n in range(1, 5):
         gts = gts_on(n)
         indices = range(len(gts)) if n <= 3 else sorted(rng.sample(range(len(gts)), 40))
         column = kernel.column(gts)
-        yield n, gts, indices, {i: kernel.verdicts(column, i, 0) for i in indices}, column
+        yield n, gts, indices, {i: kernel.verdicts(column, i) for i in indices}
 
 
 @pytest.mark.parametrize("name", AXIOM_NAMES)
 def test_pair_kernel_matches_the_deciders(name):
-    kernel = PAIR_KERNELS[name]
-    for n, gts, indices, rows, column in _kernel_rows(name):
+    for n, gts, indices, rows in _kernel_rows(name):
         for i in indices:
-            assert kernel.verdicts(column, i, i) == rows[i][i:]
+            assert rows[i] >> len(gts) == 0, (n, i)
             for j in indices:
-                assert rows[i][j] == evaluate_axiom(name, gts[i], gts[j]), (n, i, j)
+                assert bool(rows[i] >> j & 1) == evaluate_axiom(name, gts[i], gts[j]), (n, i, j)
 
 
 @pytest.mark.parametrize("name", AXIOM_NAMES)
 def test_pair_kernel_is_swap_invariant(name):
     """The unordered perm+swap scan decides only the pairs with i <= j."""
-    for n, _, indices, rows, _ in _kernel_rows(name):
+    for n, _, indices, rows in _kernel_rows(name):
         for i, j in itertools.combinations(indices, 2):
-            assert rows[i][j] == rows[j][i], (n, i, j)
+            assert rows[i] >> j & 1 == rows[j] >> i & 1, (n, i, j)
+
+
+# one axiom per distinct kernel
+KERNEL_NAMES = ("T0", "T1_4", "T1_2", "T1", "R0", "SYM", "LSYM")
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _assert_rows_equal_the_list_rows(name, column, firsts):
+    """The int row of each position in ``firsts`` against the list row of
+    the same signatures, read as an int (bit p is entry p)."""
+    kernel = PAIR_KERNELS[name]
+    for i in firsts:
+        want = kernel_list_row(name, column.signatures[i], column.signatures)
+        assert len(want) == len(column.signatures)
+        assert kernel.verdicts(column, i) == int(bytes(want)[::-1].translate(_DIGITS), 2), (name, i)
+
+
+def test_every_distinct_kernel_is_named():
+    assert len({PAIR_KERNELS[name] for name in KERNEL_NAMES}) == len(set(PAIR_KERNELS.values()))
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_bit_rows_equal_the_list_rows_up_to_three_points(name):
+    for n in (1, 2, 3):
+        column = PAIR_KERNELS[name].column(gts_on(n))
+        _assert_rows_equal_the_list_rows(name, column, range(len(gts_on(n))))
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_bit_rows_equal_the_list_rows_on_four_points(name):
+    """A seeded sample of 400 first indices of the full four-point column,
+    each against all 2,480 second topologies."""
+    column = PAIR_KERNELS[name].column(gts_on(4))
+    firsts = random.Random(12).sample(range(len(gts_on(4))), 400)
+    _assert_rows_equal_the_list_rows(name, column, firsts)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_bounded_bit_rows_equal_the_list_rows(name, bound):
+    """The columns a bounded census reads: the three-point topologies with
+    at most ``bound`` nonempty opens."""
+    column = _kernel_column(3, PAIR_KERNELS[name], bound)
+    assert len(column.signatures) == sum(len(t.opens) - 1 <= bound for t in gts_on(3))
+    _assert_rows_equal_the_list_rows(name, column, range(len(column.signatures)))

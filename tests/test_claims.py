@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from gbtlab import axioms, claims
+from gbtlab.axioms import decide_t0
 from gbtlab.claims import (
     CLAIM_IDS,
     REGISTRY,
@@ -350,3 +352,29 @@ def test_one_topology_claims_check_each_topology_once_per_sweep():
     assert broken not in verified["REM-41"].values()
     assert _UNIVERSAL_CHECKERS["LEM-7"](SpaceContext(GbtSpace(e17.ground, e17.mu1, broken), verified)) is None
     assert set(verified["LEM-7"].values()) == {e17.mu1, e17.mu2, broken}
+
+
+def test_the_claim_sweep_decides_t0_once_per_space(monkeypatch):
+    """The profile's T0 verdict is the only T0 decision: THM-15 and THM-58
+    compare it with their second routes instead of deciding T0 again."""
+    decided = []
+
+    def counted(t1, t2):
+        decided.append((t1, t2))
+        return decide_t0(t1, t2)
+
+    monkeypatch.setitem(axioms.DECIDERS, "T0", counted)
+    monkeypatch.setattr(claims, "decide_t0", counted)
+    swept = []
+
+    def context(space, verified):
+        swept.append(space)
+        return SpaceContext(space, verified)
+
+    monkeypatch.setattr(claims, "SpaceContext", context)
+    # only the sweep: no one-off claims (REM-24 profiles fixtures) and no fixtures
+    monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
+    reports = run_claims(n_scope=3, n4_samples=50, fixture_filter="no such fixture")
+    assert len(swept) == 411 + 50
+    assert decided == [(space.mu1, space.mu2) for space in swept]
+    assert all(r.status == STATUS_VERIFIED for r in reports if r.claim_id in ("THM-15", "THM-58"))

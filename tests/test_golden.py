@@ -5,7 +5,8 @@ kernel replaced the deciders in the sweep, before topologies became
 tuples of open masks, and before census and lattice read verdict words
 (the four-point lattice was pinned then; the four-point census was pinned
 before its canonical pairs, kernel columns and log lines were made
-faster), so any change of verdicts, witnesses, counts or formatting
+faster; the four-point mining queries before the kernel rows were
+bit-sliced), so any change of verdicts, witnesses, counts or formatting
 (labels, ``GbtSpace`` reprs) shows up here.
 """
 
@@ -69,6 +70,24 @@ GOLDEN = [
     (
         "lattice --n 4 --format json",
         "2b92c8e77cef629d2eff536ef37fdc23481c1a6f01945b4fd257b90088831a77",
+    ),
+    # four-point mining, pinned before the kernel rows became bit-sliced ints;
+    # between them the queries read every kernel shape under both symmetries
+    (
+        "mine --require T1_4 --forbid T3_8 --n 4",
+        "dac5f5ed66dc7bd42c8d2b9390fcf7af91ea647bf66c5a466cc0924b6a5ebec6",
+    ),
+    (
+        "mine --require SYM --require T1_4 --forbid T1 --n-min 4 --n 4 --limit 10",
+        "318b71b75c573c38b9c40309f841d17216466f8105fb9a041d632fd79db92717",
+    ),
+    (
+        "mine --require LSYM --require T0 --forbid T1_2 --n-min 4 --n 4 --symmetry perm --limit 10",
+        "13952533548b1520aa172ff2c611a890a5efe415865c2047c24629f5bac62c4d",
+    ),
+    (
+        "mine --require T1 --forbid R0 --n-min 4 --n 4 --limit 10",
+        "843a84b45220416c282a12fabf6a96a57338f0547a4441d85156d5d4486df623",
     ),
 ]
 

@@ -7,8 +7,8 @@ from concurrent.futures import Future
 
 import pytest
 
+from gbtlab import axioms, mining
 from gbtlab import lattice as lattice_module
-from gbtlab import mining
 from gbtlab.axioms import (
     PAIR_KERNELS,
     InternalDisagreementError,
@@ -273,7 +273,7 @@ def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
         check_implication_chain(word_verdicts(t_half_only), "a hand-made word")
     # a T1/2 kernel that holds everywhere makes such words in the sweeps
     t_half = PAIR_KERNELS["T1_2"]
-    forced = PairKernel(t_half.signature, lambda *args: [True] * len(args[-1]))
+    forced = PairKernel(t_half.signature, lambda column, *signature: column.every)
     kernels = tuple(forced if k is t_half else k for k in mining.WORD_KERNELS)
     monkeypatch.setattr(mining, "WORD_KERNELS", kernels)
     for sweep in (census, implication_lattice):
@@ -299,10 +299,12 @@ def test_resuming_a_finished_census_builds_no_kernel_columns(tmp_path, monkeypat
     log = tmp_path / "census.ndjson"
     row = census(3, log_path=log)
 
-    def column(n, kernel, max_open_sets=None):
-        raise AssertionError("a kernel column was built")
+    def column(*args, **kwargs):
+        raise AssertionError("a kernel column or slice was built")
 
     monkeypatch.setattr(mining, "_kernel_column", column)
+    monkeypatch.setattr(PairKernel, "column", column)
+    monkeypatch.setattr(axioms, "_sliced", column)
     assert census(3, resume_path=log) == row
 
 
