@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from operator import or_
+from functools import reduce
+from operator import and_, or_
 from typing import NamedTuple
 
 from .gbt import GbtSpace
-from .gt import GeneralizedTopology, meet_table
+from .gt import GeneralizedTopology, meet_table, sliced_meet_table
+from .sets import family_of
 
 
 class UnknownAxiomError(ValueError):
@@ -261,34 +262,24 @@ def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) 
 
 # Pair kernel.  Mining decides millions of pairs drawn from one list of
 # topologies, so every axiom also has a packed form: a few integers per
-# topology (its signature), built once from its operator tables.  Each
-# signature records what a pair must not have in common.  Bit fields are
-# n bits wide (n + 1 for LSYM); field k of a packing belongs to subset
-# mask k or to point k.
+# topology (its signature), each recording what a pair must not have in
+# common.  Bit fields are n bits wide (n + 1 for LSYM); field k of a
+# packing belongs to subset mask k or to point k.
 #
-# The signatures are bit-sliced into a column: per signature component,
-# slice k is the int whose bit p is set when topology p's component has
-# bit k.  A row (first topology fixed) is then one int whose bit p is the
-# verdict on the pair (first, topology p): the complement of the positions
-# whose signatures meet the first's, and those are the OR of the slices
-# named by the set bits of the first's signature (``_meet``).  Signatures
-# are sparse, so a row costs a few big-int ORs, not one step per pair.
-# The deciders above are the kernel's oracles: mining re-decides every
-# pair the kernel reports.
-
-
-def _packed(fields, width: int) -> int:
-    return sum(f << width * k for k, f in enumerate(fields))
-
-
-def _transposed(m: int, n: int) -> int:
-    """Swap the roles of field and bit: bit y of field x becomes bit x of field y."""
-    return sum(1 << n * y + x for x in range(n) for y in range(n) if m >> n * x + y & 1)
-
-
-@cache
-def _off_diagonal(n: int) -> int:
-    return _packed((((1 << n) - 1) ^ 1 << x for x in range(n)), n)
+# A column holds the signatures of the list bit-sliced: per signature
+# component, slice k is the int whose bit p is set when topology p's
+# component has bit k.  The slices come first, for the whole list at once:
+# ``sliced_tables`` runs one ``gt.sliced_meet_table`` pass for the closure
+# and one for the wedge over every topology together, and each kernel
+# combines those table slices (T1/2 reads the open slices); no table of
+# a single topology is built.  The signatures are the slices transposed.  A row (first topology fixed) is then one int whose
+# bit p is the verdict on the pair (first, topology p): the complement of
+# the positions whose signatures meet the first's, and those are the OR of
+# the slices named by the set bits of the first's signature (``_meet``).
+# Signatures are sparse, so a row costs a few big-int ORs, not one step
+# per pair.  The deciders above are the kernels' oracles: mining decides
+# every hit it reads again with them, and the tests hold each column to
+# the one built from per-topology signatures.
 
 
 def _sliced(values, width: int) -> tuple[int, ...]:
@@ -296,7 +287,8 @@ def _sliced(values, width: int) -> tuple[int, ...]:
 
     The values are written out as one string of ``width``-digit binary
     numerals, last value first; every width-th digit of it, from the one
-    of bit k on, is slice k's binary numeral.
+    of bit k on, is slice k's binary numeral.  Slicing the slices, with
+    the number of values as the width, gives the values back.
     """
     digits = "".join([format(v, f"0{width}b") for v in reversed(values)])
     return tuple(int(digits[width - 1 - k :: width], 2) for k in range(width))
@@ -312,6 +304,33 @@ def _meet(slices: tuple[int, ...], x: int) -> int:
     return out
 
 
+class SlicedTables(NamedTuple):
+    """The operator tables of a list of topologies on ``size`` points,
+    bit-sliced: bit p of every int belongs to topology p.
+
+    ``opens[a]`` holds where subset a is open; ``closure[a * size + k]``
+    and ``wedge[a * size + k]`` where point k lies in cl(a) and in ∧(a).
+    ``every`` has one bit per topology.
+    """
+
+    size: int
+    every: int
+    opens: tuple[int, ...]
+    closure: tuple[int, ...]
+    wedge: tuple[int, ...]
+
+
+def sliced_tables(topologies) -> SlicedTables:
+    """The sliced tables of a nonempty sequence of topologies on one ground
+    set.  Subset a is closed where X − a is open, so the closed slices are
+    the open ones in reverse order."""
+    n = topologies[0].ground.size
+    every = (1 << len(topologies)) - 1
+    opens = _sliced([family_of(t.opens) for t in topologies], 1 << n)
+    closure = sliced_meet_table(opens[::-1], n, every)
+    return SlicedTables(n, every, opens, closure, sliced_meet_table(opens, n, every))
+
+
 class KernelColumn(NamedTuple):
     """The signatures of a list of topologies, bit-sliced.
 
@@ -325,17 +344,37 @@ class KernelColumn(NamedTuple):
     every: int
 
 
-def _lambda_excess(t: GeneralizedTopology) -> tuple[int]:
-    """Per subset a: cl(a) ∩ wedge(a) minus a.  A pair is T1/4 iff these are disjoint."""
-    cl, w, n = t.closure_table, t.wedge_table, t.ground.size
-    return (_packed((cl[a] & w[a] & ~a for a in range(1 << n)), n),)
+def _excess(table, n: int) -> list[int]:
+    """Field a, bit k: k lies in entry a * n + k of the table but not in a."""
+    cells = itertools.product(range(1 << n), range(n))
+    return [0 if a >> k & 1 else v for (a, k), v in zip(cells, table)]
 
 
-def _t0_signature(t: GeneralizedTopology) -> tuple[int]:
-    """One bit per unordered point pair that no open splits.  T0 iff disjoint."""
-    pairs = itertools.combinations(range(t.ground.size), 2)
-    split = (any((u >> x ^ u >> y) & 1 for u in t.opens) for x, y in pairs)
-    return (sum(1 << k for k, s in enumerate(split) if not s),)
+def _point_fields(table, n: int) -> list[int]:
+    """Field x, bit k: k lies in the table's entry of {x}."""
+    return [v for x in range(n) for v in table[n << x : (n << x) + n]]
+
+
+def _transposed(fields: list[int], n: int) -> list[int]:
+    """Swap the roles of field and bit: bit y of field x becomes bit x of field y."""
+    return [fields[y * n + x] for x in range(n) for y in range(n)]
+
+
+def _off_diagonal(fields: list[int], n: int) -> list[int]:
+    """The fields with bit x of field x cleared."""
+    return [0 if k % (n + 1) == 0 else v for k, v in enumerate(fields)]
+
+
+def _lambda_slices(t: SlicedTables) -> tuple[list[int]]:
+    """Per subset a: cl(a) ∩ ∧(a) minus a.  A pair is T1/4 iff these are disjoint."""
+    return (_excess(map(and_, t.closure, t.wedge), t.size),)
+
+
+def _t0_slices(t: SlicedTables) -> tuple[list[int]]:
+    """One bit per unordered point pair that no open splits, which is when
+    each point lies in the ∧ of the other.  T0 iff disjoint."""
+    w, n = _point_fields(t.wedge, t.size), t.size
+    return ([w[x * n + y] & w[y * n + x] for x, y in itertools.combinations(range(n), 2)],)
 
 
 def _disjoint_row(column: KernelColumn, p: int) -> int:
@@ -343,14 +382,13 @@ def _disjoint_row(column: KernelColumn, p: int) -> int:
     return column.every & ~_meet(column.slices[0], p)
 
 
-def _t1_signature(t: GeneralizedTopology) -> tuple[int, int, int]:
-    """Bit y of field x (x != y): no open contains x but not y; its
-    transpose; and 1 when those two meet, which fails every pair."""
-    n, full = t.ground.size, t.ground.full_mask
-    o = _packed((reduce(or_, (full & ~u for u in t.opens if u >> x & 1), 0) for x in range(n)), n)
-    missing = _off_diagonal(n) & ~o
-    missing_t = _transposed(missing, n)
-    return missing, missing_t, int(missing & missing_t != 0)
+def _t1_slices(t: SlicedTables) -> tuple[list[int], list[int], list[int]]:
+    """Bit y of field x (x != y): no open contains x but not y, which is
+    when y lies in ∧({x}); its transpose; and 1 when those two meet, which
+    fails every pair."""
+    missing = _off_diagonal(_point_fields(t.wedge, t.size), t.size)
+    missing_t = _transposed(missing, t.size)
+    return missing, missing_t, [reduce(or_, map(and_, missing, missing_t))]
 
 
 def _t1_row(column: KernelColumn, m: int, mt: int, alone: int) -> int:
@@ -363,27 +401,27 @@ def _t1_row(column: KernelColumn, m: int, mt: int, alone: int) -> int:
     return column.every & ~(_meet(ms, m) | _meet(mts, mt) | alones[0])
 
 
-def _t_half_signature(t: GeneralizedTopology) -> tuple[int, int]:
+def _t_half_slices(t: SlicedTables) -> tuple[list[int], list[int]]:
     """Points whose singleton is not open, and points whose singleton is not closed."""
-    full = t.ground.full_mask
-    return full & ~t.open_points, full & ~t.closed_points
-
-
-def _r0_signature(t: GeneralizedTopology) -> tuple[int, int]:
-    """Per point x: cl({x}), and the complement of wedge({x})."""
-    n, full = t.ground.size, t.ground.full_mask
-    points = [1 << x for x in range(n)]
+    full, points = (1 << t.size) - 1, [1 << x for x in range(t.size)]
     return (
-        _packed((t.closure_table[p] for p in points), n),
-        _packed((full & ~t.wedge_table[p] for p in points), n),
+        [t.every ^ t.opens[p] for p in points],
+        [t.every ^ t.opens[full ^ p] for p in points],
     )
 
 
-def _symmetric_signature(t: GeneralizedTopology) -> tuple[int, int]:
+def _r0_slices(t: SlicedTables) -> tuple[list[int], list[int]]:
+    """Per point x: cl({x}), and the complement of ∧({x})."""
+    return (
+        _point_fields(t.closure, t.size),
+        [t.every ^ v for v in _point_fields(t.wedge, t.size)],
+    )
+
+
+def _symmetric_slices(t: SlicedTables) -> tuple[list[int], list[int]]:
     """Per point x: cl({x}), and the off-diagonal points y with x outside cl({y})."""
-    n = t.ground.size
-    c = _packed((t.closure_table[1 << x] for x in range(n)), n)
-    return c, _off_diagonal(n) & ~_transposed(c, n)
+    c = _point_fields(t.closure, t.size)
+    return c, _off_diagonal([t.every ^ v for v in _transposed(c, t.size)], t.size)
 
 
 def _crossed_disjoint_row(column: KernelColumn, p: int, q: int) -> int:
@@ -392,22 +430,19 @@ def _crossed_disjoint_row(column: KernelColumn, p: int, q: int) -> int:
     return column.every & ~(_meet(qs, p) | _meet(ps, q))
 
 
-@cache
-def _guards(n: int) -> int:
-    """The top bit of every (n + 1)-bit field of a per-subset packing."""
-    return _packed(itertools.repeat(1 << n, 1 << n), n + 1)
+def _widened(fields: list[int], n: int, top: int) -> list[int]:
+    """n-bit fields as fields of n + 1 bits whose top bit is ``top``."""
+    return [v for a in range(0, len(fields), n) for v in (*fields[a : a + n], top)]
 
 
-def _lambda_symmetric_signature(t: GeneralizedTopology) -> tuple[int, int, int, int]:
-    """Per subset a: cl(a) ∩ wedge(a), cl(a) and wedge(a), each minus a, in
-    fields one bit wider than n whose top bits are the guards; then the guards."""
-    cl, w, n = t.closure_table, t.wedge_table, t.ground.size
-    subsets = range(1 << n)
+def _lambda_symmetric_slices(t: SlicedTables) -> tuple[list[int], ...]:
+    """Per subset a: cl(a) ∩ ∧(a), cl(a) and ∧(a), each minus a, in fields
+    one bit wider than n whose top bits are the guards; then the guards."""
+    n = t.size
+    tables = (map(and_, t.closure, t.wedge), t.closure, t.wedge)
     return (
-        _packed((cl[a] & w[a] & ~a for a in subsets), n + 1),
-        _packed((cl[a] & ~a for a in subsets), n + 1),
-        _packed((w[a] & ~a for a in subsets), n + 1),
-        _guards(n),
+        *(_widened(_excess(table, n), n, 0) for table in tables),
+        _widened([0] * (n << n), n, t.every),
     )
 
 
@@ -433,39 +468,43 @@ def _lambda_symmetric_row(column: KernelColumn, lam: int, clx: int, wx: int, g: 
 class PairKernel:
     """Bit-sliced decision of one axiom over pairs from a list of topologies.
 
+    ``slices`` takes the list's ``sliced_tables`` and returns, per signature
+    component, the slice of each bit a signature of that component may have.
     ``row`` takes a column and the signature of the pair's first topology
     and returns the int whose bit p is the verdict on (first, topology p).
     """
 
-    signature: Callable[[GeneralizedTopology], tuple[int, ...]]
+    slices: Callable[[SlicedTables], tuple[list[int], ...]]
     row: Callable[..., int]
 
-    def column(self, topologies) -> KernelColumn:
-        """The signatures of ``topologies`` and their slices."""
-        signatures = tuple(map(self.signature, topologies))
-        components = tuple(zip(*signatures))
-        width = max([1, *(max(c).bit_length() for c in components)])
-        slices = tuple(_sliced(c, width) for c in components)
-        return KernelColumn(signatures, slices, (1 << len(signatures)) - 1)
+    def column(self, tables: SlicedTables) -> KernelColumn:
+        """The slices cut to the widest signature (at least one bit), and
+        the signatures read back from them."""
+        components = self.slices(tables)
+        width = max([1, *(k + 1 for c in components for k, s in enumerate(c) if s)])
+        slices = tuple(tuple(c[:width]) + (0,) * (width - len(c)) for c in components)
+        count = tables.every.bit_length()
+        signatures = tuple(zip(*(_sliced(c, count) for c in slices)))
+        return KernelColumn(signatures, slices, tables.every)
 
     def verdicts(self, column: KernelColumn, i: int) -> int:
         """The row of position i: bit p is the verdict on the pair (i, p)."""
         return self.row(column, *column.signatures[i])
 
 
-_LAMBDA_KERNEL = PairKernel(_lambda_excess, _disjoint_row)
+_LAMBDA_KERNEL = PairKernel(_lambda_slices, _disjoint_row)
 
 # T1/4, T3/8 and T5/8 share one kernel, as they share one decider.
 PAIR_KERNELS = {
-    "T0": PairKernel(_t0_signature, _disjoint_row),
+    "T0": PairKernel(_t0_slices, _disjoint_row),
     "T1_4": _LAMBDA_KERNEL,
     "T3_8": _LAMBDA_KERNEL,
     "T5_8": _LAMBDA_KERNEL,
-    "T1_2": PairKernel(_t_half_signature, _crossed_disjoint_row),
-    "T1": PairKernel(_t1_signature, _t1_row),
-    "R0": PairKernel(_r0_signature, _crossed_disjoint_row),
-    "SYM": PairKernel(_symmetric_signature, _crossed_disjoint_row),
-    "LSYM": PairKernel(_lambda_symmetric_signature, _lambda_symmetric_row),
+    "T1_2": PairKernel(_t_half_slices, _crossed_disjoint_row),
+    "T1": PairKernel(_t1_slices, _t1_row),
+    "R0": PairKernel(_r0_slices, _crossed_disjoint_row),
+    "SYM": PairKernel(_symmetric_slices, _crossed_disjoint_row),
+    "LSYM": PairKernel(_lambda_symmetric_slices, _lambda_symmetric_row),
 }
 
 

@@ -31,7 +31,8 @@ If a is not a member, every member containing a also contains a ∪ {x}
 for some x outside a, and every member inside a lies inside a − {x} for
 some x in a, so one point more (or less) reaches them all.  ``meet_table``
 and ``join_table`` are the two passes on any family mask (bit a set when
-subset a is a member; see ``sets``).
+subset a is a member; see ``sets``); ``sliced_meet_table`` is the meet
+pass over many families at once, one bit per family in every int.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class GeneralizedTopology:
         return tuple(sorted(full ^ m for m in self.opens))
 
     # Subset families and singleton masks, each filtered once here and
-    # shared by the predicates, the claim checkers and the pair kernels.
+    # shared by the predicates and the claim checkers.
 
     @cached_property
     def wedge_sets(self) -> int:
@@ -112,8 +113,8 @@ class GeneralizedTopology:
 
     # Full operator tables, indexed by subset mask.  Built lazily once and
     # shared by every decider that touches this topology.  They make their
-    # own family masks, so a topology that needs only its tables (as in a
-    # census) caches no family mask.
+    # own family masks, so a topology that needs only its tables caches no
+    # family mask.
 
     @cached_property
     def closure_table(self) -> tuple[int, ...]:
@@ -168,6 +169,28 @@ def meet_table(family: int, size: int) -> tuple[int, ...]:
             for b in up[a]:
                 acc &= table[b]
             table[a] = acc
+    return tuple(table)
+
+
+def sliced_meet_table(members, size: int, every: int) -> tuple[int, ...]:
+    """``meet_table`` of many families at once, bit-sliced.
+
+    ``members[a]`` has bit p set when subset a is a member of family p, and
+    ``every`` has one bit per family.  Entry a * size + k has bit p set when
+    point k lies in family p's entry a.  A point of a is in every entry a;
+    a point k outside it is in entry a of the families that do not hold a
+    and have k in the entries of a ∪ {x} for every x outside a.
+    """
+    full = (1 << size) - 1
+    up = _neighbours(size)[0]
+    table = [every] * (size << size)
+    for a in range(full - 1, -1, -1):
+        for k in range(size):
+            if not a >> k & 1:
+                acc = every ^ members[a]
+                for b in up[a]:
+                    acc &= table[b * size + k]
+                table[a * size + k] = acc
     return tuple(table)
 
 

@@ -13,13 +13,17 @@ checked-space count documents the proof.
 
 The sweep decides pairs with the pair kernels of ``axioms.PAIR_KERNELS``:
 each topology of a size level gets a few packed integers per axiom the
-query names, and the level's column of them is bit-sliced once, on first
-use.  A row of pairs (first index i fixed) is then one int per kernel,
-bit j the verdict on (i, j), made by a few big-int ORs; the query's hits
-are the set bits of the antecedents' rows and of the complement of the
-consequent's.  The deciders are the kernels' oracles: every pair a
-kernel reports as a hit is decided again by ``evaluate_axiom``, and a
-disagreement raises InternalDisagreementError.
+query names, and the level's column of them is built once, on first use,
+from bit-sliced operator tables made by one pass over all the level's
+topologies and shared by every kernel of the level (``_tables``).  A row
+of pairs (first index i fixed) is then one int per kernel, bit j the
+verdict on (i, j), made by a few big-int ORs; the query's hits are the
+set bits of the antecedents' rows and of the complement of the
+consequent's.  The deciders are the kernels' oracles: ``mine`` decides
+every hit it reads again with ``evaluate_axiom``, before computing its
+canonical key, and a disagreement raises InternalDisagreementError.  That
+covers every hit of a block that completes; only the hits after the
+witness limit, in the block it interrupts, are never read.
 
 A census (and the implication lattice, which reads the same words)
 decides the canonical pairs of a level with every kernel at once:
@@ -65,7 +69,6 @@ import os
 import shutil
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -77,10 +80,12 @@ from .axioms import (
     InternalDisagreementError,
     KernelColumn,
     PairKernel,
+    SlicedTables,
     axiom_profile,
     check_implication_chain,
     evaluate_axiom,
     normalize_axiom_name,
+    sliced_tables,
 )
 from .enumeration import (
     canonical_index_key,
@@ -183,9 +188,16 @@ def _admitted(n: int, max_open_sets: int | None = None) -> Sequence[int]:
 
 
 @lru_cache(maxsize=None)
+def _tables(n: int, max_open_sets: int | None = None) -> SlicedTables:
+    """The sliced operator tables of the admitted topologies, in index order."""
+    return sliced_tables(list(map(gts_on(n).__getitem__, _admitted(n, max_open_sets))))
+
+
+@lru_cache(maxsize=None)
 def _kernel_column(n: int, kernel: PairKernel, max_open_sets: int | None = None) -> KernelColumn:
-    """The kernel's column over the admitted topologies, in index order."""
-    return kernel.column(map(gts_on(n).__getitem__, _admitted(n, max_open_sets)))
+    """The kernel's column over the admitted topologies, in index order;
+    every kernel of a level and bound reads the same sliced tables."""
+    return kernel.column(_tables(n, max_open_sets))
 
 
 def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tuple[int, int]], int]:
@@ -194,7 +206,8 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
     Each row (i fixed) is one int per kernel the query names, bit j the
     verdict on (i, j); the pairs that match the query are the set bits of
     the antecedents' rows and the complement of the consequent's, from
-    ``start`` on.  Every hit is re-decided by the deciders.
+    ``start`` on.  The hits are not decided again here: ``mine`` re-decides
+    those it reads (``_redecide``).
     """
     gts = gts_on(n)
     unordered = query.symmetry == "perm+swap"
@@ -210,31 +223,36 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
         match = (every & ~rows[consequent]) >> start << start
         for k in antecedents:
             match &= rows[k]
-        t1 = gts[i]
         while match:
             low = match & -match
             match ^= low
-            j = low.bit_length() - 1
-            t2 = gts[j]
-            if not all(evaluate_axiom(a, t1, t2) for a in query.antecedents) or evaluate_axiom(
-                query.consequent, t1, t2
-            ):
-                raise InternalDisagreementError(
-                    f"pair kernel and deciders disagree on {GbtSpace(t1.ground, t1, t2)!r}"
-                )
-            hits.append((i, j))
+            hits.append((i, low.bit_length() - 1))
         checked += len(gts) - start
     return hits, checked
+
+
+def _redecide(query: MiningQuery, t1: GeneralizedTopology, t2: GeneralizedTopology) -> None:
+    """Decide a kernel's hit again with the deciders; raise if they reject it."""
+    if not all(evaluate_axiom(a, t1, t2) for a in query.antecedents) or evaluate_axiom(
+        query.consequent, t1, t2
+    ):
+        raise InternalDisagreementError(
+            f"pair kernel and deciders disagree on {GbtSpace(t1.ground, t1, t2)!r}"
+        )
 
 
 def _block_results(tasks, query: MiningQuery, workers: int):
     """Yield the ``_scan_block`` result of each (n, index, lo, hi) task, in
     task order; with more than one worker the blocks run in a process pool,
-    whose pending blocks are cancelled when the caller stops early."""
+    whose pending blocks are cancelled when the caller stops early.  The
+    pool's module is imported here, so a process that runs no pool never
+    loads it."""
     if workers <= 1:
         for n, _, lo, hi in tasks:
             yield _scan_block(n, lo, hi, query)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_scan_block, n, lo, hi, query) for n, _, lo, hi in tasks]
         try:
@@ -393,7 +411,10 @@ def mine(
                 checked_by_n[n] = checked_by_n.get(n, 0) + checked
                 gts = gts_on(n)
                 g = gts[0].ground
+                # every hit read is re-decided, so every hit of a block that
+                # completes is; those after a witness limit are never read
                 for i, j in hits:
+                    _redecide(query, gts[i], gts[j])
                     key = canonical_key(GbtSpace(g, gts[i], gts[j]), query.symmetry)
                     if key in seen_keys:
                         continue

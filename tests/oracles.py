@@ -11,14 +11,20 @@ families.  The permutation index that sorts and re-encodes each permuted
 family, and the pair filter that scans each pair's stabilizer, are the
 routes gbtlab's byte lookup tables and stabilizer masks replaced.  The
 list rows decide a pair kernel's row one second topology at a time, as the
-kernels did before their signatures were bit-sliced.  These are the
-independent side of every dual-route check in the suite.
+kernels did before their signatures were bit-sliced, and the per-topology
+signatures, each from one topology's own tables, are what the kernels
+built before their columns were sliced from tables of all topologies at
+once.  These are the independent side of every dual-route check in the
+suite.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
+from gbtlab.axioms import KernelColumn
 from gbtlab.enumeration import gt_mask_families
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology
@@ -433,3 +439,108 @@ def kernel_list_row(name, first, seconds):
     if name == "T1":
         first, seconds = first[:2], [s[:2] for s in seconds]
     return LIST_ROWS[name](*first, *zip(*seconds))
+
+
+# Per-topology kernel signatures, each built from one topology's own
+# closure and wedge tables: the route the sliced kernel columns replaced.
+# Bit fields are n bits wide (n + 1 for LSYM); field k of a packing belongs
+# to subset mask k or to point k.
+
+
+def _packed(fields, width):
+    return sum(f << width * k for k, f in enumerate(fields))
+
+
+def _transposed(m, n):
+    """Swap the roles of field and bit: bit y of field x becomes bit x of field y."""
+    return sum(1 << n * y + x for x in range(n) for y in range(n) if m >> n * x + y & 1)
+
+
+def _off_diagonal(n):
+    return _packed((((1 << n) - 1) ^ 1 << x for x in range(n)), n)
+
+
+def lambda_excess(t):
+    """Per subset a: cl(a) ∩ wedge(a) minus a.  A pair is T1/4 iff these are disjoint."""
+    cl, w, n = t.closure_table, t.wedge_table, t.ground.size
+    return (_packed((cl[a] & w[a] & ~a for a in range(1 << n)), n),)
+
+
+def t0_signature(t):
+    """One bit per unordered point pair that no open splits.  T0 iff disjoint."""
+    pairs = combinations(range(t.ground.size), 2)
+    split = (any((u >> x ^ u >> y) & 1 for u in t.opens) for x, y in pairs)
+    return (sum(1 << k for k, s in enumerate(split) if not s),)
+
+
+def t1_signature(t):
+    """Bit y of field x (x != y): no open contains x but not y; its
+    transpose; and 1 when those two meet, which fails every pair."""
+    n, full = t.ground.size, t.ground.full_mask
+    o = _packed((reduce(or_, (full & ~u for u in t.opens if u >> x & 1), 0) for x in range(n)), n)
+    missing = _off_diagonal(n) & ~o
+    missing_t = _transposed(missing, n)
+    return missing, missing_t, int(missing & missing_t != 0)
+
+
+def t_half_signature(t):
+    """Points whose singleton is not open, and points whose singleton is not closed."""
+    full = t.ground.full_mask
+    return full & ~t.open_points, full & ~t.closed_points
+
+
+def r0_signature(t):
+    """Per point x: cl({x}), and the complement of wedge({x})."""
+    n, full = t.ground.size, t.ground.full_mask
+    points = [1 << x for x in range(n)]
+    return (
+        _packed((t.closure_table[p] for p in points), n),
+        _packed((full & ~t.wedge_table[p] for p in points), n),
+    )
+
+
+def symmetric_signature(t):
+    """Per point x: cl({x}), and the off-diagonal points y with x outside cl({y})."""
+    n = t.ground.size
+    c = _packed((t.closure_table[1 << x] for x in range(n)), n)
+    return c, _off_diagonal(n) & ~_transposed(c, n)
+
+
+def lambda_symmetric_signature(t):
+    """Per subset a: cl(a) ∩ wedge(a), cl(a) and wedge(a), each minus a, in
+    fields one bit wider than n whose top bits are the guards; then the guards."""
+    cl, w, n = t.closure_table, t.wedge_table, t.ground.size
+    subsets = range(1 << n)
+    return (
+        _packed((cl[a] & w[a] & ~a for a in subsets), n + 1),
+        _packed((cl[a] & ~a for a in subsets), n + 1),
+        _packed((w[a] & ~a for a in subsets), n + 1),
+        _packed([1 << n] * (1 << n), n + 1),
+    )
+
+
+SIGNATURES = {
+    "T0": t0_signature,
+    "T1_4": lambda_excess,
+    "T3_8": lambda_excess,
+    "T5_8": lambda_excess,
+    "T1_2": t_half_signature,
+    "T1": t1_signature,
+    "R0": r0_signature,
+    "SYM": symmetric_signature,
+    "LSYM": lambda_symmetric_signature,
+}
+
+
+def signature_column(name, topologies):
+    """Axiom ``name``'s kernel column from per-topology signatures: slice k
+    of a component holds the positions whose signature has bit k, for as
+    many bits as the widest component has (at least one)."""
+    signatures = tuple(SIGNATURES[name](t) for t in topologies)
+    components = tuple(zip(*signatures))
+    width = max([1, *(max(c).bit_length() for c in components)])
+    slices = tuple(
+        tuple(sum(1 << p for p, v in enumerate(c) if v >> k & 1) for k in range(width))
+        for c in components
+    )
+    return KernelColumn(signatures, slices, (1 << len(signatures)) - 1)

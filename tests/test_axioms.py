@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -23,20 +24,28 @@ from gbtlab.axioms import (
     decide_t_half,
     evaluate_axiom,
     normalize_axiom_name,
+    sliced_tables,
     t_fraction_by_definition,
 )
 from gbtlab.enumeration import (
     canonical_pair_indices,
     enumerate_gbt_pairs,
     gts_on,
+    iter_gt_mask_families,
 )
 from gbtlab.fixtures import get_fixture
 from gbtlab.gbt import GbtSpace, make_space
-from gbtlab.gt import complete_unions
+from gbtlab.gt import GeneralizedTopology, complete_unions
 from gbtlab.mining import _kernel_column
 from gbtlab.sets import ground
 
-from oracles import OracleSpace, kernel_list_row, permute_space, t_fraction_by_scan
+from oracles import (
+    OracleSpace,
+    kernel_list_row,
+    permute_space,
+    signature_column,
+    t_fraction_by_scan,
+)
 
 
 def _space(points, mu1, mu2):
@@ -219,7 +228,7 @@ def _kernel_rows(name):
     for n in range(1, 5):
         gts = gts_on(n)
         indices = range(len(gts)) if n <= 3 else sorted(rng.sample(range(len(gts)), 40))
-        column = kernel.column(gts)
+        column = _kernel_column(n, kernel)
         yield n, gts, indices, {i: kernel.verdicts(column, i) for i in indices}
 
 
@@ -264,7 +273,7 @@ def test_every_distinct_kernel_is_named():
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_bit_rows_equal_the_list_rows_up_to_three_points(name):
     for n in (1, 2, 3):
-        column = PAIR_KERNELS[name].column(gts_on(n))
+        column = _kernel_column(n, PAIR_KERNELS[name])
         _assert_rows_equal_the_list_rows(name, column, range(len(gts_on(n))))
 
 
@@ -272,7 +281,7 @@ def test_bit_rows_equal_the_list_rows_up_to_three_points(name):
 def test_bit_rows_equal_the_list_rows_on_four_points(name):
     """A seeded sample of 400 first indices of the full four-point column,
     each against all 2,480 second topologies."""
-    column = PAIR_KERNELS[name].column(gts_on(4))
+    column = _kernel_column(4, PAIR_KERNELS[name])
     firsts = random.Random(12).sample(range(len(gts_on(4))), 400)
     _assert_rows_equal_the_list_rows(name, column, firsts)
 
@@ -285,3 +294,37 @@ def test_bounded_bit_rows_equal_the_list_rows(name, bound):
     column = _kernel_column(3, PAIR_KERNELS[name], bound)
     assert len(column.signatures) == sum(len(t.opens) - 1 <= bound for t in gts_on(3))
     _assert_rows_equal_the_list_rows(name, column, range(len(column.signatures)))
+
+
+# sliced columns ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_sliced_columns_equal_the_signature_columns(name):
+    """Signatures, slices and ``every`` of the columns mining builds from
+    sliced tables, against the columns of per-topology signatures: every
+    topology up to four points, and the admitted three-point topologies
+    under every ``max_open_sets`` bound (seven nonempty subsets at most)."""
+    kernel = PAIR_KERNELS[name]
+    for n in range(1, 5):
+        assert _kernel_column(n, kernel) == signature_column(name, gts_on(n)), n
+    for bound in range(8):
+        admitted = [t for t in gts_on(3) if len(t.opens) - 1 <= bound]
+        assert _kernel_column(3, kernel, bound) == signature_column(name, admitted), bound
+
+
+@cache
+def _five_point_sample():
+    """500 five-point topologies: every 120th of the first 60,000 families
+    the enumerator yields (401 of them have X open)."""
+    g = ground(5)
+    families = itertools.islice(iter_gt_mask_families(5), 0, 60_000, 120)
+    topologies = [GeneralizedTopology(g, f) for f in families]
+    return topologies, sliced_tables(topologies)
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_sliced_columns_equal_the_signature_columns_on_five_points(name):
+    topologies, tables = _five_point_sample()
+    assert len(topologies) == 500
+    assert PAIR_KERNELS[name].column(tables) == signature_column(name, topologies)

@@ -18,6 +18,8 @@ from gbtlab.gt import (
     is_gt_T0,
     is_gt_T1,
     is_open,
+    meet_table,
+    sliced_meet_table,
     union_closed,
     validate_gt,
     vee,
@@ -258,3 +260,17 @@ def test_complemented_families(drawn):
     flipped = complemented(family, g.size)
     assert members(flipped) == sorted(g.full_mask ^ a for a in members(family))
     assert complemented(flipped, g.size) == family
+
+
+def test_sliced_meet_table_holds_the_meet_table_of_every_family():
+    """All 2^(2^n) family masks on n <= 3 points at once, bit p of every
+    int for family mask p."""
+    for n in (1, 2, 3):
+        families = range(1 << (1 << n))
+        members = [sum(1 << p for p in families if p >> a & 1) for a in range(1 << n)]
+        table = sliced_meet_table(members, n, (1 << len(families)) - 1)
+        for p in families:
+            entries = tuple(
+                sum(1 << k for k in range(n) if table[a * n + k] >> p & 1) for a in range(1 << n)
+            )
+            assert entries == meet_table(p, n), (n, p)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import random
 from concurrent.futures import Future
+from functools import lru_cache
 
 import pytest
 
@@ -17,6 +19,7 @@ from gbtlab.axioms import (
     axiom_profile,
     check_implication_chain,
     evaluate_axiom,
+    sliced_tables,
 )
 from gbtlab.enumeration import canonical_key, canonical_pair_indices, gts_on
 from gbtlab.lattice import implication_lattice
@@ -135,6 +138,38 @@ def test_kernel_hit_that_the_deciders_reject_is_an_error(monkeypatch):
         mine(MiningQuery(("T0",), "T1_4", n_max=3))
 
 
+def test_a_limited_query_decides_again_only_the_hits_it_reads(monkeypatch):
+    """Each hit read up to the witness limit is decided again, one call per
+    axiom of the query; the unread hits of the block that the limit
+    interrupts are not."""
+    query = MiningQuery(("T1",), "R0", n_max=3, limit=4)
+    read = scanned = 0
+    keys = set()
+    blocks = ((n, lo, hi) for n in range(1, 4) for lo, hi in mining._blocks(len(gts_on(n))))
+    for n, lo, hi in blocks:
+        if len(keys) == query.limit:
+            break
+        hits, _ = mining._scan_block(n, lo, hi, query)
+        scanned += len(hits)
+        gts = gts_on(n)
+        for i, j in hits:
+            read += 1
+            keys.add(canonical_key(GbtSpace(gts[i].ground, gts[i], gts[j])))
+            if len(keys) == query.limit:
+                break
+    assert (read, scanned) == (6, 40)
+    calls = []
+
+    def counted(name, t1, t2):
+        calls.append(name)
+        return evaluate_axiom(name, t1, t2)
+
+    monkeypatch.setattr(mining, "evaluate_axiom", counted)
+    result = mine(query)
+    assert {w.key for w in result.witnesses} == keys and not result.complete
+    assert calls == ["T1", "R0"] * read
+
+
 def test_resume_rejects_other_query(tmp_path):
     log = tmp_path / "log.ndjson"
     mine(MiningQuery(("T1",), "R0", n_max=2), log_path=log)
@@ -233,20 +268,22 @@ def test_bounded_verdict_words_match_axiom_profile(symmetry, bound):
 
 
 def test_a_bounded_census_builds_signatures_of_admitted_topologies_only(monkeypatch):
-    signed = []
+    """The kernel columns are sliced from one table pass over the admitted
+    topologies, in index order, which all seven kernels share."""
+    sliced = []
 
-    def counted(kernel):
-        def signature(t):
-            signed.append(id(t))
-            return kernel.signature(t)
+    def counted(topologies):
+        sliced.append([id(t) for t in topologies])
+        return sliced_tables(topologies)
 
-        return PairKernel(signature, kernel.row)
-
-    monkeypatch.setattr(mining, "WORD_KERNELS", tuple(map(counted, mining.WORD_KERNELS)))
+    monkeypatch.setattr(mining, "sliced_tables", counted)
+    for cached in ("_tables", "_kernel_column"):  # fresh caches, so the columns are built here
+        monkeypatch.setattr(mining, cached, lru_cache(maxsize=None)(getattr(mining, cached).__wrapped__))
     row = census(3, "perm+swap", max_open_sets=2)
     admitted = [t for t in gts_on(3) if len(t.opens) - 1 <= 2]
     assert row.labeled_gt_count == len(admitted) < len(gts_on(3))
-    assert sorted(signed) == sorted(id(t) for t in admitted for _ in mining.WORD_KERNELS)
+    assert sliced == [[id(t) for t in admitted]]
+    assert mining._kernel_column.cache_info().currsize == len(mining.WORD_KERNELS)
 
 
 @pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
@@ -273,7 +310,7 @@ def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
         check_implication_chain(word_verdicts(t_half_only), "a hand-made word")
     # a T1/2 kernel that holds everywhere makes such words in the sweeps
     t_half = PAIR_KERNELS["T1_2"]
-    forced = PairKernel(t_half.signature, lambda column, *signature: column.every)
+    forced = PairKernel(t_half.slices, lambda column, *signature: column.every)
     kernels = tuple(forced if k is t_half else k for k in mining.WORD_KERNELS)
     monkeypatch.setattr(mining, "WORD_KERNELS", kernels)
     for sweep in (census, implication_lattice):
@@ -303,6 +340,7 @@ def test_resuming_a_finished_census_builds_no_kernel_columns(tmp_path, monkeypat
         raise AssertionError("a kernel column or slice was built")
 
     monkeypatch.setattr(mining, "_kernel_column", column)
+    monkeypatch.setattr(mining, "sliced_tables", column)
     monkeypatch.setattr(PairKernel, "column", column)
     monkeypatch.setattr(axioms, "_sliced", column)
     assert census(3, resume_path=log) == row
@@ -409,7 +447,8 @@ def test_workers_are_clamped_before_the_pool_starts(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(mining, "ProcessPoolExecutor", InlineExecutor)
+    # the pool's class is read from its module when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     query = MiningQuery(("T0",), "T1_2", n_max=2, limit=50)  # 2 + 7 blocks
     serial = mine(query)
     monkeypatch.setattr(mining.os, "cpu_count", lambda: 4)
