@@ -88,6 +88,10 @@ def cmd_check(args) -> int:
 
 def cmd_mine(args) -> int:
     if args.special is not None:
+        extra = " ".join(f"--{name}" for name in ("require", "forbid", "log", "resume") if getattr(args, name) is not None)
+        if extra:
+            print(f"error: --special {args.special} takes no {extra}", file=sys.stderr)
+            return 1
         finder = SPECIAL_QUERIES[args.special]
         witness, checked = finder(args.n)
         if args.format == "json":

@@ -11,7 +11,10 @@ chosen sets suffices.
 
 Isomorph rejection acts by simultaneous point permutations, optionally
 extended by swapping the two topologies.  A pair (F1, F2) is canonical
-when its encoding pair is lexicographically minimal over the group.
+when its encoding pair is lexicographically minimal over the group, that
+is, when its index pair is the least of its orbit (McKay's orbit-minimum
+form).  A pair's key, byte n and then both encodings, is written and read
+here only: ``canonical_index_key`` and ``index_pair_of_key``.
 """
 
 from __future__ import annotations
@@ -50,14 +53,6 @@ def family_encoding(masks) -> int:
         if m:
             enc |= 1 << (m - 1)
     return enc
-
-
-def family_from_encoding(enc: int, n: int) -> tuple[int, ...]:
-    masks = [0]
-    for m in range(1, 1 << n):
-        if enc >> (m - 1) & 1:
-            masks.append(m)
-    return tuple(masks)
 
 
 def iter_gt_mask_families(n: int):
@@ -198,14 +193,27 @@ def _encoded_families(n: int) -> tuple[bytes, ...]:
 
 
 def canonical_index_key(n: int, i: int, j: int) -> bytes:
-    """The canonical key of a pair that ``canonical_pair_indices`` yields.
-
-    Such a pair is already minimal in encoding order, so its key is its own
-    encoding pair; it equals ``canonical_key`` of the pair's space, which the
-    tests use as its oracle.
-    """
+    """The key of a canonical pair (i, j): its own encoding pair, since it is
+    minimal in encoding order; ``canonical_key`` is the tests' oracle."""
     encoded = _encoded_families(n)
     return bytes([n]) + encoded[i] + encoded[j]
+
+
+@lru_cache(maxsize=None)
+def _family_indices(n: int) -> dict[bytes, int]:
+    return {encoded: i for i, encoded in enumerate(_encoded_families(n))}
+
+
+def index_pair_of_key(key: bytes) -> tuple[int, int, int]:
+    """The (n, i, j) whose ``canonical_index_key`` is ``key``, canonical or not;
+    ValueError for bytes that are no key of two topologies on 1 to 4 points."""
+    n = key[0] if key else 0
+    width = key_width(n)
+    indices = _family_indices(n) if 1 <= n <= 4 else {}
+    i, j = (indices.get(key[start : start + width]) for start in (1, 1 + width))
+    if len(key) != 1 + 2 * width or i is None or j is None:
+        raise ValueError(f"{key.hex()} is not the key of a pair of generalized topologies")
+    return n, i, j
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -270,11 +278,21 @@ def enumerate_gbt_pairs(n: int, symmetry: str = "perm+swap"):
         yield GbtSpace(g, gts[i], gts[j])
 
 
+def _pair_orbit(n: int, i: int, j: int, symmetry: str) -> set[tuple[int, int]]:
+    """The index pairs of the labeled pairs isomorphic to (i, j) under the group."""
+    check_symmetry(symmetry)
+    orbit = {(perm[i], perm[j]) for perm in _gt_index_permutations(n)}
+    if symmetry == "perm+swap":
+        orbit |= {(b, a) for a, b in orbit}
+    return orbit
+
+
 def pair_orbit_size(n: int, i: int, j: int, symmetry: str = "perm+swap") -> int:
     """Number of labeled pairs isomorphic to (i, j) under the group."""
-    check_symmetry(symmetry)
-    gt_perm = _gt_index_permutations(n)
-    images = {(gt_perm[p][i], gt_perm[p][j]) for p in range(len(gt_perm))}
-    if symmetry == "perm+swap":
-        images |= {(gt_perm[p][j], gt_perm[p][i]) for p in range(len(gt_perm))}
-    return len(images)
+    return len(_pair_orbit(n, i, j, symmetry))
+
+
+def canonical_index_pair(n: int, i: int, j: int, symmetry: str = "perm+swap") -> tuple[int, int]:
+    """The least index pair in the orbit of (i, j): the pair of its class that
+    ``canonical_pair_indices`` yields, whose key is ``canonical_index_key``."""
+    return min(_pair_orbit(n, i, j, symmetry))

@@ -5,11 +5,11 @@ further axiom fails.  The sweep covers every labeled pair of topologies
 in the requested size range; under the perm+swap symmetry only unordered
 index pairs are scanned, which is sound because all nine axioms are
 swap-invariant (a property the test suite verifies for the deciders and
-the pair kernels).  Witnesses are reported in canonical form and
-deduplicated by canonical key, and every witness is re-verified with the
-cross-validated profile before it is returned.  A query that completes
-its sweep without any hit yields a verified-exhausted result whose
-checked-space count documents the proof.
+the pair kernels).  Each hit stands for the least index pair of its
+orbit (``canonical_index_pair``), by which witnesses are deduplicated, and
+every witness is re-verified with the cross-validated profile before it
+is returned.  A query that completes its sweep without any hit yields a
+verified-exhausted result whose checked-space count documents the proof.
 
 The sweep decides pairs with the pair kernels of ``axioms.PAIR_KERNELS``:
 each topology of a size level gets a few packed integers per axiom the
@@ -20,8 +20,8 @@ of pairs (first index i fixed) is then one int per kernel, bit j the
 verdict on (i, j), made by a few big-int ORs; the query's hits are the
 set bits of the antecedents' rows and of the complement of the
 consequent's.  The deciders are the kernels' oracles: ``mine`` decides
-every hit it reads again with ``evaluate_axiom``, before computing its
-canonical key, and a disagreement raises InternalDisagreementError.  That
+every hit it reads again with ``evaluate_axiom``, before finding its
+canonical pair, and a disagreement raises InternalDisagreementError.  That
 covers every hit of a block that completes; only the hits after the
 witness limit, in the block it interrupts, are never read.
 
@@ -53,9 +53,11 @@ or every canonical space of a census), each block closed by a flushed
 ``{"block": [n, index], "checked": c}`` line, and a finished mining run
 ends with ``{"end": true, ...}``.  Resuming reads the log one line at a
 time: finished blocks are skipped and every logged record counts,
-including those of a block a crash left unfinished.  A resume that logs
-to another file first copies the resumed log into it when that file is
-missing or empty, so either file can be resumed later.  A log file that
+including those of a block a crash left unfinished; a logged witness
+key is read back to its pair (``index_pair_of_key``), and one that no run
+of the query can have written is refused.  A resume that logs to another
+file first copies the resumed log into it when that file is missing or
+empty, so either file can be resumed later.  A log file that
 is not empty is refused, before any work, unless it is the resumed log
 itself: a second run appended to it would be added up with the first on
 resume.
@@ -72,7 +74,7 @@ from collections.abc import Sequence
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 
 from .axioms import (
     PAIR_KERNELS,
@@ -89,19 +91,19 @@ from .axioms import (
 )
 from .enumeration import (
     canonical_index_key,
+    canonical_index_pair,
     canonical_key,
     canonical_pair_indices,
     check_size,
     check_symmetry,
     enumerate_gbt_pairs,
-    family_from_encoding,
     gts_on,
-    key_width,
+    index_pair_of_key,
     pair_orbit_size,
 )
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
-from .sets import ground, members
+from .sets import members
 from .spacefile import space_to_data
 
 BLOCKS_PER_LEVEL = 32
@@ -268,24 +270,31 @@ def _blocks(count: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def canonical_space(key: bytes) -> GbtSpace:
-    """Decode a canonical key back into its representative space."""
-    n = key[0]
-    width = key_width(n)
-    e1 = int.from_bytes(key[1 : 1 + width], "big")
-    e2 = int.from_bytes(key[1 + width :], "big")
-    g = ground(n)
-    mu1, mu2 = (GeneralizedTopology(g, family_from_encoding(enc, n)) for enc in (e1, e2))
-    return GbtSpace(g, mu1, mu2)
-
-
-def _verify_witness(query: MiningQuery, key: bytes) -> Witness:
-    space = canonical_space(key)
+def _verify_witness(query: MiningQuery, n: int, i: int, j: int) -> Witness:
+    """The canonical pair (i, j) as a witness, decided again with cross-validation."""
+    gts = gts_on(n)
+    space = GbtSpace(gts[i].ground, gts[i], gts[j])
     profile = axiom_profile(space, cross_validate=True)
     verdicts = profile.as_dict()
     if not all(verdicts[a] for a in query.antecedents) or verdicts[query.consequent]:
         raise InternalDisagreementError(f"mined witness fails re-verification: {space!r}")
-    return Witness(space, profile, key)
+    return Witness(space, profile, canonical_index_key(n, i, j))
+
+
+def _logged_pair(query: MiningQuery, text: str) -> tuple[int, int, int]:
+    """The (n, i, j) of a logged witness key; refuses a key that a run of
+    ``query`` cannot have written."""
+    try:
+        n, i, j = index_pair_of_key(bytes.fromhex(text))
+    except (TypeError, ValueError):
+        raise ValueError(f"logged witness key {text!r} is not a space key") from None
+    if not query.n_min <= n <= query.n_max:
+        raise ValueError(
+            f"logged witness key {text!r} has {n} points, outside [{query.n_min}, {query.n_max}]"
+        )
+    if canonical_index_pair(n, i, j, query.symmetry) != (i, j):
+        raise ValueError(f"logged witness key {text!r} is not canonical under {query.symmetry}")
+    return n, i, j
 
 
 def _compact(value) -> str:
@@ -380,15 +389,15 @@ def mine(
     header = {"header": query.as_dict(), "log": "mine"}
     done_blocks: dict[tuple[int, int], int] = {}
     witnesses: list[Witness] = []
-    seen_keys: set[bytes] = set()
+    seen: set[tuple[int, int, int]] = set()  # the (n, i, j) of each canonical pair found
     ended = False
     if resume_path is not None:
         for record in _replay(resume_path, header, done_blocks):
             if "key" in record:
-                key = bytes.fromhex(record["key"])
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    witnesses.append(_verify_witness(query, key))
+                pair = _logged_pair(query, record["key"])
+                if pair not in seen:
+                    seen.add(pair)
+                    witnesses.append(_verify_witness(query, *pair))
             elif record.get("end"):
                 ended = True
     checked_by_n: dict[int, int] = {}
@@ -410,16 +419,15 @@ def mine(
             for (n, index, _, _), (hits, checked) in zip(tasks, results):
                 checked_by_n[n] = checked_by_n.get(n, 0) + checked
                 gts = gts_on(n)
-                g = gts[0].ground
                 # every hit read is re-decided, so every hit of a block that
                 # completes is; those after a witness limit are never read
                 for i, j in hits:
                     _redecide(query, gts[i], gts[j])
-                    key = canonical_key(GbtSpace(g, gts[i], gts[j]), query.symmetry)
-                    if key in seen_keys:
+                    pair = (n, *canonical_index_pair(n, i, j, query.symmetry))
+                    if pair in seen:
                         continue
-                    seen_keys.add(key)
-                    witness = _verify_witness(query, key)
+                    seen.add(pair)
+                    witness = _verify_witness(query, *pair)
                     witnesses.append(witness)
                     if log is not None:
                         log.record(witness.as_dict())
@@ -639,60 +647,50 @@ def _spaces_up_to(n_max: int):
     return chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1)))
 
 
+def _first_witness(n_max: int, describe) -> tuple[SetWitness | None, int]:
+    """The first canonical space up to ``n_max`` points that ``describe``
+    has a description of, and the number of spaces scanned."""
+    checked = 0
+    for space in _spaces_up_to(n_max):
+        checked += 1
+        description = describe(space)
+        if description is not None:
+            return SetWitness(space, description, canonical_key(space)), checked
+    return None, checked
+
+
+def _note50_escape(space: GbtSpace) -> str | None:
+    escaped = space.pairwise_lambda_closed & ~space.wedge12_sets
+    for x, name in enumerate(space.ground.names):
+        if escaped >> (1 << x) & 1:
+            return f"singleton {{{name}}} is pairwise λ-closed but not a ∧12-set"
+    return None
+
+
+def _g_combination_escape(space: GbtSpace, combine, verb: str) -> str | None:
+    label = space.ground.label
+    for side, g in space.g_closed.items():
+        for a, b in combinations(members(g), 2):
+            u = combine(a, b)
+            if not g >> u & 1:
+                return f"{label(a)} and {label(b)} are g-closed on side {side} but their {verb} {label(u)} is not"
+    return None
+
+
 def find_note50_witness(n_max: int) -> tuple[SetWitness | None, int]:
     """Singleton that is pairwise λ-closed but not an intersection of its
     two wedges; such a set separates the two notions."""
-    checked = 0
-    for space in _spaces_up_to(n_max):
-        checked += 1
-        escaped = space.pairwise_lambda_closed & ~space.wedge12_sets
-        for x in range(space.ground.size):
-            if escaped >> (1 << x) & 1:
-                label = space.ground.names[x]
-                return (
-                    SetWitness(
-                        space,
-                        f"singleton {{{label}}} is pairwise λ-closed but not a ∧12-set",
-                        canonical_key(space),
-                    ),
-                    checked,
-                )
-    return None, checked
-
-
-def _find_g_combination_violation(n_max: int, combine, verb: str) -> tuple[SetWitness | None, int]:
-    checked = 0
-    for space in _spaces_up_to(n_max):
-        checked += 1
-        label = space.ground.label
-        for side, g in space.g_closed.items():
-            g_masks = members(g)
-            for a in g_masks:
-                for b in g_masks:
-                    if b <= a:
-                        continue
-                    u = combine(a, b)
-                    if not g >> u & 1:
-                        return (
-                            SetWitness(
-                                space,
-                                f"{label(a)} and {label(b)} are g-closed on side "
-                                f"{side} but their {verb} {label(u)} is not",
-                                canonical_key(space),
-                            ),
-                            checked,
-                        )
-    return None, checked
+    return _first_witness(n_max, _note50_escape)
 
 
 def find_g_union_violation(n_max: int) -> tuple[SetWitness | None, int]:
     """Two g-closed sets whose union is not g-closed."""
-    return _find_g_combination_violation(n_max, lambda a, b: a | b, "union")
+    return _first_witness(n_max, lambda space: _g_combination_escape(space, operator.or_, "union"))
 
 
 def find_g_intersection_violation(n_max: int) -> tuple[SetWitness | None, int]:
     """Two g-closed sets whose intersection is not g-closed."""
-    return _find_g_combination_violation(n_max, lambda a, b: a & b, "intersection")
+    return _first_witness(n_max, lambda space: _g_combination_escape(space, operator.and_, "intersection"))
 
 
 SPECIAL_QUERIES = {

@@ -235,6 +235,61 @@ def test_resume_with_a_witness_that_fails_reverification_exits_3(tmp_path, capsy
     assert "fails re-verification" in err and "Traceback" not in err
 
 
+MINE_T0_T1_2 = ("mine", "--require", "T0", "--forbid", "T1_2", "--n", "3", "--limit", "3")
+
+
+@pytest.mark.parametrize(
+    ("key", "message"),
+    [
+        ("020006", "is not canonical under perm+swap"),  # the class of 020005
+        ("020003", "is not a space key"),  # mu2 = {∅, {a}, {b}} lacks {a,b}
+        ("0200", "is not a space key"),  # truncated
+        ("0400000001", "has 4 points, outside [1, 3]"),
+        ("02zz05", "is not a space key"),
+    ],
+    ids=["not-canonical", "not-union-closed", "truncated", "out-of-range", "not-hex"],
+)
+def test_resume_refuses_a_bad_witness_key(tmp_path, capsys, key, message):
+    """A log cut inside block [2, 0], its second witness key replaced."""
+    full = tmp_path / "full.ndjson"
+    assert _run(capsys, *MINE_T0_T1_2, "--log", str(full))[0] == 0
+    lines = full.read_text().splitlines(keepends=True)
+    cut = lines[: lines.index('{"block":[2,0],"checked":7}\n')]
+    assert [json.loads(line).get("key") for line in cut[-2:]] == ["020001", "020005"]
+    log = tmp_path / "cut.ndjson"
+    log.write_text("".join(cut).replace('"key":"020005"', f'"key":"{key}"'))
+    code, out, err = _run(capsys, *MINE_T0_T1_2, "--resume", str(log))
+    assert (code, out) == (1, "")
+    assert err == f"error: logged witness key {key!r} {message}\n"
+
+
+def test_resume_of_the_cut_log_matches_the_uninterrupted_run(tmp_path, capsys):
+    full = tmp_path / "full.ndjson"
+    code, want, _ = _run(capsys, *MINE_T0_T1_2, "--log", str(full))
+    lines = full.read_text().splitlines(keepends=True)
+    log = tmp_path / "cut.ndjson"
+    log.write_text("".join(lines[: lines.index('{"block":[2,0],"checked":7}\n')]))
+    assert _run(capsys, *MINE_T0_T1_2, "--resume", str(log)) == (0, want, "")
+    assert [line.split()[1] for line in want.splitlines() if line.startswith("witness")] == [
+        "020001:",
+        "020005:",
+        "020102:",
+    ]
+
+
+def test_mine_special_refuses_the_options_it_ignores(tmp_path, capsys):
+    log = tmp_path / "sp.ndjson"
+    code, out, err = _run(
+        capsys, "mine", "--special", "note50-converse", "--n", "3", "--log", str(log), "--forbid", "T1", "--require", "T0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --special note50-converse takes no --require --forbid --log\n"
+    assert not log.exists()
+    code, out, err = _run(capsys, "mine", "--special", "g-union-escape", "--resume", str(log))
+    assert (code, out) == (1, "")
+    assert err == "error: --special g-union-escape takes no --resume\n"
+
+
 def test_census_resume_refuses_a_log_of_another_census(tmp_path, capsys):
     log = tmp_path / "census.ndjson"
     assert _run(capsys, "census", "--n", "2", "--log", str(log))[0] == 0

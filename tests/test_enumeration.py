@@ -8,19 +8,19 @@ import pytest
 from gbtlab.enumeration import (
     _gt_index_permutations,
     canonical_index_key,
+    canonical_index_pair,
     canonical_key,
     canonical_pair_indices,
     canonical_pair_encoding,
     enumerate_gbt_pairs,
     enumerate_gts,
     family_encoding,
-    family_from_encoding,
     gt_mask_families,
     gts_on,
+    index_pair_of_key,
     pair_orbit_size,
 )
 from gbtlab.gbt import GbtSpace, make_space
-from gbtlab.mining import canonical_space
 
 from oracles import (
     canonical_pair_indices_by_scan,
@@ -63,11 +63,6 @@ def test_every_streamed_family_is_union_closed():
         assert all(a | b in masks for a in masks for b in masks)
 
 
-def test_family_encoding_roundtrip():
-    for f in gt_mask_families(3):
-        assert family_from_encoding(family_encoding(f), 3) == f
-
-
 def test_canonical_key_permutation_invariance():
     s = make_space("abc", [["a"], ["a", "b"]], [["c"]])
     key = canonical_key(s)
@@ -83,14 +78,6 @@ def test_e25_swap_identification():
     assert canonical_key(e25, "perm+swap") == canonical_key(swapped, "perm+swap")
     # under plain permutations the swap is ALSO reachable via the transposition
     assert canonical_key(e25, "perm") == canonical_key(swapped, "perm")
-
-
-def test_canonical_space_roundtrip():
-    for s in enumerate_gbt_pairs(2, "perm+swap"):
-        key = canonical_key(s, "perm+swap")
-        restored = canonical_space(key)
-        assert restored.mu1.opens == s.mu1.opens
-        assert restored.mu2.opens == s.mu2.opens
 
 
 def test_representatives_are_canonical_and_unique():
@@ -194,6 +181,49 @@ def test_index_keys_match_the_permutation_search_on_sampled_n4_pairs(symmetry):
     for i, j in random.Random(7).sample(pairs, 300):
         space = GbtSpace(gts[i].ground, gts[i], gts[j])
         assert canonical_index_key(4, i, j) == canonical_key(space, symmetry), (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_canonical_index_pairs_match_the_permutation_search(n, symmetry):
+    """Every labeled pair: the key of its least orbit pair is its
+    ``canonical_key``, and a canonical pair is its own least orbit pair."""
+    gts = gts_on(n)
+    canonical = set(canonical_pair_indices(n, symmetry))
+    for i, j in itertools.product(range(len(gts)), repeat=2):
+        pair = canonical_index_pair(n, i, j, symmetry)
+        assert pair in canonical, (i, j)
+        space = GbtSpace(gts[i].ground, gts[i], gts[j])
+        assert canonical_index_key(n, *pair) == canonical_key(space, symmetry), (i, j)
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_canonical_index_pairs_match_the_permutation_search_on_sampled_n4_pairs(symmetry):
+    gts = gts_on(4)
+    rng = random.Random(14)
+    for _ in range(2000):
+        i, j = rng.randrange(len(gts)), rng.randrange(len(gts))
+        space = GbtSpace(gts[i].ground, gts[i], gts[j])
+        key = canonical_index_key(4, *canonical_index_pair(4, i, j, symmetry))
+        assert key == canonical_key(space, symmetry), (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_index_pair_of_key_inverts_canonical_index_key(n, symmetry):
+    for i, j in canonical_pair_indices(n, symmetry):
+        assert index_pair_of_key(canonical_index_key(n, i, j)) == (n, i, j)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [b"", b"\x00", b"\x02\x00", b"\x02\x00\x03", b"\x02\x00\x05\x00", b"\x05" + bytes(8), b"\x01\x00\x02"],
+)
+def test_index_pair_of_key_refuses_bytes_that_are_no_key(key):
+    """Empty, no points, truncated, a family without a union, too long, five
+    points, a set beyond the ground set."""
+    with pytest.raises(ValueError, match="is not the key of a pair of generalized topologies"):
+        index_pair_of_key(key)
 
 
 def test_distinct_profiles_get_distinct_keys():

@@ -89,6 +89,12 @@ GOLDEN = [
         "mine --require T1 --forbid R0 --n-min 4 --n 4 --limit 10",
         "843a84b45220416c282a12fabf6a96a57338f0547a4441d85156d5d4486df623",
     ),
+    # a hit-heavy query: 19,517 hits read for 1,061 witnesses, pinned while
+    # each hit was still keyed by the permutation search
+    (
+        "mine --require T1_2 --forbid T1 --n 4 --limit 100000 --format json",
+        "1d7e1b5f57782af54a3b52bcbd94159d21c789c1225241b826fa136f8a627793",
+    ),
 ]
 
 # A space file whose families lack unions: mu1 misses {a,b}, {a,c}, {b,c}

@@ -170,6 +170,26 @@ def test_a_limited_query_decides_again_only_the_hits_it_reads(monkeypatch):
     assert calls == ["T1", "R0"] * read
 
 
+def test_mine_and_its_resume_compute_no_permutation_search_key(tmp_path, monkeypatch):
+    """Hits are keyed by their least orbit index pair, and a resume reads
+    each logged key back to its pair."""
+    query = MiningQuery(("T0",), "T1_2", n_max=3, limit=40)
+    want = mine(query)
+    assert len(want.witnesses) == 40
+
+    def search(*args, **kwargs):
+        raise AssertionError("canonical_key was called")
+
+    monkeypatch.setattr(mining, "canonical_key", search)
+    full = tmp_path / "full.ndjson"
+    assert mine(query, log_path=full).as_dict() == want.as_dict()
+    cut = tmp_path / "cut.ndjson"
+    cut.write_text(_boundary_cuts(full)[-1])
+    assert mine(query, resume_path=cut).as_dict() == want.as_dict()
+    replay = mine(query, resume_path=full)
+    assert [w.as_dict() for w in replay.witnesses] == [w.as_dict() for w in want.witnesses]
+
+
 def test_resume_rejects_other_query(tmp_path):
     log = tmp_path / "log.ndjson"
     mine(MiningQuery(("T1",), "R0", n_max=2), log_path=log)
