@@ -161,8 +161,8 @@ class SpaceContext:
 # universal / equivalence / conditional checkers: return None when the claim
 # holds on the given space, otherwise a description of the first violation.
 # Family checks are mask operations; a witness names the least offending
-# subset.  LEM-7 and REM-41 read one topology and check each topology once
-# per sweep.
+# subset.  LEM-7, REM-41 and REM-46's hull scans read one topology and check
+# each topology once per sweep.
 
 
 def check_lem7(ctx: SpaceContext) -> str | None:
@@ -248,8 +248,10 @@ def check_union_g_conditional(ctx: SpaceContext) -> str | None:
 def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
     for i, _, tb in ctx.sides():
         g_open = ctx.g_open[i]
+        cl = tb.closure_table
         for a in members(g_open):
-            rest = ctx.full & ~a
+            # a b that meets cl_j(a) is not weakly separated from a
+            rest = ctx.full & ~cl[a]
             b = rest
             while True:
                 if g_open >> b & 1 and not g_open >> (a | b) & 1 and gbt.weakly_separated(tb, a, b):
@@ -439,23 +441,22 @@ def check_lem45(ctx: SpaceContext) -> str | None:
 
 
 def check_rem46(ctx: SpaceContext) -> str | None:
-    for i, ta, tb in ctx.sides():
+    for _, t in ctx.unverified_sides("REM-46"):
         for a in ctx.subsets:
             hull_closed = ctx.full
-            for c in ta.closed_masks:
+            for c in t.closed_masks:
                 if a & ~c == 0:
                     hull_closed &= c
             hull_open = ctx.full
-            seen = False
-            for u in tb.opens:
+            for u in t.opens:
                 if a & ~u == 0:
                     hull_open &= u
-                    seen = True
-            if not seen:
-                hull_open = ctx.full
-            if hull_closed != ta.closure_table[a] or hull_open != tb.wedge_table[a]:
+            if hull_closed != t.closure_table[a] or hull_open != t.wedge_table[a]:
                 return ctx.where(f"hull recomputation differs from tables at {ctx.label(a)}")
-            if (hull_closed & hull_open == a) != bool(ctx.lambda_closed[i] >> a & 1):
+    for i, ta, tb in ctx.sides():
+        cl, wd, lam = ta.closure_table, tb.wedge_table, ctx.lambda_closed[i]
+        for a in ctx.subsets:
+            if (cl[a] & wd[a] == a) != bool(lam >> a & 1):
                 return ctx.where(f"intersection-of-hulls reading fails at {ctx.label(a)}")
     return None
 
@@ -833,6 +834,10 @@ def eval_fixture(fixture: Fixture) -> tuple[str, list[str]]:
 # runner
 
 
+# spaces whose contexts a sweep builds before running the checkers over them
+SWEEP_CHUNK = 32
+
+
 def _random_n4_spaces(samples: int, seed: int):
     gts = gts_on(4)
     g = gts[0].ground
@@ -864,18 +869,24 @@ def run_claims(
     verified: dict[str, dict] = {}
 
     def sweep(spaces):
+        # checker-major over chunks: each unviolated checker runs over the
+        # chunk's contexts in sweep order and stops at its first violation
         clock = time.perf_counter
-        for space in spaces:
-            ctx = SpaceContext(space, verified)
+        spaces = iter(spaces)
+        while chunk := [SpaceContext(space, verified) for space in itertools.islice(spaces, SWEEP_CHUNK)]:
             for claim_id, checker in _UNIVERSAL_CHECKERS.items():
                 if claim_id in violations:
                     continue
                 start = clock()
-                result = checker(ctx)
+                count = len(chunk)
+                for position, ctx in enumerate(chunk, 1):
+                    result = checker(ctx)
+                    if result is not None:
+                        violations[claim_id] = result
+                        count = position
+                        break
                 elapsed[claim_id] += clock() - start
-                checked[claim_id] += 1
-                if result is not None:
-                    violations[claim_id] = result
+                checked[claim_id] += count
 
     for n in range(1, n_scope + 1):
         sweep(enumerate_gbt_pairs(n))

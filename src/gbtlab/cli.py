@@ -86,9 +86,19 @@ def cmd_check(args) -> int:
     return 0
 
 
+# mine's options that --special does not take, and the defaults of those
+# that have one; the parser leaves each None, so a given option is seen
+_PAIR_QUERY_OPTIONS = {
+    "require": None, "forbid": None, "n-min": 1, "symmetry": "perm+swap",
+    "limit": 5, "workers": 1, "log": None, "resume": None,
+}
+
+
 def cmd_mine(args) -> int:
     if args.special is not None:
-        extra = " ".join(f"--{name}" for name in ("require", "forbid", "log", "resume") if getattr(args, name) is not None)
+        extra = " ".join(
+            f"--{name}" for name in _PAIR_QUERY_OPTIONS if getattr(args, name.replace("-", "_")) is not None
+        )
         if extra:
             print(f"error: --special {args.special} takes no {extra}", file=sys.stderr)
             return 1
@@ -112,6 +122,10 @@ def cmd_mine(args) -> int:
     if args.forbid is None:
         print("error: give --forbid (with optional --require) or --special", file=sys.stderr)
         return 1
+    for name, default in _PAIR_QUERY_OPTIONS.items():
+        attr = name.replace("-", "_")
+        if getattr(args, attr) is None:
+            setattr(args, attr, default)
     antecedents: list[str] = []
     for chunk in args.require or []:
         antecedents.extend(a for a in chunk.split(",") if a)
@@ -241,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", metavar="AXIOM", help="axiom that must fail")
     p.add_argument("--special", choices=sorted(SPECIAL_QUERIES), help="set-level query")
     p.add_argument("--n", type=int, default=3, help="largest point count")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--symmetry", choices=("perm", "perm+swap"), default="perm+swap")
-    p.add_argument("--limit", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--n-min", type=int, help="smallest point count (default 1)")
+    p.add_argument("--symmetry", choices=("perm", "perm+swap"), help="default perm+swap")
+    p.add_argument("--limit", type=int, help="witnesses to find (default 5)")
+    p.add_argument("--workers", type=int, help="processes scanning blocks (default 1)")
     p.add_argument("--log", help="append-only NDJSON log path")
     p.add_argument("--resume", help="resume from an interrupted log")
     p.add_argument("--format", choices=("table", "json"), default="table")

@@ -211,14 +211,12 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
     ``start`` on.  The hits are not decided again here: ``mine`` re-decides
     those it reads (``_redecide``).
     """
-    gts = gts_on(n)
     unordered = query.symmetry == "perm+swap"
     consequent = PAIR_KERNELS[query.consequent]
     antecedents = {PAIR_KERNELS[a] for a in query.antecedents}
     columns = {k: _kernel_column(n, k) for k in (*antecedents, consequent)}
     every = columns[consequent].every
     hits: list[tuple[int, int]] = []
-    checked = 0
     for i in range(lo, hi):
         start = i if unordered else 0
         rows = {k: k.verdicts(column, i) for k, column in columns.items()}
@@ -229,8 +227,14 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
             low = match & -match
             match ^= low
             hits.append((i, low.bit_length() - 1))
-        checked += len(gts) - start
-    return hits, checked
+    return hits, _block_pairs(n, lo, hi, unordered)
+
+
+def _block_pairs(n: int, lo: int, hi: int, unordered: bool) -> int:
+    """The pairs a block with first indices [lo, hi) scans: (i, j) with j >= i
+    when ``unordered``, every j otherwise."""
+    count = len(gts_on(n))
+    return (hi - lo) * count - (sum(range(lo, hi)) if unordered else 0)
 
 
 def _redecide(query: MiningQuery, t1: GeneralizedTopology, t2: GeneralizedTopology) -> None:
@@ -404,15 +408,20 @@ def mine(
     for (n, _), checked in done_blocks.items():
         checked_by_n[n] = checked_by_n.get(n, 0) + checked
 
+    tasks = [
+        (n, index, lo, hi)
+        for n in range(query.n_min, query.n_max + 1)
+        for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
+        if (n, index) not in done_blocks
+    ]
     with _appending(log_path, header, resume_path) as log:
         if ended or len(witnesses) >= query.limit:
+            if not ended and tasks:
+                # the first block not marked done is the one the limit
+                # interrupted; the run that stopped there counted its pairs
+                n, _, lo, hi = tasks[0]
+                checked_by_n[n] = checked_by_n.get(n, 0) + _block_pairs(n, lo, hi, query.symmetry == "perm+swap")
             return MiningResult(query, witnesses, ended, sum(checked_by_n.values()), checked_by_n)
-        tasks = [
-            (n, index, lo, hi)
-            for n in range(query.n_min, query.n_max + 1)
-            for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
-            if (n, index) not in done_blocks
-        ]
         workers = min(workers, os.cpu_count() or 1, len(tasks))
         stopped = False
         with closing(_block_results(tasks, query, workers)) as results:

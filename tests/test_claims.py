@@ -24,6 +24,7 @@ from gbtlab.claims import (
     run_claims,
     statuses_match_expectations,
 )
+from gbtlab.enumeration import enumerate_gbt_pairs
 from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology
@@ -210,6 +211,23 @@ def _side_family(name, side, remove=(), add=()):
     return lambda c: {name: {**getattr(c, name), side: getattr(c, name)[side] & ~_bits(*remove) | _bits(*add)}}
 
 
+def _tables_altered(*changes):
+    """Alteration that puts in copies of the topologies with some operator
+    table entries replaced; each change is (side, table name, {subset: value})."""
+    def alter(c):
+        sides = {1: c.t1, 2: c.t2}
+        for side, name, entries in changes:
+            t = sides[side]
+            copy = GeneralizedTopology(t.ground, t.opens)
+            table = list(getattr(t, name))
+            for a, value in entries.items():
+                table[a] = value
+            copy.__dict__[name] = tuple(table)
+            sides[side] = copy
+        return {"space": GbtSpace(c.space.ground, sides[1], sides[2])}
+    return alter
+
+
 E43A = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a}, {a,d}}, mu2={{}, {b}, {b,d}})"
 E43B = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a}, {a,d}}, mu2={{}, {a,b}, {c}, {a,b,c}})"
 E14 = "GbtSpace(GroundSet({a,b,c,d}), mu1={{}, {a,d}, {c,d}, {a,c,d}}, mu2={{}, {d}, {a,c,d}})"
@@ -287,6 +305,28 @@ VIOLATIONS = [
         f"{E43A}: λ-closed forms disagree at {{a}} side 1: (False,False,False,True)",
     ),
     (
+        "REM-46", "e43a", _tables_altered((1, "closure_table", {0b1000: 0b1111, 0b0100: 0b1110})),
+        f"{E43A}: hull recomputation differs from tables at {{c}}",
+    ),
+    (
+        "REM-46", "e43a", _tables_altered((2, "wedge_table", {0b1000: 0b1111, 0b0010: 0b1010})),
+        f"{E43A}: hull recomputation differs from tables at {{b}}",
+    ),
+    (
+        # each topology is scanned whole before the next: mu1's {d} comes first
+        "REM-46", "e43a",
+        _tables_altered((1, "wedge_table", {0b1000: 0b1111}), (2, "closure_table", {0b0001: 0b1101})),
+        f"{E43A}: hull recomputation differs from tables at {{d}}",
+    ),
+    (
+        "REM-46", "e43a", _side_family("lambda_closed", 1, remove=[0b1010], add=[0b1000]),
+        f"{E43A}: intersection-of-hulls reading fails at {{d}}",
+    ),
+    (
+        "REM-46", "e43a", _side_family("lambda_closed", 2, remove=[0b0101, 0b1001]),
+        f"{E43A}: intersection-of-hulls reading fails at {{a,c}}",
+    ),
+    (
         "THM-40", "e43a", _side_family("lambda_closed", 1, remove=[0b0010]),
         f"{E43A}: λ-open family wrt side 1 is not a generalized topology: "
         "family not closed under union: {a,c} ∪ {a,d} = {a,c,d} is missing",
@@ -352,6 +392,33 @@ def test_one_topology_claims_check_each_topology_once_per_sweep():
     assert broken not in verified["REM-41"].values()
     assert _UNIVERSAL_CHECKERS["LEM-7"](SpaceContext(GbtSpace(e17.ground, e17.mu1, broken), verified)) is None
     assert set(verified["LEM-7"].values()) == {e17.mu1, e17.mu2, broken}
+
+
+def test_a_violation_past_the_first_chunk_stops_only_its_own_claim(monkeypatch):
+    """The sweep runs each checker over a chunk of spaces at a time; a
+    checker that first fails on a space of a later chunk reports that space,
+    counted by its position in the sweep, and the other claims check every
+    space."""
+    sweep = [s for n in (1, 2) for s in enumerate_gbt_pairs(n)] + list(claims._random_n4_spaces(100, 7))
+    position = len(sweep) - 100 + claims.SWEEP_CHUNK + 6
+    want = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
+    original, calls = _UNIVERSAL_CHECKERS["THM-20"], []
+
+    def planted(ctx):
+        calls.append(ctx.space)
+        return ctx.where("planted") if len(calls) == position else original(ctx)
+
+    monkeypatch.setitem(_UNIVERSAL_CHECKERS, "THM-20", planted)
+    got = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
+    assert calls == sweep[:position]
+    assert got.pop("THM-20") == {
+        "id": "THM-20", "status": STATUS_REFUTED, "witness": f"{sweep[position - 1]!r}: planted",
+        "spaces_checked": position,
+    }
+    want.pop("THM-20")
+    assert got == want
+    swept = [r for claim_id, r in got.items() if claim_id in _UNIVERSAL_CHECKERS]
+    assert {r["spaces_checked"] for r in swept if r["status"] == STATUS_VERIFIED} == {len(sweep)}
 
 
 def test_the_claim_sweep_decides_t0_once_per_space(monkeypatch):

@@ -410,3 +410,23 @@ def test_resuming_into_another_used_log_is_refused(tmp_path, capsys, command):
     empty.write_text("")
     assert _run(capsys, *command, "--resume", str(first), "--log", str(empty))[0] == 0
     assert empty.read_bytes() == first.read_bytes()
+
+
+def test_resume_after_the_witness_limit_counts_the_interrupted_block(tmp_path, capsys):
+    """The run that the limit stops counts the pairs of the block it was
+    reading; a resume of its log, which does not mark that block done, must
+    print the same count."""
+    log = tmp_path / "limited.ndjson"
+    query = ("mine", "--require", "T0", "--forbid", "T1_2", "--n", "3", "--limit", "40")
+    code, want, _ = _run(capsys, *query, "--log", str(log))
+    assert code == 0 and "checked 152 labeled pairs" in want
+    assert _run(capsys, *query, "--resume", str(log)) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "option", [("--n-min", "3"), ("--symmetry", "perm"), ("--limit", "2"), ("--workers", "1")], ids=lambda o: o[0]
+)
+def test_mine_special_refuses_each_pair_query_option(capsys, option):
+    code, out, err = _run(capsys, "mine", "--special", "note50-converse", "--n", "3", *option)
+    assert (code, out) == (1, "")
+    assert err == f"error: --special note50-converse takes no {option[0]}\n"
