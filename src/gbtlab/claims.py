@@ -863,6 +863,51 @@ def run_claims(
         if value < 0:
             raise ValueError(f"{name} must be at least 0, got {value}")
     check_size(n_scope)
+    # a fixture filter keeps the fixture's report only, so nothing else is checked
+    reports = [] if fixture_filter is not None else _checked_reports(n_scope, n4_samples, seed)
+
+    for fixture in FIXTURES:
+        if fixture_filter is not None and fixture.id != fixture_filter.lower():
+            continue
+        start = time.perf_counter()
+        status, mismatches = eval_fixture(fixture)
+        witness = None
+        if mismatches:
+            witness = "; ".join(mismatches)
+            if fixture.id == "e14":
+                union_hit, _ = find_g_union_violation(3)
+                inter_hit, _ = find_g_intersection_violation(3)
+                extras = []
+                if union_hit is not None:
+                    extras.append(f"independent union witness: {union_hit.description}")
+                if inter_hit is not None:
+                    extras.append(f"independent intersection witness: {inter_hit.description}")
+                if extras:
+                    witness += " | " + " | ".join(extras)
+        reports.append(
+            ClaimReport(
+                f"EX-{fixture.id[1:].upper()}",
+                status,
+                witness,
+                1,
+                time.perf_counter() - start,
+            )
+        )
+
+    for claim_id in _OUT_OF_SCOPE:
+        reports.append(ClaimReport(claim_id, STATUS_OUT_OF_SCOPE, None, 0, 0.0))
+
+    reports.sort(key=lambda r: r.id)
+    if fixture_filter is not None:
+        wanted = f"EX-{fixture_filter[1:].upper()}"
+        reports = [r for r in reports if r.id == wanted]
+    return reports
+
+
+def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimReport]:
+    """The reports of the universal claims, swept over the canonical spaces
+    up to ``n_scope`` points and ``n4_samples`` random four-point spaces, and
+    of the one-off claims."""
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
     elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
@@ -904,42 +949,6 @@ def run_claims(
         result = checker()
         status = STATUS_VERIFIED if result is None else STATUS_REFUTED
         reports.append(ClaimReport(claim_id, status, result, 1, time.perf_counter() - start))
-
-    for fixture in FIXTURES:
-        if fixture_filter is not None and fixture.id != fixture_filter.lower():
-            continue
-        start = time.perf_counter()
-        status, mismatches = eval_fixture(fixture)
-        witness = None
-        if mismatches:
-            witness = "; ".join(mismatches)
-            if fixture.id == "e14":
-                union_hit, _ = find_g_union_violation(3)
-                inter_hit, _ = find_g_intersection_violation(3)
-                extras = []
-                if union_hit is not None:
-                    extras.append(f"independent union witness: {union_hit.description}")
-                if inter_hit is not None:
-                    extras.append(f"independent intersection witness: {inter_hit.description}")
-                if extras:
-                    witness += " | " + " | ".join(extras)
-        reports.append(
-            ClaimReport(
-                f"EX-{fixture.id[1:].upper()}",
-                status,
-                witness,
-                1,
-                time.perf_counter() - start,
-            )
-        )
-
-    for claim_id in _OUT_OF_SCOPE:
-        reports.append(ClaimReport(claim_id, STATUS_OUT_OF_SCOPE, None, 0, 0.0))
-
-    reports.sort(key=lambda r: r.id)
-    if fixture_filter is not None:
-        wanted = f"EX-{fixture_filter[1:].upper()}"
-        reports = [r for r in reports if r.id == wanted]
     return reports
 
 

@@ -250,20 +250,12 @@ def gt_from_labels(g: GroundSet, open_label_lists) -> GeneralizedTopology:
 def complete_unions(ground: GroundSet, opens) -> tuple[GeneralizedTopology, tuple[int, ...]]:
     """Smallest generalized topology containing the open masks; also returns
     the added masks, ascending."""
-    masks = _mask_set(ground, opens)
-    masks.add(0)
-    added: set[int] = set()
-    frontier = True
-    while frontier:
-        frontier = False
-        for x, y in itertools.combinations(sorted(masks), 2):
-            u = x | y
-            if u not in masks:
-                masks.add(u)
-                added.add(u)
-                frontier = True
-                break
-    return GeneralizedTopology(ground, tuple(sorted(masks))), tuple(sorted(added))
+    masks = _mask_set(ground, opens) | {0}
+    closed = {0}  # the unions of the masks folded in so far
+    for m in masks:
+        if m not in closed:
+            closed |= {u | m for u in closed}
+    return GeneralizedTopology(ground, tuple(sorted(closed))), tuple(sorted(closed - masks))
 
 
 def _check_ground(t: GeneralizedTopology, a: Subset) -> int:

@@ -41,26 +41,29 @@ verdict word's profile; its bytes are those of ``_dump`` of the record.
 ``axiom_profile``, ``canonical_key`` and ``space_to_data`` are the tests'
 oracles for them.
 
-Work is split into fixed-size blocks of first-coordinate indices.  Block
-boundaries depend only on the size level, never on the worker count, and
-block results are consumed strictly in block order, so the witness
-stream is identical no matter how many workers ran the scan.
+Both sweeps walk their levels in fixed-size blocks (``_block_walk``):
+``mine``'s are ranges of first-coordinate indices, ``census``'s slices
+of its canonical pair list.  Block boundaries depend only on the level,
+never on the worker count, and block results are consumed strictly in
+block order, so the witness stream is identical no matter how many
+workers ran the scan.
 
-``mine`` and ``census`` share one append-only NDJSON block log.  Its
+Both sweeps keep one append-only NDJSON block log (``_BlockLog``).  Its
 first line is ``{"header": ..., "log": "mine" | "census"}``; then come
 self-contained ``{"key","space","profile"}`` records (mining witnesses,
 or every canonical space of a census), each block closed by a flushed
 ``{"block": [n, index], "checked": c}`` line, and a finished mining run
-ends with ``{"end": true, ...}``.  Resuming reads the log one line at a
-time: finished blocks are skipped and every logged record counts,
-including those of a block a crash left unfinished; a logged witness
-key is read back to its pair (``index_pair_of_key``), and one that no run
-of the query can have written is refused.  A resume that logs to another
-file first copies the resumed log into it when that file is missing or
-empty, so either file can be resumed later.  A log file that
-is not empty is refused, before any work, unless it is the resumed log
-itself: a second run appended to it would be added up with the first on
-resume.
+ends with ``{"end": true, ...}``.  Making the log refuses, before any
+work, a log file that is not empty unless it is the resumed log itself:
+a second run appended to it would be added up with the first on resume.
+Its ``replay`` reads the resumed log one line at a time: finished blocks
+go into ``done``, which the walk skips, and every logged record counts,
+including those of a block a crash left unfinished; a logged witness key
+is read back to its pair (``index_pair_of_key``), and one that no run of
+the query can have written is refused.  Only then is the log file
+opened; one that is missing or empty starts as a copy of the resumed
+log, so either file can be resumed later.  Without a log file the
+writes do nothing.
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ import os
 import shutil
 from collections import Counter
 from collections.abc import Sequence
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations, groupby
+from functools import lru_cache, partial
+from itertools import chain, combinations, groupby, islice
 
 from .axioms import (
     PAIR_KERNELS,
@@ -247,23 +250,33 @@ def _redecide(query: MiningQuery, t1: GeneralizedTopology, t2: GeneralizedTopolo
         )
 
 
-def _block_results(tasks, query: MiningQuery, workers: int):
-    """Yield the ``_scan_block`` result of each (n, index, lo, hi) task, in
-    task order; with more than one worker the blocks run in a process pool,
-    whose pending blocks are cancelled when the caller stops early.  The
-    pool's module is imported here, so a process that runs no pool never
-    loads it."""
+def _block_walk(levels, done, scan, workers: int = 1):
+    """Yield (n, index, ``scan(n, lo, hi)``) for each block of each (n, count)
+    level that is not in ``done``, in block order.
+
+    With more than one worker (clamped to the CPUs and the blocks) the
+    blocks run in a process pool, so ``scan`` must then be picklable; the
+    pending blocks are cancelled when the caller stops early.  The pool's
+    module is imported here, so a process that runs no pool never loads it.
+    """
+    tasks = [
+        (n, index, lo, hi)
+        for n, count in levels
+        for index, (lo, hi) in enumerate(_blocks(count))
+        if (n, index) not in done
+    ]
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        for n, _, lo, hi in tasks:
-            yield _scan_block(n, lo, hi, query)
+        for n, index, lo, hi in tasks:
+            yield n, index, scan(n, lo, hi)
         return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_block, n, lo, hi, query) for n, _, lo, hi in tasks]
+        futures = [pool.submit(scan, n, lo, hi) for n, _, lo, hi in tasks]
         try:
-            for future in futures:
-                yield future.result()
+            for (n, index, _, _), future in zip(tasks, futures):
+                yield n, index, future.result()
         finally:
             for future in futures:
                 future.cancel()
@@ -309,75 +322,69 @@ def _dump(record: dict) -> str:
     return _compact(record) + "\n"
 
 
-def _replay(path, header: dict, done: dict[tuple[int, int], int]):
-    """Yield the records of the block log at ``path``, one line at a time.
+class _BlockLog:
+    """The block log of one run: ``header`` is its first line, ``log_path``
+    the file it appends to and ``resume_path`` the log it continues; either
+    path may be None."""
 
-    The first line must carry ``header``.  Block lines are not yielded:
-    each is entered in ``done`` as (n, index) -> spaces checked.
-    """
-    with open(path, encoding="utf-8") as handle:
-        records = (json.loads(line) for line in handle if line.strip())
-        first = next(records, None)
-        if not isinstance(first, dict) or first.get("header") != header["header"]:
-            raise ValueError(f"{path}: log was written for a different {header['log']} run")
-        for record in records:
-            if "block" in record:
-                n, index = record["block"]
-                done[n, index] = done.get((n, index), 0) + record["checked"]
-            else:
-                yield record
+    def __init__(self, header: dict, log_path=None, resume_path=None) -> None:
+        if log_path is not None and os.path.exists(log_path) and os.path.getsize(log_path):
+            if resume_path is None or not os.path.samefile(log_path, resume_path):
+                raise ValueError(f"{log_path}: log already holds a run; resume it with --resume {log_path}")
+        self._header = header
+        self._path = log_path
+        self._resumed = resume_path
+        self._handle = None
+        self.done: Counter[tuple[int, int]] = Counter()  # (n, index) -> spaces checked
 
+    def replay(self):
+        """Yield the records of the resumed log, if any; its first line must
+        carry the header, and its block lines are entered in ``done``."""
+        if self._resumed is None:
+            return
+        with open(self._resumed, encoding="utf-8") as handle:
+            records = (json.loads(line) for line in handle if line.strip())
+            first = next(records, None)
+            if not isinstance(first, dict) or first.get("header") != self._header["header"]:
+                raise ValueError(f"{self._resumed}: log was written for a different {self._header['log']} run")
+            for record in records:
+                if "block" in record:
+                    n, index = record["block"]
+                    self.done[n, index] += record["checked"]
+                else:
+                    yield record
 
-class _LogWriter:
-    """Appends records and block lines to an open block log."""
+    def __enter__(self) -> _BlockLog:
+        """Open the log; a missing or empty one starts as a copy of the
+        resumed log, or else with the header."""
+        if self._path is not None:
+            self._handle = open(self._path, "a", encoding="utf-8")
+            if self._handle.tell() == 0:
+                if self._resumed is None:
+                    self.record(self._header)
+                else:
+                    with open(self._resumed, encoding="utf-8") as source:
+                        shutil.copyfileobj(source, self._handle)
+        return self
 
-    def __init__(self, handle) -> None:
-        self._handle = handle
+    def __exit__(self, *exc) -> None:
+        if self._handle is not None:
+            self._handle.close()
+
+    def lines(self, texts) -> None:
+        """Append ready lines; ``texts`` is not consumed without a log."""
+        if self._handle is not None:
+            self._handle.writelines(texts)
 
     def record(self, record: dict) -> None:
-        self.line(_dump(record))
-
-    def line(self, text: str) -> None:
-        self._handle.write(text)
+        if self._handle is not None:
+            self._handle.write(_dump(record))
 
     def block(self, n: int, index: int, checked: int) -> None:
         """Close a block; flushed, because it makes every record before it durable."""
-        self.record({"block": [n, index], "checked": checked})
-        self._handle.flush()
-
-
-def _refuse_used_log(path, resumed) -> None:
-    """Refuse a log that already holds a run, unless it is the log being resumed.
-
-    Appending a second run would make a later resume add up both runs.
-    """
-    if path is None or not os.path.exists(path) or os.path.getsize(path) == 0:
-        return
-    if resumed is None or not os.path.samefile(path, resumed):
-        raise ValueError(f"{path}: log already holds a run; resume it with --resume {path}")
-
-
-@contextmanager
-def _appending(path, header: dict, resumed=None):
-    """A writer for the block log at ``path``, or None when there is no path.
-
-    A missing or empty log starts as a copy of the ``resumed`` log, so that
-    appending to it continues that run just as an in-place resume would;
-    without a resumed log it starts with ``header``.  A log that is not
-    empty is the resumed log itself (see ``_refuse_used_log``).
-    """
-    if path is None:
-        yield None
-        return
-    with open(path, "a", encoding="utf-8") as handle:
-        writer = _LogWriter(handle)
-        if handle.tell() == 0:
-            if resumed is None:
-                writer.record(header)
-            else:
-                with open(resumed, encoding="utf-8") as source:
-                    shutil.copyfileobj(source, handle)
-        yield writer
+        if self._handle is not None:
+            self.record({"block": [n, index], "checked": checked})
+            self._handle.flush()
 
 
 def mine(
@@ -389,44 +396,37 @@ def mine(
     """Run a query over every pair of topologies in the size range."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    _refuse_used_log(log_path, resume_path)
-    header = {"header": query.as_dict(), "log": "mine"}
-    done_blocks: dict[tuple[int, int], int] = {}
+    log = _BlockLog({"header": query.as_dict(), "log": "mine"}, log_path, resume_path)
     witnesses: list[Witness] = []
     seen: set[tuple[int, int, int]] = set()  # the (n, i, j) of each canonical pair found
     ended = False
-    if resume_path is not None:
-        for record in _replay(resume_path, header, done_blocks):
-            if "key" in record:
-                pair = _logged_pair(query, record["key"])
-                if pair not in seen:
-                    seen.add(pair)
-                    witnesses.append(_verify_witness(query, *pair))
-            elif record.get("end"):
-                ended = True
-    checked_by_n: dict[int, int] = {}
-    for (n, _), checked in done_blocks.items():
-        checked_by_n[n] = checked_by_n.get(n, 0) + checked
+    for record in log.replay():
+        if "key" in record:
+            pair = _logged_pair(query, record["key"])
+            if pair not in seen:
+                seen.add(pair)
+                witnesses.append(_verify_witness(query, *pair))
+        elif record.get("end"):
+            ended = True
+    checked_by_n: Counter[int] = Counter()
+    for (n, _), checked in log.done.items():
+        checked_by_n[n] += checked
 
-    tasks = [
-        (n, index, lo, hi)
-        for n in range(query.n_min, query.n_max + 1)
-        for index, (lo, hi) in enumerate(_blocks(len(gts_on(n))))
-        if (n, index) not in done_blocks
-    ]
-    with _appending(log_path, header, resume_path) as log:
+    levels = [(n, len(gts_on(n))) for n in range(query.n_min, query.n_max + 1)]
+    with log:
         if ended or len(witnesses) >= query.limit:
-            if not ended and tasks:
+            if not ended:
                 # the first block not marked done is the one the limit
                 # interrupted; the run that stopped there counted its pairs
-                n, _, lo, hi = tasks[0]
-                checked_by_n[n] = checked_by_n.get(n, 0) + _block_pairs(n, lo, hi, query.symmetry == "perm+swap")
+                count_pairs = partial(_block_pairs, unordered=query.symmetry == "perm+swap")
+                for n, _, checked in islice(_block_walk(levels, log.done, count_pairs), 1):
+                    checked_by_n[n] += checked
             return MiningResult(query, witnesses, ended, sum(checked_by_n.values()), checked_by_n)
-        workers = min(workers, os.cpu_count() or 1, len(tasks))
         stopped = False
-        with closing(_block_results(tasks, query, workers)) as results:
-            for (n, index, _, _), (hits, checked) in zip(tasks, results):
-                checked_by_n[n] = checked_by_n.get(n, 0) + checked
+        scan = partial(_scan_block, query=query)
+        with closing(_block_walk(levels, log.done, scan, workers)) as results:
+            for n, index, (hits, checked) in results:
+                checked_by_n[n] += checked
                 gts = gts_on(n)
                 # every hit read is re-decided, so every hit of a block that
                 # completes is; those after a witness limit are never read
@@ -438,8 +438,7 @@ def mine(
                     seen.add(pair)
                     witness = _verify_witness(query, *pair)
                     witnesses.append(witness)
-                    if log is not None:
-                        log.record(witness.as_dict())
+                    log.record(witness.as_dict())
                     if len(witnesses) >= query.limit:
                         stopped = True
                         break
@@ -447,16 +446,14 @@ def mine(
                 # resume must rescan it for the hits that were never consumed
                 if stopped:
                     break
-                if log is not None:
-                    log.block(n, index, checked)
+                log.block(n, index, checked)
 
-        complete = not stopped
-        if log is not None and complete:
+        if not stopped:
             log.record(
                 {"end": True, "exhausted": not witnesses, "spaces_checked": sum(checked_by_n.values())}
             )
 
-    return MiningResult(query, witnesses, complete, sum(checked_by_n.values()), checked_by_n)
+    return MiningResult(query, witnesses, not stopped, sum(checked_by_n.values()), checked_by_n)
 
 
 @dataclass
@@ -579,7 +576,8 @@ def census(
     check_size(n)
     if max_open_sets is not None and max_open_sets < 0:
         raise ValueError(f"max_open_sets must be at least 0, got {max_open_sets}")
-    _refuse_used_log(log_path, resume_path)
+    header = {"n": n, "symmetry": symmetry, "max_open_sets": max_open_sets}
+    log = _BlockLog({"header": header, "log": "census"}, log_path, resume_path)
     admitted = set(_admitted(n, max_open_sets))
     admitted_count = len(admitted)
     pairs = [
@@ -587,31 +585,20 @@ def census(
         for pair in canonical_pair_indices(n, symmetry)
         if pair[0] in admitted and pair[1] in admitted
     ]
-    header = {
-        "header": {"n": n, "symmetry": symmetry, "max_open_sets": max_open_sets},
-        "log": "census",
-    }
 
-    done_blocks: dict[tuple[int, int], int] = {}
     axiom_counts: Counter[str] = Counter()
-    if resume_path is not None:
-        for record in _replay(resume_path, header, done_blocks):
-            if "key" in record:
-                axiom_counts.update(name for name, value in record["profile"].items() if value)
+    for record in log.replay():
+        if "key" in record:
+            axiom_counts.update(name for name, value in record["profile"].items() if value)
 
     word_counts: Counter[int] = Counter()
-    with _appending(log_path, header, resume_path) as log:
+    with log:
         line = _census_lines(n)
-        for index, (lo, hi) in enumerate(_blocks(len(pairs))):
-            if (n, index) in done_blocks:
-                continue
-            block = pairs[lo:hi]
-            for (i, j), word in zip(block, verdict_words(n, block, max_open_sets)):
-                word_counts[word] += 1
-                if log is not None:
-                    log.line(line(i, j, word))
-            if log is not None:
-                log.block(n, index, hi - lo)
+        for _, index, block in _block_walk([(n, len(pairs))], log.done, lambda _, lo, hi: pairs[lo:hi]):
+            words = list(verdict_words(n, block, max_open_sets))
+            word_counts.update(words)
+            log.lines(line(i, j, word) for (i, j), word in zip(block, words))
+            log.block(n, index, len(block))
     for word, count in word_counts.items():
         axiom_counts.update({name: count for name, value in word_verdicts(word).items() if value})
 

@@ -129,6 +129,19 @@ def test_fixture_filter():
     assert only[0].status == STATUS_VERIFIED
 
 
+def test_a_fixture_run_checks_its_fixture_only(monkeypatch):
+    called = []
+
+    def recorded(claim_id):
+        return lambda *args: called.append(claim_id)
+
+    for table in ("_UNIVERSAL_CHECKERS", "_ONCE_CHECKERS"):
+        checkers = {claim_id: recorded(claim_id) for claim_id in getattr(claims, table)}
+        monkeypatch.setattr(claims, table, checkers)
+    assert [r.id for r in run_claims(fixture_filter="e25")] == ["EX-25"]
+    assert called == []
+
+
 def test_eval_fixture_e14_directly():
     status, mismatches = eval_fixture(get_fixture("e14"))
     assert status == STATUS_MISMATCH
@@ -441,7 +454,8 @@ def test_the_claim_sweep_decides_t0_once_per_space(monkeypatch):
     monkeypatch.setattr(claims, "SpaceContext", context)
     # only the sweep: no one-off claims (REM-24 profiles fixtures) and no fixtures
     monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
-    reports = run_claims(n_scope=3, n4_samples=50, fixture_filter="no such fixture")
+    monkeypatch.setattr(claims, "FIXTURES", ())
+    reports = {r.id: r for r in run_claims(n_scope=3, n4_samples=50)}
     assert len(swept) == 411 + 50
     assert decided == [(space.mu1, space.mu2) for space in swept]
-    assert all(r.status == STATUS_VERIFIED for r in reports if r.claim_id in ("THM-15", "THM-58"))
+    assert reports["THM-15"].status == reports["THM-58"].status == STATUS_VERIFIED

@@ -290,12 +290,23 @@ def test_mine_special_refuses_the_options_it_ignores(tmp_path, capsys):
     assert err == "error: --special g-union-escape takes no --resume\n"
 
 
-def test_census_resume_refuses_a_log_of_another_census(tmp_path, capsys):
-    log = tmp_path / "census.ndjson"
-    assert _run(capsys, "census", "--n", "2", "--log", str(log))[0] == 0
-    code, out, err = _run(capsys, "census", "--n", "3", "--resume", str(log))
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("mine", ("--require", "T1", "--forbid", "R0", "--n", "2"), ("--require", "T1", "--forbid", "R0")),
+        ("census", ("--n", "2"), ("--n", "3")),
+    ],
+    ids=["mine", "census"],
+)
+def test_census_resume_refuses_a_log_of_another_census(tmp_path, capsys, command, first, second):
+    """The resumed log is refused before the fresh log is opened, so no
+    fresh log file is left behind."""
+    log, fresh = tmp_path / "first.ndjson", tmp_path / "fresh.ndjson"
+    assert _run(capsys, command, *first, "--log", str(log))[0] == 0
+    code, out, err = _run(capsys, command, *second, "--resume", str(log), "--log", str(fresh))
     assert code == 1 and out == ""
-    assert "different census" in err
+    assert f"different {command}" in err
+    assert not fresh.exists()
 
 
 def test_census_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys):
