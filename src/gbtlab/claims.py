@@ -894,13 +894,11 @@ def run_claims(
             )
         )
 
-    for claim_id in _OUT_OF_SCOPE:
-        reports.append(ClaimReport(claim_id, STATUS_OUT_OF_SCOPE, None, 0, 0.0))
+    if fixture_filter is None:
+        for claim_id in _OUT_OF_SCOPE:
+            reports.append(ClaimReport(claim_id, STATUS_OUT_OF_SCOPE, None, 0, 0.0))
 
     reports.sort(key=lambda r: r.id)
-    if fixture_filter is not None:
-        wanted = f"EX-{fixture_filter[1:].upper()}"
-        reports = [r for r in reports if r.id == wanted]
     return reports
 
 

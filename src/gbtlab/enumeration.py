@@ -14,7 +14,8 @@ extended by swapping the two topologies.  A pair (F1, F2) is canonical
 when its encoding pair is lexicographically minimal over the group, that
 is, when its index pair is the least of its orbit (McKay's orbit-minimum
 form).  A pair's key, byte n and then both encodings, is written and read
-here only: ``canonical_index_key`` and ``index_pair_of_key``.
+here: ``canonical_index_key`` and ``index_pair_of_key``; the census log
+spells it in hex from ``key_part_hexes``.
 """
 
 from __future__ import annotations
@@ -204,6 +205,13 @@ def _family_indices(n: int) -> dict[bytes, int]:
     return {encoded: i for i, encoded in enumerate(_encoded_families(n))}
 
 
+@lru_cache(maxsize=None)
+def key_part_hexes(n: int) -> dict[str, int]:
+    """The hex of each topology's part of a key on n points, to its index, in
+    index order: a key's hex is that of byte n, then the parts of i and j."""
+    return {encoded.hex(): i for encoded, i in _family_indices(n).items()}
+
+
 def index_pair_of_key(key: bytes) -> tuple[int, int, int]:
     """The (n, i, j) whose ``canonical_index_key`` is ``key``, canonical or not;
     ValueError for bytes that are no key of two topologies on 1 to 4 points."""
@@ -225,8 +233,9 @@ def _set_bits(mask: int, count: int):
     return itertools.compress(range(count), digits)
 
 
-def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
-    """Index pairs (i, j) of canonical representatives, ascending.
+def canonical_pair_indices(n: int, symmetry: str = "perm+swap", among: int | None = None):
+    """Index pairs (i, j) of canonical representatives, ascending; with
+    ``among``, an int mask of indices, only the pairs of two indices in it.
 
     A pair is canonical when (i, j) is minimal over the group among the
     index pairs of its orbit; indices are in encoding order, so this
@@ -241,11 +250,14 @@ def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
     (that covers each j < i), and a j in i's own orbit also needs no
     swapped image (p(j), p(i)) = (i, p(i)) below (i, j).  The tests hold
     these rows exhaustively against the scan over each pair's stabilizer.
+    A first index outside ``among`` gets no row, and each row is cut to
+    ``among``; the orbits of the skipped indices still enter ``earlier``,
+    so the pairs are those of the full list with both indices in ``among``.
     """
     check_symmetry(symmetry)
     gt_perm = _gt_index_permutations(n)
     count = len(gt_perm[0])
-    full = (1 << count) - 1
+    among = (1 << count) - 1 if among is None else among
     below = [sum(1 << j for j, image in enumerate(perm) if image < j) for perm in gt_perm[1:]]
     orbit_min = [min(images) for images in zip(*gt_perm)]
     swap = symmetry == "perm+swap"
@@ -253,17 +265,20 @@ def canonical_pair_indices(n: int, symmetry: str = "perm+swap"):
     for i, least in enumerate(orbit_min):
         if least < i:
             continue
+        orbit = {perm[i] for perm in gt_perm}
         excluded = earlier
+        if swap:
+            earlier |= sum(1 << j for j in orbit)
+        if not among >> i & 1:
+            continue
         for perm, mask in zip(gt_perm[1:], below):
             if perm[i] == i:
                 excluded |= mask
         if swap:
-            orbit = {perm[i] for perm in gt_perm}
             for j in orbit:
                 if any(perm[j] == i and perm[i] < j for perm in gt_perm):
                     excluded |= 1 << j
-            earlier |= sum(1 << j for j in orbit)
-        yield from zip(itertools.repeat(i), _set_bits(full & ~excluded, count))
+        yield from zip(itertools.repeat(i), _set_bits(among & ~excluded, count))
 
 
 def enumerate_gbt_pairs(n: int, symmetry: str = "perm+swap"):

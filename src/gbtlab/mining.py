@@ -32,12 +32,16 @@ kernel, read from the int rows made once per first index, and asserts
 the implication chain of ``axiom_profile`` on every word.  The kernel
 columns hold only the topologies a census's ``max_open_sets`` bound
 admits, found through a position map; without a bound (the unbounded
-census, the lattice and ``mine``) that is every topology.  The pairs of
+census, the lattice and ``mine``) that is every topology.  A bounded
+census enumerates the canonical pairs of its admitted topologies only
+(the ``among`` mask of ``canonical_pair_indices``); the bound counts
+opens, so it never splits an orbit.  The pairs of
 ``canonical_pair_indices`` are minimal in encoding order, so each logged
 key is ``canonical_index_key`` of the pair's indices, and a logged space
 lists each topology's cached ``open_labels``.  A census log line is
-assembled from JSON fragments made once: each topology's labels and each
-verdict word's profile; its bytes are those of ``_dump`` of the record.
+assembled from JSON fragments made once: each topology's key hex and
+labels and each verdict word's profile; its bytes are those of ``_dump``
+of the record.
 ``axiom_profile``, ``canonical_key`` and ``space_to_data`` are the tests'
 oracles for them.
 
@@ -56,14 +60,19 @@ or every canonical space of a census), each block closed by a flushed
 ends with ``{"end": true, ...}``.  Making the log refuses, before any
 work, a log file that is not empty unless it is the resumed log itself:
 a second run appended to it would be added up with the first on resume.
-Its ``replay`` reads the resumed log one line at a time: finished blocks
-go into ``done``, which the walk skips, and every logged record counts,
-including those of a block a crash left unfinished; a logged witness key
-is read back to its pair (``index_pair_of_key``), and one that no run of
-the query can have written is refused.  Only then is the log file
-opened; one that is missing or empty starts as a copy of the resumed
-log, so either file can be resumed later.  Without a log file the
-writes do nothing.
+Its ``replay`` reads the resumed log one line at a time and decodes only
+the header and the block lines: finished blocks go into ``done``, which
+the walk skips, and every record line is handed back undecoded, including
+those of a block a crash left unfinished.  ``mine`` decodes its few
+witness records; a logged witness key is read back to its pair
+(``index_pair_of_key``), and one that no run of the query can have
+written is refused.  ``census`` decodes none of its records
+(``_census_words``): a line's key hex gives its pair, its profile text
+its verdict word, and the line must be byte for byte the one
+``_census_lines`` writes for them, so any other line is refused.  Only
+then is the log file opened; one that is missing or empty starts as a
+copy of the resumed log, so either file can be resumed later.  Without a
+log file the writes do nothing.
 """
 
 from __future__ import annotations
@@ -102,6 +111,8 @@ from .enumeration import (
     enumerate_gbt_pairs,
     gts_on,
     index_pair_of_key,
+    key_part_hexes,
+    key_width,
     pair_orbit_size,
 )
 from .gbt import GbtSpace
@@ -338,21 +349,23 @@ class _BlockLog:
         self.done: Counter[tuple[int, int]] = Counter()  # (n, index) -> spaces checked
 
     def replay(self):
-        """Yield the records of the resumed log, if any; its first line must
-        carry the header, and its block lines are entered in ``done``."""
+        """Yield the record lines of the resumed log, if any, undecoded; its
+        first line must carry the header, and its block lines are decoded
+        and entered in ``done``."""
         if self._resumed is None:
             return
         with open(self._resumed, encoding="utf-8") as handle:
-            records = (json.loads(line) for line in handle if line.strip())
-            first = next(records, None)
+            lines = filter(str.strip, handle)
+            first = json.loads(next(lines, "null"))
             if not isinstance(first, dict) or first.get("header") != self._header["header"]:
                 raise ValueError(f"{self._resumed}: log was written for a different {self._header['log']} run")
-            for record in records:
-                if "block" in record:
+            for line in lines:
+                if line.startswith('{"block":'):
+                    record = json.loads(line)
                     n, index = record["block"]
                     self.done[n, index] += record["checked"]
                 else:
-                    yield record
+                    yield line
 
     def __enter__(self) -> _BlockLog:
         """Open the log; a missing or empty one starts as a copy of the
@@ -400,7 +413,7 @@ def mine(
     witnesses: list[Witness] = []
     seen: set[tuple[int, int, int]] = set()  # the (n, i, j) of each canonical pair found
     ended = False
-    for record in log.replay():
+    for record in map(json.loads, log.replay()):
         if "key" in record:
             pair = _logged_pair(query, record["key"])
             if pair not in seen:
@@ -529,27 +542,74 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
             yield word
 
 
-def _census_lines(n: int):
-    """A function giving the census log line of the pair (i, j) with verdict word ``word``.
+@lru_cache(maxsize=None)
+def _profile_texts() -> tuple[str, ...]:
+    """The JSON text of each verdict word's profile, indexed by the word."""
+    return tuple(_compact(word_verdicts(word)) for word in range(1 << len(WORD_KERNELS)))
 
-    A line is assembled from cached JSON fragments: each topology's
-    ``open_labels`` and each word's profile are serialized once.  It is
+
+def _keeps_chain(word: int) -> bool:
+    """Whether a verdict word keeps the implication chain, as each word that
+    ``verdict_words`` yields does."""
+    try:
+        check_implication_chain(word_verdicts(word), word)
+    except InternalDisagreementError:
+        return False
+    return True
+
+
+def _census_lines(n: int, max_open_sets: int | None = None):
+    """A function giving the census log line of the pair (i, j) of admitted
+    topologies with verdict word ``word``.
+
+    A line is assembled from JSON fragments made once: each admitted
+    topology's key hex and ``open_labels`` and each word's profile.  It is
     byte-identical to ``_dump`` of the record with the pair's
     ``canonical_index_key``, its space (points, then each topology's
-    ``open_labels``) and ``word_verdicts(word)``.
+    ``open_labels``) and ``word_verdicts(word)``; a topology the bound does
+    not admit raises KeyError.
     """
     gts = gts_on(n)
+    size = bytes([n]).hex()
+    keys = list(key_part_hexes(n))
+    labels = {i: _compact(gts[i].open_labels) for i in _admitted(n, max_open_sets)}
     points = _compact(gts[0].ground.names)
-    labels = lru_cache(maxsize=None)(lambda i: _compact(gts[i].open_labels))
-    profile = lru_cache(maxsize=None)(lambda word: _compact(word_verdicts(word)))
+    profiles = _profile_texts()
 
     def line(i: int, j: int, word: int) -> str:
         return (
-            f'{{"key":"{canonical_index_key(n, i, j).hex()}","profile":{profile(word)},'
-            f'"space":{{"mu1":{labels(i)},"mu2":{labels(j)},"points":{points}}}}}\n'
+            f'{{"key":"{size}{keys[i]}{keys[j]}","profile":{profiles[word]},'
+            f'"space":{{"mu1":{labels[i]},"mu2":{labels[j]},"points":{points}}}}}\n'
         )
 
     return line
+
+
+def _census_words(n: int, line, lines, where):
+    """The verdict word of each census record line, read without decoding it.
+
+    The key's hex gives the pair (i, j) and the profile text gives the
+    word, from a map of the profiles of the words that keep the implication
+    chain; the line must then be byte-identical to ``line(i, j, word)``,
+    the census's own line (``_census_lines``), so a line that the census
+    would not have written raises ValueError.
+    """
+    indices = key_part_hexes(n)
+    words = {text: word for word, text in enumerate(_profile_texts()) if _keeps_chain(word)}
+    first = len('{"key":"00')  # a key's hex: the size byte, then each topology's part
+    second = first + 2 * key_width(n)
+    end = second + 2 * key_width(n)
+    start = end + len('","profile":')
+    for text in lines:
+        try:
+            i, j = indices[text[first:second]], indices[text[second:end]]
+            word = words[text[start : text.index("}", start) + 1]]
+            known = text == line(i, j, word)
+        except (KeyError, ValueError):
+            known = False
+        if not known:
+            raise ValueError(f"{where}: not a record of this census: {text.rstrip()!r}")
+        yield word
 
 
 def census(
@@ -578,27 +638,20 @@ def census(
         raise ValueError(f"max_open_sets must be at least 0, got {max_open_sets}")
     header = {"n": n, "symmetry": symmetry, "max_open_sets": max_open_sets}
     log = _BlockLog({"header": header, "log": "census"}, log_path, resume_path)
-    admitted = set(_admitted(n, max_open_sets))
+    admitted = _admitted(n, max_open_sets)
     admitted_count = len(admitted)
-    pairs = [
-        pair
-        for pair in canonical_pair_indices(n, symmetry)
-        if pair[0] in admitted and pair[1] in admitted
-    ]
+    among = None if max_open_sets is None else sum(1 << i for i in admitted)
+    pairs = list(canonical_pair_indices(n, symmetry, among))
 
-    axiom_counts: Counter[str] = Counter()
-    for record in log.replay():
-        if "key" in record:
-            axiom_counts.update(name for name, value in record["profile"].items() if value)
-
-    word_counts: Counter[int] = Counter()
+    line = _census_lines(n, max_open_sets)
+    word_counts = Counter(_census_words(n, line, log.replay(), resume_path))
     with log:
-        line = _census_lines(n)
         for _, index, block in _block_walk([(n, len(pairs))], log.done, lambda _, lo, hi: pairs[lo:hi]):
             words = list(verdict_words(n, block, max_open_sets))
             word_counts.update(words)
             log.lines(line(i, j, word) for (i, j), word in zip(block, words))
             log.block(n, index, len(block))
+    axiom_counts: Counter[str] = Counter()
     for word, count in word_counts.items():
         axiom_counts.update({name: count for name, value in word_verdicts(word).items() if value})
 

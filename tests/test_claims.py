@@ -129,6 +129,12 @@ def test_fixture_filter():
     assert only[0].status == STATUS_VERIFIED
 
 
+@pytest.mark.parametrize("fixture_filter", ["e64", "e65", "e66", "E64", "nope"])
+def test_a_fixture_filter_returns_fixture_reports_only(fixture_filter):
+    """EX-64 to EX-66 are out-of-scope claims, not fixtures."""
+    assert run_claims(fixture_filter=fixture_filter) == []
+
+
 def test_a_fixture_run_checks_its_fixture_only(monkeypatch):
     called = []
 

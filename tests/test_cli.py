@@ -323,6 +323,52 @@ def test_census_resumed_into_another_log_can_itself_be_resumed(tmp_path, capsys)
     assert _run(capsys, "census", "--n", "2", "--resume", str(other)) == (0, row, "")
 
 
+# T1/2 without T0: a census asserts the implication chain on every word it writes
+CHAIN_BREAKING = '{"LSYM":false,"R0":false,"SYM":false,"T0":false,"T1":false,"T1_2":true,"T1_4":false,"T3_8":false,"T5_8":false}'
+
+
+def _reordered(line):
+    record = json.loads(line)
+    return json.dumps({name: record[name] for name in ("space", "key", "profile")}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda line: line.replace('"key":"03', '"key":"zz'),
+        lambda line: line[: line.index('"key":"') + 7] + "020005" + line[line.index('","profile"') :],
+        lambda line: line.replace('"profile":{"LSYM":', '"profile":{"lsym":'),
+        lambda line: line[: line.index('"profile":') + 10] + CHAIN_BREAKING + line[line.index(',"space":') :],
+        _reordered,
+        lambda line: line.replace('"T0":', '"T0": '),
+        lambda line: line.replace('"points":', '"points": '),
+    ],
+    ids=[
+        "non-hex-key",
+        "two-point-key",
+        "unknown-profile",
+        "chain-breaking-profile",
+        "reordered-fields",
+        "added-space",
+        "space-in-space",
+    ],
+)
+def test_census_resume_refuses_a_line_the_census_would_not_write(tmp_path, capsys, change):
+    """A record line in the middle of a finished log, changed into valid
+    JSON that is not byte for byte the census's own line."""
+    log = tmp_path / "census.ndjson"
+    assert _run(capsys, "census", "--n", "3", "--log", str(log))[0] == 0
+    lines = log.read_text().splitlines(keepends=True)
+    k = next(k for k in range(len(lines) // 2, len(lines)) if '"key"' in lines[k])
+    changed = change(lines[k])
+    assert changed != lines[k] and json.loads(changed).keys() == json.loads(lines[k]).keys()
+    lines[k] = changed
+    log.write_text("".join(lines))
+    code, out, err = _run(capsys, "census", "--n", "3", "--resume", str(log))
+    assert (code, out) == (1, "")
+    assert err == f"error: {log}: not a record of this census: {changed.rstrip()!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -159,6 +159,26 @@ def test_canonical_pairs_are_the_minima_of_their_image_sets(n, symmetry):
     assert list(canonical_pair_indices(n, symmetry)) == kept
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_canonical_pairs_among_admitted_topologies(n, symmetry):
+    """The pairs of two admitted topologies, for every bound on the number
+    of nonempty opens, are those of the full list; so are those of two
+    indices of a random mask, which splits orbits."""
+    pairs = list(canonical_pair_indices(n, symmetry))
+    gts = gts_on(n)
+    masks = [
+        sum(1 << i for i, t in enumerate(gts) if bound is None or len(t.opens) - 1 <= bound)
+        for bound in (None, *range(8))
+    ]
+    if n <= 3:
+        rng = random.Random(n)
+        masks += [rng.getrandbits(len(gts)) for _ in range(20)]
+    for among in masks:
+        want = [(i, j) for i, j in pairs if among >> i & 1 and among >> j & 1]
+        assert list(canonical_pair_indices(n, symmetry, among)) == want
+
+
 def test_canonical_pair_counts_n4():
     """Burnside's pair-orbit counts on four points."""
     assert sum(1 for _ in canonical_pair_indices(4, "perm+swap")) == 136550

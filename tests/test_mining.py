@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import json
 import random
+from collections import Counter
 from concurrent.futures import Future
 from functools import lru_cache
 
@@ -410,6 +411,57 @@ def test_census_resumes_from_every_block_boundary(tmp_path):
     cut.write_text(cuts[5])
     assert census(3, log_path=cut, resume_path=cut) == row
     assert cut.read_bytes() == full.read_bytes()
+
+
+def _decoded_counts(path):
+    """The axiom counts of a census log, each record decoded with ``json.loads``."""
+    counts = Counter()
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if "key" in record:
+            counts.update(name for name, value in record["profile"].items() if value)
+    return dict(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_finished_census_log_resumes_to_the_written_row(tmp_path, n, symmetry):
+    for bound in (None, *range(8)):
+        log = tmp_path / f"census-{bound}.ndjson"
+        row = census(n, symmetry, max_open_sets=bound, log_path=log)
+        assert census(n, symmetry, max_open_sets=bound, resume_path=log) == row, bound
+        assert row.axiom_counts == _decoded_counts(log), bound
+
+
+def test_a_census_resume_decodes_only_the_header_and_block_lines(tmp_path, monkeypatch):
+    log = tmp_path / "census.ndjson"
+    row = census(3, log_path=log)
+    decoded = []
+
+    def loads(text, real=json.loads):
+        decoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(json, "loads", loads)
+    assert census(3, resume_path=log) == row
+    lines = log.read_text().splitlines(keepends=True)
+    assert decoded == [line for line in lines if '"key"' not in line]
+    assert len(decoded) == 1 + 31  # the header and 31 block lines
+
+
+def test_a_bounded_census_resume_refuses_a_pair_outside_the_bound(tmp_path):
+    """A record with its true verdicts, but of a pair the bound does not admit."""
+    log = tmp_path / "census.ndjson"
+    row = census(3, max_open_sets=2, log_path=log)
+    lines = log.read_text().splitlines(keepends=True)
+    admitted = {i for i, t in enumerate(gts_on(3)) if len(t.opens) - 1 <= 2}
+    pair = next(p for p in canonical_pair_indices(3, "perm") if not set(p) <= admitted)
+    k = next(k for k in range(len(lines) // 2, len(lines)) if '"key"' in lines[k])
+    lines[k] = mining._census_lines(3)(*pair, next(verdict_words(3, [pair])))
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match="not a record of this census"):
+        census(3, max_open_sets=2, resume_path=log)
+    assert row.labeled_gt_count == len(admitted)
 
 
 @pytest.mark.parametrize(
