@@ -42,7 +42,7 @@ from .axioms import (
     t_fraction_by_definition,
     t_half_by_definition,
 )
-from .enumeration import check_size, enumerate_gbt_pairs, gts_on
+from .enumeration import canonical_pair_indices, check_size, gts_on
 from .fixtures import FIXTURES, Assertion, Fixture, get_fixture
 from .gbt import GbtSpace
 from .gt import (
@@ -838,14 +838,6 @@ def eval_fixture(fixture: Fixture) -> tuple[str, list[str]]:
 SWEEP_CHUNK = 32
 
 
-def _random_n4_spaces(samples: int, seed: int):
-    gts = gts_on(4)
-    g = gts[0].ground
-    rng = Random(seed)
-    for _ in range(samples):
-        yield GbtSpace(g, gts[rng.randrange(len(gts))], gts[rng.randrange(len(gts))])
-
-
 def run_claims(
     n_scope: int = 3,
     fixture_filter: str | None = None,
@@ -903,20 +895,22 @@ def run_claims(
 
 
 def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimReport]:
-    """The reports of the universal claims, swept over the canonical spaces
-    up to ``n_scope`` points and ``n4_samples`` random four-point spaces, and
-    of the one-off claims."""
+    """The reports of the universal claims, swept over the index pairs of
+    ``canonical_pair_indices`` on 1 to ``n_scope`` points and then over
+    ``n4_samples`` seeded four-point index pairs, and of the one-off claims."""
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
     elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
     verified: dict[str, dict] = {}
 
-    def sweep(spaces):
+    def sweep(n, pairs):
         # checker-major over chunks: each unviolated checker runs over the
         # chunk's contexts in sweep order and stops at its first violation
         clock = time.perf_counter
-        spaces = iter(spaces)
-        while chunk := [SpaceContext(space, verified) for space in itertools.islice(spaces, SWEEP_CHUNK)]:
+        gts = gts_on(n)
+        g = gts[0].ground
+        contexts = (SpaceContext(GbtSpace(g, gts[i], gts[j]), verified) for i, j in pairs)
+        while chunk := list(itertools.islice(contexts, SWEEP_CHUNK)):
             for claim_id, checker in _UNIVERSAL_CHECKERS.items():
                 if claim_id in violations:
                     continue
@@ -932,9 +926,10 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
                 checked[claim_id] += count
 
     for n in range(1, n_scope + 1):
-        sweep(enumerate_gbt_pairs(n))
+        sweep(n, canonical_pair_indices(n))
     if n4_samples:
-        sweep(_random_n4_spaces(n4_samples, seed))
+        count, rng = len(gts_on(4)), Random(seed)
+        sweep(4, ((rng.randrange(count), rng.randrange(count)) for _ in range(n4_samples)))
 
     reports = []
     for claim_id in _UNIVERSAL_CHECKERS:

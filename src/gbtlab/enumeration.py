@@ -201,15 +201,10 @@ def canonical_index_key(n: int, i: int, j: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _family_indices(n: int) -> dict[bytes, int]:
-    return {encoded: i for i, encoded in enumerate(_encoded_families(n))}
-
-
-@lru_cache(maxsize=None)
 def key_part_hexes(n: int) -> dict[str, int]:
     """The hex of each topology's part of a key on n points, to its index, in
     index order: a key's hex is that of byte n, then the parts of i and j."""
-    return {encoded.hex(): i for encoded, i in _family_indices(n).items()}
+    return {encoded.hex(): i for i, encoded in enumerate(_encoded_families(n))}
 
 
 def index_pair_of_key(key: bytes) -> tuple[int, int, int]:
@@ -217,8 +212,8 @@ def index_pair_of_key(key: bytes) -> tuple[int, int, int]:
     ValueError for bytes that are no key of two topologies on 1 to 4 points."""
     n = key[0] if key else 0
     width = key_width(n)
-    indices = _family_indices(n) if 1 <= n <= 4 else {}
-    i, j = (indices.get(key[start : start + width]) for start in (1, 1 + width))
+    indices = key_part_hexes(n) if 1 <= n <= 4 else {}
+    i, j = (indices.get(key[start : start + width].hex()) for start in (1, 1 + width))
     if len(key) != 1 + 2 * width or i is None or j is None:
         raise ValueError(f"{key.hex()} is not the key of a pair of generalized topologies")
     return n, i, j
@@ -282,11 +277,9 @@ def canonical_pair_indices(n: int, symmetry: str = "perm+swap", among: int | Non
 
 
 def enumerate_gbt_pairs(n: int, symmetry: str = "perm+swap"):
-    """One representative space per isomorphism class, deterministic order.
-
-    The one place that turns canonical index pairs into spaces; sweeps over
-    several sizes chain it over their levels.
-    """
+    """One representative space per isomorphism class, deterministic order:
+    the spaces of ``canonical_pair_indices``, a public convenience; the
+    library's sweeps read the index pairs themselves."""
     gts = gts_on(n)
     g = gts[0].ground
     for i, j in canonical_pair_indices(n, symmetry):

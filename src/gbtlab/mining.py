@@ -86,7 +86,7 @@ from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, combinations, groupby, islice
+from itertools import combinations, groupby, islice
 
 from .axioms import (
     PAIR_KERNELS,
@@ -104,11 +104,10 @@ from .axioms import (
 from .enumeration import (
     canonical_index_key,
     canonical_index_pair,
-    canonical_key,
+    canonical_key,  # unused here, but bench/tracing.py patches this name in this module
     canonical_pair_indices,
     check_size,
     check_symmetry,
-    enumerate_gbt_pairs,
     gts_on,
     index_pair_of_key,
     key_part_hexes,
@@ -633,6 +632,8 @@ def census(
     ``canonical_key`` and ``space_to_data``, which the tests compare.
     """
     check_symmetry(symmetry)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     check_size(n)
     if max_open_sets is not None and max_open_sets < 0:
         raise ValueError(f"max_open_sets must be at least 0, got {max_open_sets}")
@@ -688,23 +689,22 @@ class SetWitness:
         }
 
 
-def _spaces_up_to(n_max: int):
-    """Every canonical space on 1 to ``n_max`` points; refuses a scope with none."""
+def _first_witness(n_max: int, describe) -> tuple[SetWitness | None, int]:
+    """The first canonical space on 1 to ``n_max`` points, in the order of
+    ``canonical_pair_indices``, that ``describe`` has a description of, and
+    the number of spaces scanned; refuses a scope with none."""
     if n_max < 1:
         raise ValueError(f"n must be at least 1, got {n_max}")
     check_size(n_max)
-    return chain.from_iterable(map(enumerate_gbt_pairs, range(1, n_max + 1)))
-
-
-def _first_witness(n_max: int, describe) -> tuple[SetWitness | None, int]:
-    """The first canonical space up to ``n_max`` points that ``describe``
-    has a description of, and the number of spaces scanned."""
     checked = 0
-    for space in _spaces_up_to(n_max):
-        checked += 1
-        description = describe(space)
-        if description is not None:
-            return SetWitness(space, description, canonical_key(space)), checked
+    for n in range(1, n_max + 1):
+        gts = gts_on(n)
+        for i, j in canonical_pair_indices(n):
+            checked += 1
+            space = GbtSpace(gts[0].ground, gts[i], gts[j])
+            description = describe(space)
+            if description is not None:
+                return SetWitness(space, description, canonical_index_key(n, i, j)), checked
     return None, checked
 
 

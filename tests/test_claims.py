@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from random import Random
 
 import pytest
 
@@ -24,7 +25,7 @@ from gbtlab.claims import (
     run_claims,
     statuses_match_expectations,
 )
-from gbtlab.enumeration import enumerate_gbt_pairs
+from gbtlab.enumeration import canonical_pair_indices, gts_on
 from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology
@@ -418,7 +419,10 @@ def test_a_violation_past_the_first_chunk_stops_only_its_own_claim(monkeypatch):
     checker that first fails on a space of a later chunk reports that space,
     counted by its position in the sweep, and the other claims check every
     space."""
-    sweep = [s for n in (1, 2) for s in enumerate_gbt_pairs(n)] + list(claims._random_n4_spaces(100, 7))
+    rng, count = Random(7), len(gts_on(4))
+    pairs = [(n, i, j) for n in (1, 2) for i, j in canonical_pair_indices(n)]
+    pairs += [(4, rng.randrange(count), rng.randrange(count)) for _ in range(100)]
+    sweep = [GbtSpace(gts_on(n)[0].ground, gts_on(n)[i], gts_on(n)[j]) for n, i, j in pairs]
     position = len(sweep) - 100 + claims.SWEEP_CHUNK + 6
     want = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
     original, calls = _UNIVERSAL_CHECKERS["THM-20"], []
@@ -438,6 +442,30 @@ def test_a_violation_past_the_first_chunk_stops_only_its_own_claim(monkeypatch):
     assert got == want
     swept = [r for claim_id, r in got.items() if claim_id in _UNIVERSAL_CHECKERS]
     assert {r["spaces_checked"] for r in swept if r["status"] == STATUS_VERIFIED} == {len(sweep)}
+
+
+def test_the_claim_sweep_reads_the_canonical_pairs_once_per_level(monkeypatch):
+    """The sweep reads its spaces' index pairs through this module's
+    ``canonical_pair_indices``, one call per level in scope, and its
+    topologies through its ``gts_on``: with no samples, none on four points."""
+    levels, built = [], set()
+
+    def counted(n, *args):
+        levels.append(n)
+        return canonical_pair_indices(n, *args)
+
+    def topologies(n):
+        built.add(n)
+        return gts_on(n)
+
+    monkeypatch.setattr(claims, "canonical_pair_indices", counted)
+    monkeypatch.setattr(claims, "gts_on", topologies)
+    # only the sweep: no one-off claims and no fixtures
+    monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
+    monkeypatch.setattr(claims, "FIXTURES", ())
+    reports = run_claims(n_scope=3, n4_samples=0)
+    assert levels == [1, 2, 3] and built == {1, 2, 3}
+    assert {r.spaces_checked for r in reports if r.status == STATUS_VERIFIED} == {411}
 
 
 def test_the_claim_sweep_decides_t0_once_per_space(monkeypatch):

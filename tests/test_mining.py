@@ -22,9 +22,10 @@ from gbtlab.axioms import (
     evaluate_axiom,
     sliced_tables,
 )
-from gbtlab.enumeration import canonical_key, canonical_pair_indices, gts_on
+from gbtlab.enumeration import canonical_key, canonical_pair_indices, enumerate_gbt_pairs, gts_on
 from gbtlab.lattice import implication_lattice
 from gbtlab.mining import (
+    SPECIAL_QUERIES,
     MiningQuery,
     census,
     find_g_intersection_violation,
@@ -214,6 +215,26 @@ def test_special_searches_verify():
 
     inter_hit, _ = find_g_intersection_violation(3)
     assert inter_hit is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SPECIAL_QUERIES))
+def test_a_set_level_finder_keys_the_first_space_it_describes(monkeypatch, name, n):
+    """A finder walks the canonical spaces in the order of the chained
+    ``enumerate_gbt_pairs`` stream, and keys its witness by the index pair,
+    which is the space's ``canonical_key``, without that permutation search."""
+
+    def search(*args, **kwargs):
+        raise AssertionError("canonical_key was called")
+
+    monkeypatch.setattr(mining, "canonical_key", search)
+    stream = [space for level in range(1, n + 1) for space in enumerate_gbt_pairs(level)]
+    witness, checked = SPECIAL_QUERIES[name](n)
+    if witness is None:
+        assert checked == len(stream)
+    else:
+        assert witness.space == stream[checked - 1]
+        assert witness.key == canonical_key(witness.space)
 
 
 def test_census_small_values():
