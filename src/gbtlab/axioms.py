@@ -14,6 +14,13 @@ quantifier-shaped definitional algorithms are kept as cross-validation
 oracles, as are the alternative characterizations of T0 and T1/2; a
 disagreement between routes raises InternalDisagreementError, which the
 CLI maps to exit code 3.
+
+The second routes take the space and read its family masks (``gbt``):
+T0 when every singleton is pairwise λ-closed, T1/2 when each side's
+g-closed family lies inside its closed one.  The deciders keep ``(t1, t2)``
+and their own scans, since mining decides every hit again through
+``evaluate_axiom(name, t1, t2)`` with no space at hand; reading a space's
+family masks there made hit-heavy queries slower.
 """
 
 from __future__ import annotations
@@ -55,8 +62,9 @@ def decide_t0(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, s
     return True, None
 
 
-def t0_by_one_point_sets(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
+def t0_by_one_point_sets(s: GbtSpace) -> bool:
     """T0 via sets that are open on one side or closed on the other."""
+    t1, t2 = s.mu1, s.mu2
     kinds = set(t1.opens) | set(t2.opens) | set(t1.closed_masks) | set(t2.closed_masks)
     n = t1.ground.size
     for x, y in itertools.combinations(range(n), 2):
@@ -66,13 +74,10 @@ def t0_by_one_point_sets(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bo
     return True
 
 
-def t0_by_singletons(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
-    """T0 via pairwise λ-closedness of every singleton."""
-    cl1, cl2, w1, w2 = t1.closure_table, t2.closure_table, t1.wedge_table, t2.wedge_table
-    return all(
-        cl1[p] & cl2[p] & w1[p] & w2[p] == p
-        for p in (1 << x for x in range(t1.ground.size))
-    )
+def t0_by_singletons(s: GbtSpace) -> bool:
+    """T0 via pairwise λ-closedness of every singleton (THM-58)."""
+    singletons = s.ground.singletons
+    return s.pairwise_lambda_closed & singletons == singletons
 
 
 def decide_t1(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, str | None]:
@@ -119,30 +124,20 @@ def decide_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[
 
 
 def decide_t_half(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, str | None]:
-    """Singleton rule: each {x} is (mu1-open or mu2-closed) and (mu2-open or mu1-closed)."""
-    full = t1.ground.full_mask
-    for x in range(t1.ground.size):
-        p = 1 << x
-        open1 = t1.open_family >> p & 1
-        open2 = t2.open_family >> p & 1
-        closed1 = t1.open_family >> (full ^ p) & 1
-        closed2 = t2.open_family >> (full ^ p) & 1
-        if not (open1 or closed2):
-            return False, f"singleton {{{t1.ground.names[x]}}} neither mu1-open nor mu2-closed"
-        if not (open2 or closed1):
-            return False, f"singleton {{{t1.ground.names[x]}}} neither mu2-open nor mu1-closed"
-    return True, None
+    """Singleton rule: each {x} is (mu1-open or mu2-closed) and (mu2-open or mu1-closed).
+    The witness names the least failing point and the first rule it fails."""
+    first = t1.open_points | t2.closed_points
+    failing = t1.ground.full_mask & ~(first & (t2.open_points | t1.closed_points))
+    if not failing:
+        return True, None
+    x = (failing & -failing).bit_length() - 1
+    rule = "mu2-open nor mu1-closed" if first >> x & 1 else "mu1-open nor mu2-closed"
+    return False, f"singleton {{{t1.ground.names[x]}}} neither {rule}"
 
 
-def t_half_by_definition(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
-    """Literal subset scan: every g-closed set wrt the other side is closed."""
-    full = t1.ground.full_mask
-    for ta, tb in ((t1, t2), (t2, t1)):
-        for a in range(full + 1):
-            g_closed = ta.closure_table[a] & ~tb.wedge_table[a] == 0
-            if g_closed and ta.closure_table[a] != a:
-                return False
-    return True
+def t_half_by_definition(s: GbtSpace) -> bool:
+    """Every g-closed set wrt the other side is closed, on both sides."""
+    return not (s.g_closed[1] & ~s.mu1.closed_family or s.g_closed[2] & ~s.mu2.closed_family)
 
 
 def decide_all_lambda(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple[bool, str | None]:
@@ -154,13 +149,14 @@ def decide_all_lambda(t1: GeneralizedTopology, t2: GeneralizedTopology) -> tuple
     return True, None
 
 
-def t_fraction_by_definition(t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
+def t_fraction_by_definition(s: GbtSpace) -> bool:
     """Separation of every subset from every outside point by one of the four
     kinds of set (open or closed on either side).  On a finite carrier this is
     the definitional algorithm for T1/4, T3/8 and T5/8 alike.  The kinds
     containing P meet in their hull, and a point outside P is separated from
     P exactly when it lies outside the hull; the hulls of all P come from
     one superset DP (``gt.meet_table``)."""
+    t1, t2 = s.mu1, s.mu2
     kinds = t1.open_family | t2.open_family | t1.closed_family | t2.closed_family
     return all(hull == p for p, hull in enumerate(meet_table(kinds, t1.ground.size)))
 
@@ -512,22 +508,18 @@ def cross_validate_space(s: GbtSpace) -> None:
     """Run every alternative decision route; raise on any disagreement."""
     t1, t2 = s.mu1, s.mu2
     t0 = decide_t0(t1, t2)[0]
-    routes_t0 = (t0_by_one_point_sets(t1, t2), t0_by_singletons(t1, t2))
+    routes_t0 = (t0_by_one_point_sets(s), t0_by_singletons(s))
     if any(r != t0 for r in routes_t0):
         raise InternalDisagreementError(
             f"T0 routes disagree on {s!r}: definitional={t0}, "
             f"one-point-sets={routes_t0[0]}, singleton-λ={routes_t0[1]}"
         )
     t_half = decide_t_half(t1, t2)[0]
-    if t_half_by_definition(t1, t2) != t_half:
-        raise InternalDisagreementError(
-            f"T1/2 routes disagree on {s!r}: singleton rule={t_half}"
-        )
+    if t_half_by_definition(s) != t_half:
+        raise InternalDisagreementError(f"T1/2 routes disagree on {s!r}: singleton rule={t_half}")
     frac = decide_all_lambda(t1, t2)[0]
-    if t_fraction_by_definition(t1, t2) != frac:
-        raise InternalDisagreementError(
-            f"T1/4-T5/8 routes disagree on {s!r}: λ-scan={frac}"
-        )
+    if t_fraction_by_definition(s) != frac:
+        raise InternalDisagreementError(f"T1/4-T5/8 routes disagree on {s!r}: λ-scan={frac}")
 
 
 def check_implication_chain(verdicts: dict[str, bool], where: object) -> None:

@@ -150,11 +150,11 @@ class SpaceContext:
 
     @cached_property
     def fraction_definitional(self) -> bool:
-        return t_fraction_by_definition(self.t1, self.t2)
+        return t_fraction_by_definition(self.space)
 
     @cached_property
     def t_half_definitional(self) -> bool:
-        return t_half_by_definition(self.t1, self.t2)
+        return t_half_by_definition(self.space)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
 
 
 def check_thm15(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t0 != t0_by_one_point_sets(ctx.t1, ctx.t2):
+    if ctx.profile.t0 != t0_by_one_point_sets(ctx.space):
         return ctx.where("T0 differs from the one-point-set characterization")
     return None
 
@@ -541,7 +541,7 @@ def check_thm57(ctx: SpaceContext) -> str | None:
 
 
 def check_thm58(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t0 != t0_by_singletons(ctx.t1, ctx.t2):
+    if ctx.profile.t0 != t0_by_singletons(ctx.space):
         return ctx.where("T0 differs from singleton pairwise-λ-closedness")
     return None
 

@@ -2,12 +2,13 @@
 
 A family over n points is encoded as a bitmask over the 2^n - 1 nonempty
 subsets: mask m (1 ≤ m ≤ 2^n - 1) contributes bit m - 1, and ∅ is
-implicit.  Families are generated by a depth-first scan deciding masks
-from the largest down, exclude branch first, so the stream is strictly
-ascending in this encoding.  Union closure is checked incrementally:
-when mask m is added, every union m | c with an already-chosen c is a
-larger mask whose membership has been decided, so a single pass over the
-chosen sets suffices.
+implicit.  An encoding is thus the family mask without its ∅ bit,
+``sets.family_of(masks) >> 1``.  Families are generated by a depth-first
+scan deciding masks from the largest down, exclude branch first, so the
+stream is strictly ascending in this encoding.  Union closure is checked
+incrementally: when mask m is added, every union m | c with an
+already-chosen c is a larger mask whose membership has been decided, so a
+single pass over the chosen sets suffices.
 
 Isomorph rejection acts by simultaneous point permutations, optionally
 extended by swapping the two topologies.  A pair (F1, F2) is canonical
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
-from .sets import ground
+from .sets import family_of, ground
 
 SYMMETRIES = ("perm", "perm+swap")
 
@@ -45,15 +46,6 @@ def check_size(n: int) -> int:
             "on 5 points alone (OEIS A102896), so a sweep over their pairs cannot finish"
         )
     return n
-
-
-def family_encoding(masks) -> int:
-    """Integer encoding of a family of open masks (∅ contributes nothing)."""
-    enc = 0
-    for m in masks:
-        if m:
-            enc |= 1 << (m - 1)
-    return enc
 
 
 def iter_gt_mask_families(n: int):
@@ -117,10 +109,6 @@ def _perm_mask_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def permute_family(masks, table) -> tuple[int, ...]:
-    return tuple(sorted(table[m] for m in masks))
-
-
 def _byte_images(table, width: int) -> list[list[int]]:
     """Per byte of a family encoding, the encoding of each byte value's image
     under the mask map ``table``: bit k of byte b stands for mask 8b + k + 1."""
@@ -142,7 +130,7 @@ def _gt_index_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     A family's image encoding is the OR of its bytes' images, read from
     per-permutation lookup tables.
     """
-    encodings = [family_encoding(f) for f in gt_mask_families(n)]
+    encodings = [family_of(f) >> 1 for f in gt_mask_families(n)]
     index_of = {enc: i for i, enc in enumerate(encodings)}
     width = key_width(n)
     byte_columns = [[enc >> 8 * b & 255 for enc in encodings] for b in range(width)]
@@ -159,15 +147,11 @@ def _gt_index_permutations(n: int) -> tuple[tuple[int, ...], ...]:
 def canonical_pair_encoding(f1, f2, n: int, symmetry: str = "perm+swap") -> tuple[int, int]:
     """Lexicographically minimal encoding pair over the symmetry group."""
     check_symmetry(symmetry)
-    best = None
-    for table in _perm_mask_tables(n):
-        p1 = family_encoding(permute_family(f1, table))
-        p2 = family_encoding(permute_family(f2, table))
-        if best is None or (p1, p2) < best:
-            best = (p1, p2)
-        if symmetry == "perm+swap" and (p2, p1) < best:
-            best = (p2, p1)
-    return best
+    tables = _perm_mask_tables(n)
+    images = [(family_of(t[m] for m in f1) >> 1, family_of(t[m] for m in f2) >> 1) for t in tables]
+    if symmetry == "perm+swap":
+        images += [(e2, e1) for e1, e2 in images]
+    return min(images)
 
 
 def key_width(n: int) -> int:
@@ -190,7 +174,7 @@ def canonical_key(s: GbtSpace, symmetry: str = "perm+swap") -> bytes:
 @lru_cache(maxsize=None)
 def _encoded_families(n: int) -> tuple[bytes, ...]:
     width = key_width(n)
-    return tuple(family_encoding(f).to_bytes(width, "big") for f in gt_mask_families(n))
+    return tuple((family_of(f) >> 1).to_bytes(width, "big") for f in gt_mask_families(n))
 
 
 def canonical_index_key(n: int, i: int, j: int) -> bytes:

@@ -21,15 +21,17 @@ last two are the mask functions ``weakly_separated`` and ``closed_in_gap``.
 The predicates, the λ-open families, the claim checkers and the mining
 queries read them.  The existential decomposition forms are oracles:
 ``lambda_closed_forms`` and ``pairwise_lambda_closed_forms`` give one family
-mask per form (LEM-43, LEM-45 and the tests compare them), and
-``g_open_by_kernels`` and ``lambda_open_by_decomposition`` are checked by
-the tests.
+mask per form (LEM-43, LEM-45 and the tests compare them), both from one
+form builder, ``_closed_forms``, fed the one-sided or the pairwise closed
+sets, ∧-sets and tables; ``g_open_by_kernels`` and
+``lambda_open_by_decomposition`` are checked by the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import and_
 
 from .gt import GeneralizedTopology, gt_from_labels, validate_gt
 from .sets import GroundSet, GroundSetError, Subset, complemented, family_of, ground, members
@@ -89,14 +91,12 @@ class GbtSpace:
     @cached_property
     def g_closed(self) -> dict[int, int]:
         """Per side i, the family mask of the g-closed sets wrt side j."""
-        g1, g2 = self._family_masks[:2]
-        return {1: g1, 2: g2}
+        return {1: self._family_masks[0], 2: self._family_masks[1]}
 
     @cached_property
     def lambda_closed(self) -> dict[int, int]:
         """Per side i, the family mask of the λ-closed sets wrt side j."""
-        l1, l2 = self._family_masks[2:4]
-        return {1: l1, 2: l2}
+        return {1: self._family_masks[2], 2: self._family_masks[3]}
 
     @cached_property
     def pairwise_lambda_closed(self) -> int:
@@ -171,26 +171,32 @@ def _submasks(p: int) -> tuple[int, ...]:
     return tuple(a for a in range(p + 1) if a & ~p == 0)
 
 
-def lambda_closed_forms(s: GbtSpace, i: int) -> tuple[int, int, int, int]:
-    """The four equivalent λ-closed characterizations, one family mask
-    each, every form decided independently:
+def _closed_forms(closed, wedges, cl, w, table_form: int) -> tuple[int, int, int, int]:
+    """The four forms of λ-closedness over the closed sets F and the ∧-sets
+    L, with closure table cl and wedge table w, one family mask each:
 
-    (1) some i-closed F and some ∧_j-set L give A = F ∩ L,
-    (2) some i-closed P gives A = P ∩ wedge_j(A),
-    (3) some ∧_j-set L gives A = closure_i(A) ∩ L,
-    (4) A = closure_i(A) ∩ wedge_j(A).
+    (1) some F and some L give A = F ∩ L,
+    (2) some F gives A = F ∩ w(A),
+    (3) some L gives A = cl(A) ∩ L,
+    (4) A = cl(A) ∩ w(A), which is ``table_form``, the family layer's mask.
 
-    Forms (2) and (3) force A ⊆ P and A ⊆ L, so they walk the subsets of
-    each closed set and of each ∧_j-set.
+    Forms (1) to (3) are decided independently.  (2) and (3) force A ⊆ F
+    and A ⊆ L, so they walk the subsets of each F and of each L.
     """
-    ti, tj = _pair(s, i)
-    closed, wedge_sets, cl, w = ti.closed_masks, members(tj.wedge_sets), ti.closure_table, tj.wedge_table
     return (
-        family_of({f & l_set for f in closed for l_set in wedge_sets}),
-        family_of({a for p in closed for a in _submasks(p) if p & w[a] == a}),
-        family_of({a for l_set in wedge_sets for a in _submasks(l_set) if cl[a] & l_set == a}),
-        s.lambda_closed[i],
+        family_of({f & l_set for f in closed for l_set in wedges}),
+        family_of({a for f in closed for a in _submasks(f) if f & w[a] == a}),
+        family_of({a for l_set in wedges for a in _submasks(l_set) if cl[a] & l_set == a}),
+        table_form,
     )
+
+
+def lambda_closed_forms(s: GbtSpace, i: int) -> tuple[int, int, int, int]:
+    """The λ-closed forms wrt the other side (LEM-43): the i-closed sets,
+    the ∧_j-sets, closure_i and wedge_j."""
+    ti, tj = _pair(s, i)
+    wedges = members(tj.wedge_sets)
+    return _closed_forms(ti.closed_masks, wedges, ti.closure_table, tj.wedge_table, s.lambda_closed[i])
 
 
 def lambda_open_by_decomposition(s: GbtSpace, i: int, a: Subset) -> bool:
@@ -210,29 +216,15 @@ def is_pairwise_lambda_open(s: GbtSpace, a: Subset) -> bool:
 
 
 def pairwise_lambda_closed_forms(s: GbtSpace) -> tuple[int, int, int, int]:
-    """The four equivalent pairwise λ-closed characterizations, one family
-    mask each, with F1 ∩ F2 ranging over the intersections of a 1-closed
-    and a 2-closed set and L1 ∩ L2 over those of a ∧1-set and a ∧2-set:
-
-    (1) A = (F1 ∩ F2) ∩ (L1 ∩ L2),
-    (2) A = (F1 ∩ F2) ∩ (wedge_1(A) ∩ wedge_2(A)),
-    (3) A = (closure_1(A) ∩ closure_2(A)) ∩ (L1 ∩ L2),
-    (4) A = closure_1(A) ∩ closure_2(A) ∩ wedge_1(A) ∩ wedge_2(A).
-
-    As in ``lambda_closed_forms``, forms (2) and (3) walk the subsets of
-    each F1 ∩ F2 and of each L1 ∩ L2.
-    """
+    """The pairwise λ-closed forms (LEM-45): the intersections F1 ∩ F2 of a
+    1-closed and a 2-closed set, those L1 ∩ L2 of a ∧1-set and a ∧2-set,
+    and the ANDed closure and wedge tables."""
     t1, t2 = s.mu1, s.mu2
     closed12 = {f1 & f2 for f1 in t1.closed_masks for f2 in t2.closed_masks}
-    wedges1, wedges2 = members(t1.wedge_sets), members(t2.wedge_sets)
-    wedge12 = {l1 & l2 for l1 in wedges1 for l2 in wedges2}
-    cl1, cl2, w1, w2 = t1.closure_table, t2.closure_table, t1.wedge_table, t2.wedge_table
-    return (
-        family_of({f & l_set for f in closed12 for l_set in wedge12}),
-        family_of({a for f in closed12 for a in _submasks(f) if f & w1[a] & w2[a] == a}),
-        family_of({a for l_set in wedge12 for a in _submasks(l_set) if cl1[a] & cl2[a] & l_set == a}),
-        s.pairwise_lambda_closed,
-    )
+    wedge12 = {l1 & l2 for l1 in members(t1.wedge_sets) for l2 in members(t2.wedge_sets)}
+    cl = list(map(and_, t1.closure_table, t2.closure_table))
+    w = list(map(and_, t1.wedge_table, t2.wedge_table))
+    return _closed_forms(closed12, wedge12, cl, w, s.pairwise_lambda_closed)
 
 
 def is_wedge12_set(s: GbtSpace, a: Subset) -> bool:

@@ -49,6 +49,11 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
+    @property
+    def singletons(self) -> int:
+        """Family mask of the one-point subsets."""
+        return family_of(1 << x for x in range(self.size))
+
     def index(self, label: str) -> int:
         try:
             return self.names.index(label)

@@ -181,7 +181,7 @@ def test_criterion_3_decider_cross_validation():
 def test_criterion_3_disagreement_exits_3(monkeypatch, tmp_path):
     import gbtlab.axioms as axioms_module
 
-    monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda t1, t2: None)
+    monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda s: None)
     from importlib import resources
 
     path = str(resources.files("gbtlab").joinpath("fixtures/e35.json"))

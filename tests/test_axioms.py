@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from functools import cache
 
@@ -156,7 +158,7 @@ def test_four_kind_hull_matches_the_separation_scan():
     spaces += [GbtSpace(gts4[0].ground, rng.choice(gts4), rng.choice(gts4)) for _ in range(2000)]
     verdicts = set()
     for s in spaces:
-        verdict = t_fraction_by_definition(s.mu1, s.mu2)
+        verdict = t_fraction_by_definition(s)
         assert verdict == t_fraction_by_scan(s.mu1, s.mu2), s
         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -167,6 +169,23 @@ def test_witnesses_recorded_for_false_verdicts():
     for name, value in p.as_dict().items():
         if not value:
             assert name in p.witnesses
+
+
+def test_every_witness_text_up_to_three_points_is_pinned():
+    """Every decider's witness text, on all 771 canonical spaces with at most
+    three points under point permutations, cross-validated: one JSON line of
+    witnesses per space, in sweep order, under one sha256, so that a change
+    to a decider or to a second route cannot reword or move a witness."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in (1, 2, 3):
+        gts = gts_on(n)
+        for i, j in canonical_pair_indices(n, "perm"):
+            witnesses = axiom_profile(GbtSpace(gts[i].ground, gts[i], gts[j]), cross_validate=True).witnesses
+            digest.update((json.dumps(witnesses, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8"))
+            count += 1
+    assert count == 771
+    assert digest.hexdigest() == "9562448eccb2175afd265bc34844d888b087396e125af5122b132c716ee919fa"
 
 
 def test_evaluate_axiom_matches_profile():
@@ -212,7 +231,7 @@ def test_internal_disagreement_is_raised_for_broken_engine(monkeypatch):
     s = get_fixture("e35").space()
     import gbtlab.axioms as axioms_module
 
-    monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda t1, t2: False)
+    monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda s: False)
     with pytest.raises(InternalDisagreementError):
         cross_validate_space(s)
 

@@ -394,6 +394,8 @@ def test_sweeps_beyond_four_points_are_refused(capsys, argv):
         (("census", "--n", "-1"), "n must be at least 1, got -1"),
         (("census", "--n", "2", "--max-open-sets", "-1"), "max_open_sets must be at least 0"),
         (("mine", "--require", "T1", "--forbid", "R0", "--n", "2", "--workers", "-3"), "workers"),
+        (("mine", "--require", "T1", "--forbid", "R0", "--n", "2", "--limit", "0"), "limit must be positive"),
+        (("mine", "--require", "T1", "--forbid", "R0", "--n", "2", "--limit", "-2"), "limit must be positive"),
         (("mine", "--special", "note50-converse", "--n", "0"), "n must be at least 1"),
         (("mine", "--special", "g-union-escape", "--n", "-1"), "n must be at least 1"),
         (("mine", "--special", "g-intersection-escape", "--n", "0"), "n must be at least 1"),

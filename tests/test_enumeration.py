@@ -14,13 +14,13 @@ from gbtlab.enumeration import (
     canonical_pair_encoding,
     enumerate_gbt_pairs,
     enumerate_gts,
-    family_encoding,
     gt_mask_families,
     gts_on,
     index_pair_of_key,
     pair_orbit_size,
 )
 from gbtlab.gbt import GbtSpace, make_space
+from gbtlab.sets import family_of
 
 from oracles import (
     canonical_pair_indices_by_scan,
@@ -52,7 +52,7 @@ def test_gt_count_n4_matches_naive_oracle():
 
 def test_stream_is_ascending_and_duplicate_free():
     for n in (1, 2, 3):
-        encodings = [family_encoding(f) for f in gt_mask_families(n)]
+        encodings = [family_of(f) >> 1 for f in gt_mask_families(n)]
         assert encodings == sorted(set(encodings))
 
 
@@ -84,7 +84,7 @@ def test_representatives_are_canonical_and_unique():
     for symmetry in ("perm", "perm+swap"):
         seen = set()
         for s in enumerate_gbt_pairs(3, symmetry):
-            e = (family_encoding(s.mu1.opens), family_encoding(s.mu2.opens))
+            e = (family_of(s.mu1.opens) >> 1, family_of(s.mu2.opens) >> 1)
             assert canonical_pair_encoding(s.mu1.opens, s.mu2.opens, 3, symmetry) == e
             key = canonical_key(s, symmetry)
             assert key not in seen

@@ -51,6 +51,20 @@ GOLDEN = [
         "mine --special g-intersection-escape --n 3",
         "8bd6d6a7e7aa11ff67ecf547dfd6f4c53bc77b5f42a329173aed21fda17f3eff",
     ),
+    # the set-level finders' other outputs: an exhausted search in text and
+    # in JSON ("witness": null), and a witness in JSON
+    (
+        "mine --special g-union-escape --n 2",
+        "3fe0edf636250ec5dc8704bde69eb8583cc20128a5c81e3b6febd8a1e58ef337",
+    ),
+    (
+        "mine --special note50-converse --n 1 --format json",
+        "f98fc003d8d6af3e4cb4a64273faa2d33c204792e0bb6790488c8c21bc28a375",
+    ),
+    (
+        "mine --special note50-converse --n 3 --format json",
+        "99eb412f23ccb3c40b7b06333b98cba5fe597eee2311628f2a738fc7357db736",
+    ),
     (
         "classify {fixtures}/e36.json",
         "038a140867ffd49a7b5391eb6dbfefe781e3cbb590498810f1d74d1816bc8348",
