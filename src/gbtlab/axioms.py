@@ -172,6 +172,8 @@ def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) ->
 
 
 AXIOM_NAMES = ("T0", "T1_4", "T3_8", "T5_8", "T1_2", "T1", "R0", "SYM", "LSYM")
+# the implication chain T1/2 ⟹ T5/8 ⟹ T3/8 ⟹ T1/4 ⟹ T0, strongest first
+CHAIN = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
 
 _ALIASES = {
     "t0": "T0",
@@ -523,12 +525,11 @@ def cross_validate_space(s: GbtSpace) -> None:
 
 
 def check_implication_chain(verdicts: dict[str, bool], where: object) -> None:
-    """Raise unless T1/2 ⟹ T5/8 ⟹ T3/8 ⟹ T1/4 ⟹ T0 holds among ``verdicts``.
+    """Raise unless the implication ``CHAIN`` holds among ``verdicts``.
 
     ``where`` names the space in the message.
     """
-    chain = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
-    for stronger, weaker in itertools.pairwise(chain):
+    for stronger, weaker in itertools.pairwise(CHAIN):
         if verdicts[stronger] and not verdicts[weaker]:
             raise InternalDisagreementError(
                 f"implication chain broken on {where!r}: {stronger} holds but {weaker} fails"

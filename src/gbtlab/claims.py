@@ -6,9 +6,10 @@ in scope, then spot-checked on random larger spaces), a conditional
 closure statement, a fixture assertion (a worked example's stated
 verdict, recomputed by the engine), or an out-of-scope note for claims
 that need an infinite carrier.  Engine verdicts are always computed from
-the deciders; recorded verdicts are data.  A disagreement on a fixture
-is reported as a fixture mismatch, not raised as an error, so errata in
-the source examples surface as findings.
+the deciders; recorded verdicts are data.  The universal claims that read
+only verdicts are rows of one implication table, ``IMPLICATION_ROWS``.  A
+disagreement on a fixture is reported as a fixture mismatch, not raised
+as an error, so errata in the source examples surface as findings.
 
 Claim THM-33 is registered twice on purpose: once literally (each
 singleton open or closed within the SAME topology) and once in the
@@ -30,6 +31,7 @@ from random import Random
 from . import gbt
 from .axioms import (
     AXIOM_NAMES,
+    CHAIN,
     InternalDisagreementError,
     axiom_profile,
     # unused here, but bench/tracing.py patches these three names in this module
@@ -57,6 +59,7 @@ from .gt import (
     validate_gt,
     wedge,
 )
+from .mining import AXIOM_BITS, breaks, chain_links, implication_masks
 from .mining import find_g_intersection_violation, find_g_union_violation
 from .sets import complemented, members, parse_subset
 
@@ -101,11 +104,12 @@ class SpaceContext:
     The subset families are the space's and its topologies' cached family
     masks (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
     keyed by side and read when the context is made; the verdicts are
-    computed once per space, when a checker first asks.  ``verified``
-    maps a one-topology claim to the topologies that already passed it,
-    keyed by ``id`` (the value keeps the topology, so the id stays its own);
-    a sweep shares one such dict among all its spaces, whose topologies are
-    the shared objects of ``gts_on``.
+    computed once per space, when a checker first asks, and so is their
+    ``word`` (bits as ``mining.AXIOM_BITS``), which the implication rows
+    read.  ``verified`` maps a one-topology claim to the topologies that
+    already passed it, keyed by ``id`` (the value keeps the topology, so
+    the id stays its own); a sweep shares one such dict among all its
+    spaces, whose topologies are the shared objects of ``gts_on``.
     """
 
     def __init__(self, space: GbtSpace, verified: dict[str, dict] | None = None):
@@ -144,6 +148,10 @@ class SpaceContext:
     def profile(self):
         return axiom_profile(self.space)
 
+    @cached_property
+    def word(self) -> int:
+        return sum({AXIOM_BITS[name] for name, holds in self.profile.as_dict().items() if holds})
+
     @property
     def all_lambda(self) -> bool:
         return self.profile.t_quarter
@@ -155,6 +163,40 @@ class SpaceContext:
     @cached_property
     def t_half_definitional(self) -> bool:
         return t_half_by_definition(self.space)
+
+
+# ---------------------------------------------------------------------------
+# Claims that read only verdicts: id -> (links, detail), a link (antecedent
+# axioms, consequent axiom), violated where the verdict word ``breaks`` one.
+# COR-67's six axioms are equal iff no link of their cycle breaks.  T1/4, T3/8
+# and T5/8 share one word bit, so REM-63's links from T5/8 on cannot break.
+IMPLICATION_ROWS = {
+    "REM-16": (chain_links(("T1", "T0")), "pairwise T1 without pairwise T0"),
+    "THM-20": ([(("T0", "SYM"), "T1")], "T0 and symmetric but not T1"),
+    "REM-37": (chain_links(("T1_2", "T0")), "T1/2 without T0"),
+    "THM-52": (chain_links(("T1_2", "T1_4")), "T1/2 but some subset is not pairwise λ-closed"),
+    "THM-54": ([(("T1", "LSYM"), "T1_2")], "T1 and λ-symmetric but not T1/2"),
+    "THM-57": (chain_links(CHAIN[3:]), "T1/4 without T0"),
+    "REM-63": (chain_links(CHAIN[:4]), "separation chain broken"),
+    "THM-65": ([(("T0", "R0"), "T1")], "T0 and R0 but not T1"),
+    "COR-67": (chain_links(("T0", "T1", "T1_2", "T5_8", "T3_8", "T1_4", "T0"), "R0", "LSYM"),
+        "R0 and λ-symmetric but the six axioms are not equivalent"),
+}
+
+
+def _row_checker(claim_id: str):
+    """A row's checker, with the name that ``claims --list`` prints."""
+    links, detail = IMPLICATION_ROWS[claim_id]
+    masks = implication_masks(links)
+
+    def check(ctx: SpaceContext) -> str | None:
+        return ctx.where(detail) if breaks(ctx.word, masks) else None
+
+    check.__name__ = "check_" + claim_id.lower().replace("-", "")
+    return check
+
+
+_REM16_ROW = _row_checker("REM-16")
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +316,7 @@ def check_thm15(ctx: SpaceContext) -> str | None:
 def check_rem16(ctx: SpaceContext) -> str | None:
     if (is_gt_T0(ctx.t1) or is_gt_T0(ctx.t2)) and not ctx.profile.t0:
         return ctx.where("one topology is T0 but the space is not pairwise T0")
-    if ctx.profile.t1 and not ctx.profile.t0:
-        return ctx.where("pairwise T1 without pairwise T0")
-    return None
+    return _REM16_ROW(ctx)
 
 
 def check_thm18(ctx: SpaceContext) -> str | None:
@@ -285,19 +325,8 @@ def check_thm18(ctx: SpaceContext) -> str | None:
     cl1, cl2 = ctx.t1.closure_table, ctx.t2.closure_table
     for x, y in itertools.combinations(range(ctx.space.ground.size), 2):
         p, q = 1 << x, 1 << y
-        if (
-            cl1[q] & p
-            and cl2[p] & q
-            and cl1[p] & q
-            and cl2[q] & p
-        ):
+        if cl1[q] & p and cl2[p] & q and cl1[p] & q and cl2[q] & p:
             return ctx.where(f"T0 space where both closures glue the pair bit{x},bit{y}")
-    return None
-
-
-def check_thm20(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t0 and ctx.profile.symmetric and not ctx.profile.t1:
-        return ctx.where("T0 and symmetric but not T1")
     return None
 
 
@@ -364,12 +393,6 @@ def check_thm34(ctx: SpaceContext) -> str | None:
     if none:
         x = (none & -none).bit_length() - 1
         return ctx.where(f"T1/2 but singleton bit{x} is none of the four kinds")
-    return None
-
-
-def check_rem37(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t_half and not ctx.profile.t0:
-        return ctx.where("T1/2 without T0")
     return None
 
 
@@ -514,18 +537,6 @@ def check_thm51(ctx: SpaceContext) -> str | None:
     return None
 
 
-def check_thm52(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t_half and not ctx.all_lambda:
-        return ctx.where("T1/2 but some subset is not pairwise λ-closed")
-    return None
-
-
-def check_thm54(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t1 and ctx.profile.lambda_symmetric and not ctx.profile.t_half:
-        return ctx.where("T1 and λ-symmetric but not T1/2")
-    return None
-
-
 def check_fraction_equivalence(ctx: SpaceContext) -> str | None:
     if ctx.fraction_definitional != ctx.all_lambda:
         return ctx.where(
@@ -534,38 +545,9 @@ def check_fraction_equivalence(ctx: SpaceContext) -> str | None:
     return None
 
 
-def check_thm57(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t_quarter and not ctx.profile.t0:
-        return ctx.where("T1/4 without T0")
-    return None
-
-
 def check_thm58(ctx: SpaceContext) -> str | None:
     if ctx.profile.t0 != t0_by_singletons(ctx.space):
         return ctx.where("T0 differs from singleton pairwise-λ-closedness")
-    return None
-
-
-def check_rem63(ctx: SpaceContext) -> str | None:
-    p = ctx.profile
-    chain = ((p.t_half, p.t_5_8), (p.t_5_8, p.t_3_8), (p.t_3_8, p.t_quarter))
-    if any(strong and not weak for strong, weak in chain):
-        return ctx.where("separation chain broken")
-    return None
-
-
-def check_thm65(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t0 and ctx.profile.r0 and not ctx.profile.t1:
-        return ctx.where("T0 and R0 but not T1")
-    return None
-
-
-def check_cor67(ctx: SpaceContext) -> str | None:
-    p = ctx.profile
-    if p.r0 and p.lambda_symmetric:
-        values = {p.t0, p.t1, p.t_half, p.t_5_8, p.t_3_8, p.t_quarter}
-        if len(values) > 1:
-            return ctx.where("R0 and λ-symmetric but the six axioms are not equivalent")
     return None
 
 
@@ -614,7 +596,7 @@ _CLAIMS = {
             "A one-sided T0 topology forces pairwise T0, and pairwise T1 forces pairwise T0."),
         "THM-18": (_IMPLICATION, check_thm18,
             "In a pairwise T0 space, for each pair some labeling has one point outside the other's closure."),
-        "THM-20": (_IMPLICATION, check_thm20,
+        "THM-20": (_IMPLICATION, _row_checker("THM-20"),
             "Pairwise T0 plus pairwise symmetric implies pairwise T1."),
         "THM-21": (_IMPLICATION, check_thm21,
             "Pairwise T1 forces every singleton to be closed on at least one side."),
@@ -634,7 +616,7 @@ _CLAIMS = {
             "Pairwise T1/2 iff the cross-index singleton conditions hold (reading via the two-condition rule)."),
         "THM-34": (_IMPLICATION, check_thm34,
             "Pairwise T1/2 forces every singleton to be one of: open on either side, closed on either side."),
-        "REM-37": (_IMPLICATION, check_rem37,
+        "REM-37": (_IMPLICATION, _row_checker("REM-37"),
             "Pairwise T1/2 implies pairwise T0."),
         "THM-40": (_IMPLICATION, check_thm40,
             "λ-open sets wrt a fixed side are closed under arbitrary unions."),
@@ -660,13 +642,13 @@ _CLAIMS = {
             "Every ∧12-set is pairwise λ-closed; the converse fails."),
         "THM-51": (_IMPLICATION, check_thm51,
             "Pairwise T1 makes every subset a ∧12-set."),
-        "THM-52": (_IMPLICATION, check_thm52,
+        "THM-52": (_IMPLICATION, _row_checker("THM-52"),
             "Pairwise T1/2 makes every subset pairwise λ-closed."),
-        "THM-54": (_IMPLICATION, check_thm54,
+        "THM-54": (_IMPLICATION, _row_checker("THM-54"),
             "Pairwise T1 plus pairwise λ-symmetric implies pairwise T1/2."),
         "THM-56": (_EQUIVALENCE, check_fraction_equivalence,
             "Finite-grade separation equals pairwise λ-closedness of the quantified subsets (finite case)."),
-        "THM-57": (_IMPLICATION, check_thm57,
+        "THM-57": (_IMPLICATION, _row_checker("THM-57"),
             "Pairwise T1/4 implies pairwise T0."),
         "THM-58": (_EQUIVALENCE, check_thm58,
             "Pairwise T0 iff every singleton is pairwise λ-closed."),
@@ -674,11 +656,11 @@ _CLAIMS = {
             "Countable-grade separation equals pairwise λ-closedness of the quantified subsets (finite case)."),
         "THM-62": (_EQUIVALENCE, check_fraction_equivalence,
             "All-subsets separation equals pairwise λ-closedness of every subset."),
-        "REM-63": (_IMPLICATION, check_rem63,
+        "REM-63": (_IMPLICATION, _row_checker("REM-63"),
             "T1/2 implies T5/8 implies T3/8 implies T1/4; no converse holds in general."),
-        "THM-65": (_IMPLICATION, check_thm65,
+        "THM-65": (_IMPLICATION, _row_checker("THM-65"),
             "Pairwise T0 plus pairwise R0 implies pairwise T1."),
-        "COR-67": (_CONDITIONAL, check_cor67,
+        "COR-67": (_CONDITIONAL, _row_checker("COR-67"),
             "Under pairwise R0 and pairwise λ-symmetry the six separation axioms coincide."),
     },
     "fixture": {

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success (claims: statuses match the recorded expectations),
-1 input or file error, 2 claims deviate from the recorded expectations,
-3 internal decider disagreement.
+1 input, usage or file error, 2 claims deviate from the recorded
+expectations, 3 internal decider disagreement.
 """
 
 from __future__ import annotations
@@ -221,8 +221,16 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as any other input error does; subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbt",
         description="Finite-model laboratory for generalized bitopological spaces",
     )

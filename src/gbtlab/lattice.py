@@ -9,18 +9,20 @@ JSON report carries the full partition of all ordered pairs.
 The sweep reads the verdict words of ``mining.verdict_words`` over each
 level's canonical index pairs and keeps, per distinct word, the
 ``canonical_index_key`` of the first space that has it; the first
-countering space of (P, Q) is the first of those spaces whose word has
-P and lacks Q.  ``axiom_profile`` and ``canonical_key`` are the oracles
-the tests hold the words and keys to.
+countering space of (P, Q) is the first of those spaces whose word
+``breaks`` the link P ⟹ Q: it has P's bit and lacks Q's.
+``axiom_profile`` and ``canonical_key`` are the oracles the tests hold
+the words and keys to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .axioms import AXIOM_NAMES
 from .enumeration import canonical_index_key, canonical_pair_indices, check_size
-from .mining import verdict_words, word_verdicts
+from .mining import AXIOM_BITS, breaks, verdict_words
 
 
 @dataclass
@@ -70,20 +72,13 @@ def implication_lattice(n: int) -> LatticeReport:
         for (i, j), word in zip(pairs, verdict_words(level, pairs)):
             if word not in first_keys:
                 first_keys[word] = canonical_index_key(level, i, j)
-    verdicts = [(word_verdicts(word), key.hex()) for word, key in first_keys.items()]
 
-    edges = []
-    counter_edges = []
-    for src in AXIOM_NAMES:
-        for dst in AXIOM_NAMES:
-            if src == dst:
-                continue
-            witness = next(
-                (key for holds, key in verdicts if holds[src] and not holds[dst]),
-                None,
-            )
-            if witness is None:
-                edges.append((src, dst))
-            else:
-                counter_edges.append((src, dst, witness))
+    edges, counter_edges = [], []
+    for src, dst in permutations(AXIOM_NAMES, 2):
+        link = ((AXIOM_BITS[src], AXIOM_BITS[dst]),)
+        witness = next((key.hex() for word, key in first_keys.items() if breaks(word, link)), None)
+        if witness is None:
+            edges.append((src, dst))
+        else:
+            counter_edges.append((src, dst, witness))
     return LatticeReport(n, AXIOM_NAMES, edges, counter_edges)

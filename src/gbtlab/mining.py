@@ -86,9 +86,10 @@ from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations, groupby, islice
+from itertools import combinations, groupby, islice, pairwise
 
 from .axioms import (
+    CHAIN,
     PAIR_KERNELS,
     AxiomProfile,
     InternalDisagreementError,
@@ -494,13 +495,34 @@ class CensusRow:
 
 # The distinct pair kernels: bit k of a verdict word is kernel k's verdict.
 # There are seven, so a word fits in the byte ``verdict_words`` reads it from.
+# T1/4, T3/8 and T5/8 share the kernel of ``decide_all_lambda``, so one bit.
 WORD_KERNELS = tuple(dict.fromkeys(PAIR_KERNELS.values()))
-_AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
+AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
 
 
 def word_verdicts(word: int) -> dict[str, bool]:
     """The nine verdicts a verdict word holds, in the order of AXIOM_NAMES."""
-    return {name: bool(word & bit) for name, bit in _AXIOM_BITS.items()}
+    return {name: bool(word & bit) for name, bit in AXIOM_BITS.items()}
+
+
+def implication_masks(links) -> tuple[tuple[int, int], ...]:
+    """The (antecedent mask, consequent bit) of each (antecedent names,
+    consequent name) link, for ``breaks``; the mask sums distinct bits."""
+    return tuple((sum({AXIOM_BITS[a] for a in names}), AXIOM_BITS[consequent]) for names, consequent in links)
+
+
+def breaks(word: int, implications) -> bool:
+    """Whether a verdict word has every antecedent bit and lacks the
+    consequent bit of one of the (mask, bit) ``implications``."""
+    return any(word & mask == mask and not word & bit for mask, bit in implications)
+
+
+def chain_links(names, *extra) -> list:
+    """The links between consecutive ``names``, with ``extra`` in every antecedent."""
+    return [((a, *extra), b) for a, b in pairwise(names)]
+
+
+_CHAIN_MASKS = implication_masks(chain_links(CHAIN))
 
 
 _BYTE_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -547,16 +569,6 @@ def _profile_texts() -> tuple[str, ...]:
     return tuple(_compact(word_verdicts(word)) for word in range(1 << len(WORD_KERNELS)))
 
 
-def _keeps_chain(word: int) -> bool:
-    """Whether a verdict word keeps the implication chain, as each word that
-    ``verdict_words`` yields does."""
-    try:
-        check_implication_chain(word_verdicts(word), word)
-    except InternalDisagreementError:
-        return False
-    return True
-
-
 def _census_lines(n: int, max_open_sets: int | None = None):
     """A function giving the census log line of the pair (i, j) of admitted
     topologies with verdict word ``word``.
@@ -594,7 +606,7 @@ def _census_words(n: int, line, lines, where):
     would not have written raises ValueError.
     """
     indices = key_part_hexes(n)
-    words = {text: word for word, text in enumerate(_profile_texts()) if _keeps_chain(word)}
+    words = {text: word for word, text in enumerate(_profile_texts()) if not breaks(word, _CHAIN_MASKS)}
     first = len('{"key":"00')  # a key's hex: the size byte, then each topology's part
     second = first + 2 * key_width(n)
     end = second + 2 * key_width(n)

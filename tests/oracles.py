@@ -14,8 +14,10 @@ list rows decide a pair kernel's row one second topology at a time, as the
 kernels did before their signatures were bit-sliced, and the per-topology
 signatures, each from one topology's own tables, are what the kernels
 built before their columns were sliced from tables of all topologies at
-once.  These are the independent side of every dual-route check in the
-suite.
+once.  The verdict-only claim predicates at the end are the claims
+checkers that the implication rows of ``claims.IMPLICATION_ROWS`` replaced,
+as they were written before.  These are the independent side of every
+dual-route check in the suite.
 """
 
 from __future__ import annotations
@@ -544,3 +546,79 @@ def signature_column(name, topologies):
         for c in components
     )
     return KernelColumn(signatures, slices, (1 << len(signatures)) - 1)
+
+
+# The verdict-only claim checkers as they were before they became rows of
+# ``claims.IMPLICATION_ROWS``: each takes a SpaceContext and reads its profile.
+
+
+def check_rem16_t1_clause(ctx):
+    if ctx.profile.t1 and not ctx.profile.t0:
+        return ctx.where("pairwise T1 without pairwise T0")
+    return None
+
+
+def check_thm20(ctx):
+    if ctx.profile.t0 and ctx.profile.symmetric and not ctx.profile.t1:
+        return ctx.where("T0 and symmetric but not T1")
+    return None
+
+
+def check_rem37(ctx):
+    if ctx.profile.t_half and not ctx.profile.t0:
+        return ctx.where("T1/2 without T0")
+    return None
+
+
+def check_thm52(ctx):
+    if ctx.profile.t_half and not ctx.all_lambda:
+        return ctx.where("T1/2 but some subset is not pairwise λ-closed")
+    return None
+
+
+def check_thm54(ctx):
+    if ctx.profile.t1 and ctx.profile.lambda_symmetric and not ctx.profile.t_half:
+        return ctx.where("T1 and λ-symmetric but not T1/2")
+    return None
+
+
+def check_thm57(ctx):
+    if ctx.profile.t_quarter and not ctx.profile.t0:
+        return ctx.where("T1/4 without T0")
+    return None
+
+
+def check_rem63(ctx):
+    p = ctx.profile
+    chain = ((p.t_half, p.t_5_8), (p.t_5_8, p.t_3_8), (p.t_3_8, p.t_quarter))
+    if any(strong and not weak for strong, weak in chain):
+        return ctx.where("separation chain broken")
+    return None
+
+
+def check_thm65(ctx):
+    if ctx.profile.t0 and ctx.profile.r0 and not ctx.profile.t1:
+        return ctx.where("T0 and R0 but not T1")
+    return None
+
+
+def check_cor67(ctx):
+    p = ctx.profile
+    if p.r0 and p.lambda_symmetric:
+        values = {p.t0, p.t1, p.t_half, p.t_5_8, p.t_3_8, p.t_quarter}
+        if len(values) > 1:
+            return ctx.where("R0 and λ-symmetric but the six axioms are not equivalent")
+    return None
+
+
+VERDICT_CLAIMS = {
+    "REM-16": check_rem16_t1_clause,
+    "THM-20": check_thm20,
+    "REM-37": check_rem37,
+    "THM-52": check_thm52,
+    "THM-54": check_thm54,
+    "THM-57": check_thm57,
+    "REM-63": check_rem63,
+    "THM-65": check_thm65,
+    "COR-67": check_cor67,
+}

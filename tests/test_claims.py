@@ -6,9 +6,10 @@ from random import Random
 import pytest
 
 from gbtlab import axioms, claims
-from gbtlab.axioms import decide_t0
+from gbtlab.axioms import AxiomProfile, decide_t0
 from gbtlab.claims import (
     CLAIM_IDS,
+    IMPLICATION_ROWS,
     REGISTRY,
     STATUS_MISMATCH,
     STATUS_OUT_OF_SCOPE,
@@ -28,7 +29,10 @@ from gbtlab.claims import (
 from gbtlab.enumeration import canonical_pair_indices, gts_on
 from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace
-from gbtlab.gt import GeneralizedTopology
+from gbtlab.gt import GeneralizedTopology, is_gt_T0
+from gbtlab.lattice import implication_lattice
+from gbtlab.mining import breaks, implication_masks, word_verdicts
+from oracles import VERDICT_CLAIMS
 
 EXPECTED_IDS = {
     "LEM-7", "REM-9", "NOTE-10", "THM-12", "THM-UNION-G", "THM-UNION-WS",
@@ -493,3 +497,70 @@ def test_the_claim_sweep_decides_t0_once_per_space(monkeypatch):
     assert len(swept) == 411 + 50
     assert decided == [(space.mu1, space.mu2) for space in swept]
     assert reports["THM-15"].status == reports["THM-58"].status == STATUS_VERIFIED
+
+
+def _word_profile(word):
+    # word_verdicts follows AXIOM_NAMES, as the profile's fields do
+    return AxiomProfile(*word_verdicts(word).values())
+
+
+def _sweep_spaces(n_scope):
+    return [
+        GbtSpace(gts_on(n)[0].ground, gts_on(n)[i], gts_on(n)[j])
+        for n in range(1, n_scope + 1)
+        for i, j in canonical_pair_indices(n)
+    ]
+
+
+# a two-point space with no T0 topology, so REM-16's first clause never fires
+_NO_T0 = next((p, s) for p, s in enumerate(_sweep_spaces(2), 1) if not (is_gt_T0(s.mu1) or is_gt_T0(s.mu2)))
+
+
+def test_the_implication_rows_fail_exactly_where_the_old_checkers_did():
+    """On every verdict word, each row's checker gives what the checker it
+    replaced gave: None, or the same witness."""
+    assert set(VERDICT_CLAIMS) == set(IMPLICATION_ROWS)
+    broken = set()
+    for word in range(1 << 7):
+        ctx = SpaceContext(_NO_T0[1])
+        ctx.profile = _word_profile(word)
+        for claim_id, oracle in VERDICT_CLAIMS.items():
+            got = _UNIVERSAL_CHECKERS[claim_id](ctx)
+            assert got == oracle(ctx), (claim_id, word)
+            if got:
+                broken.add(claim_id)
+    assert broken == set(IMPLICATION_ROWS)
+
+
+@pytest.mark.parametrize("claim_id", list(IMPLICATION_ROWS))
+def test_a_planted_breaking_profile_refutes_its_row(monkeypatch, claim_id):
+    """A profile that breaks a row, planted on one space of the sweep, is
+    that row's first violation: its witness, at that space's position."""
+    links, detail = IMPLICATION_ROWS[claim_id]
+    word = next(w for w in range(1 << 7) if breaks(w, implication_masks(links)))
+    position, target = _NO_T0
+    real = claims.axiom_profile
+
+    def planted(space, *args):
+        return _word_profile(word) if (space.mu1, space.mu2) == (target.mu1, target.mu2) else real(space, *args)
+
+    monkeypatch.setattr(claims, "axiom_profile", planted)
+    monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
+    monkeypatch.setattr(claims, "FIXTURES", ())
+    report = {r.id: r for r in run_claims(n_scope=2, n4_samples=0)}[claim_id]
+    assert (report.status, report.witness, report.spaces_checked) == (
+        STATUS_REFUTED, f"{target!r}: {detail}", position,
+    )
+
+
+def test_the_single_antecedent_links_are_verified_lattice_edges():
+    """The lattice decides from kernel words and the claims from decider
+    profiles; every row link with one antecedent is an edge of both."""
+    single = {
+        claim_id: [(antecedents[0], consequent) for antecedents, consequent in links]
+        for claim_id, (links, _) in IMPLICATION_ROWS.items()
+        if all(len(antecedents) == 1 for antecedents, _ in links)
+    }
+    assert set(single) == {"REM-16", "REM-37", "THM-52", "THM-57", "REM-63"}
+    edges = set(implication_lattice(4).edges)
+    assert [link for links in single.values() for link in links if link not in edges] == []

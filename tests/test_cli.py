@@ -409,6 +409,31 @@ def test_bad_numeric_arguments_exit_1(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("census", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        (("census", "--symmetry", "foo"), "argument --symmetry: invalid choice: 'foo'"),
+        (("claims", "--bogus"), "unrecognized arguments: --bogus"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    """A bad value, an unknown option or a missing command is an input
+    error, not the claims deviation that exit 2 reports."""
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exited.value.code == 1 and captured.out == ""
+    assert f"error: {message}" in captured.err and "Traceback" not in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0 and "usage: gbt" in capsys.readouterr().out
+
+
 def test_a_directory_given_as_a_file_exits_1(tmp_path, capsys):
     for argv in (("classify", str(tmp_path)), ("census", "--n", "2", "--resume", str(tmp_path))):
         code, out, err = _run(capsys, *argv)

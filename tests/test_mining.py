@@ -347,7 +347,7 @@ def test_census_lines_equal_the_dumped_records(symmetry):
 
 
 def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
-    t_half_only = mining._AXIOM_BITS["T1_2"]  # T1/2 holds, T5/8 fails
+    t_half_only = mining.AXIOM_BITS["T1_2"]  # T1/2 holds, T5/8 fails
     with pytest.raises(InternalDisagreementError, match="T1_2 holds but T5_8 fails"):
         check_implication_chain(word_verdicts(t_half_only), "a hand-made word")
     # a T1/2 kernel that holds everywhere makes such words in the sweeps
