@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 from typing import NamedTuple
 
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology, meet_table, sliced_meet_table
+from .records import FrozenRecord
 from .sets import family_of
 
 
@@ -202,24 +202,32 @@ def normalize_axiom_name(name: str) -> str:
         raise UnknownAxiomError(f"unknown axiom {name!r}; known: {', '.join(AXIOM_NAMES)}") from None
 
 
-@dataclass(frozen=True)
-class AxiomProfile:
+class AxiomProfile(FrozenRecord):
     """Truth record of the nine pairwise axioms for one space.
 
     ``witnesses`` maps an axiom name to a short explanation of the first
-    falsifying configuration found, for every axiom that is false.
+    falsifying configuration found, for every axiom that is false; equality
+    and hash read the nine verdicts alone.
     """
 
-    t0: bool
-    t_quarter: bool
-    t_3_8: bool
-    t_5_8: bool
-    t_half: bool
-    t1: bool
-    r0: bool
-    symmetric: bool
-    lambda_symmetric: bool
-    witnesses: dict[str, str] = field(default_factory=dict, compare=False)
+    _compared = ("t0", "t_quarter", "t_3_8", "t_5_8", "t_half", "t1", "r0", "symmetric", "lambda_symmetric")
+    _fields = (*_compared, "witnesses")
+
+    def __init__(
+        self,
+        t0: bool,
+        t_quarter: bool,
+        t_3_8: bool,
+        t_5_8: bool,
+        t_half: bool,
+        t1: bool,
+        r0: bool,
+        symmetric: bool,
+        lambda_symmetric: bool,
+        witnesses: dict[str, str] | None = None,
+    ) -> None:
+        witnesses = {} if witnesses is None else witnesses
+        self._fill(t0, t_quarter, t_3_8, t_5_8, t_half, t1, r0, symmetric, lambda_symmetric, witnesses)
 
     def value(self, axiom: str) -> bool:
         return self.as_dict()[normalize_axiom_name(axiom)]
@@ -462,8 +470,7 @@ def _lambda_symmetric_row(column: KernelColumn, lam: int, clx: int, wx: int, g: 
     return column.every & ~fails
 
 
-@dataclass(frozen=True)
-class PairKernel:
+class PairKernel(NamedTuple):
     """Bit-sliced decision of one axiom over pairs from a list of topologies.
 
     ``slices`` takes the list's ``sliced_tables`` and returns, per signature

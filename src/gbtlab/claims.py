@@ -23,10 +23,9 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
 from functools import cached_property
-from importlib import resources
 from random import Random
+from typing import NamedTuple
 
 from . import gbt
 from .axioms import (
@@ -61,6 +60,7 @@ from .gt import (
 )
 from .mining import AXIOM_BITS, breaks, chain_links, implication_masks
 from .mining import find_g_intersection_violation, find_g_union_violation
+from .records import Record
 from .sets import complemented, members, parse_subset
 
 STATUS_VERIFIED = "verified"
@@ -69,8 +69,7 @@ STATUS_MISMATCH = "fixture-mismatch"
 STATUS_OUT_OF_SCOPE = "out-of-scope"
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     id: str
     kind: str
     statement: str
@@ -78,16 +77,14 @@ class ClaimRecord:
     checker: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class ClaimReport:
-    id: str
-    status: str
-    witness: str | None
-    spaces_checked: int
-    elapsed: float
+class ClaimReport(Record):
+    _fields = ("id", "status", "witness", "spaces_checked", "elapsed")
+
+    def __init__(self, id: str, status: str, witness: str | None, spaces_checked: int, elapsed: float) -> None:
+        self._fill(id, status, witness, spaces_checked, elapsed)
 
     def as_dict(self) -> dict:
         return {
@@ -150,7 +147,16 @@ class SpaceContext:
 
     @cached_property
     def word(self) -> int:
-        return sum({AXIOM_BITS[name] for name, holds in self.profile.as_dict().items() if holds})
+        p, bit = self.profile, AXIOM_BITS
+        return (
+            p.t0 * bit["T0"]
+            | (p.t_quarter | p.t_3_8 | p.t_5_8) * bit["T1_4"]  # one shared bit
+            | p.t_half * bit["T1_2"]
+            | p.t1 * bit["T1"]
+            | p.r0 * bit["R0"]
+            | p.symmetric * bit["SYM"]
+            | p.lambda_symmetric * bit["LSYM"]
+        )
 
     @property
     def all_lambda(self) -> bool:
@@ -314,7 +320,7 @@ def check_thm15(ctx: SpaceContext) -> str | None:
 
 
 def check_rem16(ctx: SpaceContext) -> str | None:
-    if (is_gt_T0(ctx.t1) or is_gt_T0(ctx.t2)) and not ctx.profile.t0:
+    if not ctx.profile.t0 and (is_gt_T0(ctx.t1) or is_gt_T0(ctx.t2)):
         return ctx.where("one topology is T0 but the space is not pairwise T0")
     return _REM16_ROW(ctx)
 
@@ -928,6 +934,8 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
 
 
 def expected_statuses() -> dict[str, str]:
+    from importlib import resources
+
     with resources.files("gbtlab").joinpath("data/claim_expectations.json").open() as handle:
         return json.load(handle)
 

@@ -12,16 +12,14 @@ pins that down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from typing import NamedTuple
 
 from .gbt import GbtSpace
 from .spacefile import parse_space_file
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(NamedTuple):
     predicate: str
     args: tuple[tuple[str, object], ...]
     expected: object
@@ -40,8 +38,7 @@ def _a(predicate: str, expected: object, **args) -> Assertion:
     return Assertion(predicate, tuple(sorted(args.items())), expected)
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     id: str
     assertions: tuple[Assertion, ...]
 
@@ -51,6 +48,8 @@ class Fixture:
 
 @lru_cache(maxsize=None)
 def _fixture_space(fixture_id: str) -> GbtSpace:
+    from importlib import resources
+
     text = resources.files("gbtlab").joinpath(f"fixtures/{fixture_id}.json").read_text(encoding="utf-8")
     space, _ = parse_space_file(text)
     return space

@@ -29,25 +29,23 @@ sets, ∧-sets and tables; ``g_open_by_kernels`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import and_
 
 from .gt import GeneralizedTopology, gt_from_labels, validate_gt
+from .records import FrozenRecord
 from .sets import GroundSet, GroundSetError, Subset, complemented, family_of, ground, members
 
 
-@dataclass(frozen=True)
-class GbtSpace:
+class GbtSpace(FrozenRecord):
     """Ground set with two generalized topologies over it."""
 
-    ground: GroundSet
-    mu1: GeneralizedTopology
-    mu2: GeneralizedTopology
+    _fields = ("ground", "mu1", "mu2")
 
-    def __post_init__(self) -> None:
-        if self.mu1.ground != self.ground or self.mu2.ground != self.ground:
+    def __init__(self, ground: GroundSet, mu1: GeneralizedTopology, mu2: GeneralizedTopology) -> None:
+        if mu1.ground != ground or mu2.ground != ground:
             raise GroundSetError("both topologies must live on the space's ground set")
+        self._fill(ground, mu1, mu2)
 
     def side(self, i: int) -> GeneralizedTopology:
         return self.mu1 if _side(i) == 1 else self.mu2
@@ -221,7 +219,8 @@ def pairwise_lambda_closed_forms(s: GbtSpace) -> tuple[int, int, int, int]:
     and the ANDed closure and wedge tables."""
     t1, t2 = s.mu1, s.mu2
     closed12 = {f1 & f2 for f1 in t1.closed_masks for f2 in t2.closed_masks}
-    wedge12 = {l1 & l2 for l1 in members(t1.wedge_sets) for l2 in members(t2.wedge_sets)}
+    wedges2 = members(t2.wedge_sets)
+    wedge12 = {l1 & l2 for l1 in members(t1.wedge_sets) for l2 in wedges2}
     cl = list(map(and_, t1.closure_table, t2.closure_table))
     w = list(map(and_, t1.wedge_table, t2.wedge_table))
     return _closed_forms(closed12, wedge12, cl, w, s.pairwise_lambda_closed)

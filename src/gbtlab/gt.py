@@ -38,9 +38,9 @@ pass over many families at once, one bit per family in every int.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .records import FrozenRecord
 from .sets import GroundSet, GroundSetError, Subset, family_of, parse_subset
 
 
@@ -58,15 +58,16 @@ class GTValidationError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class GeneralizedTopology:
+class GeneralizedTopology(FrozenRecord):
     """Validated generalized topology; construct through :func:`validate_gt`.
 
     ``opens`` is the ascending tuple of open masks, so ∅ = 0 comes first.
     """
 
-    ground: GroundSet
-    opens: tuple[int, ...]
+    _fields = ("ground", "opens")
+
+    def __init__(self, ground: GroundSet, opens: tuple[int, ...]) -> None:
+        self._fill(ground, opens)
 
     @cached_property
     def open_labels(self) -> tuple[tuple[str, ...], ...]:

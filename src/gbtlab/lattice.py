@@ -17,20 +17,25 @@ the words and keys to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .axioms import AXIOM_NAMES
 from .enumeration import canonical_index_key, canonical_pair_indices, check_size
 from .mining import AXIOM_BITS, breaks, verdict_words
+from .records import Record
 
 
-@dataclass
-class LatticeReport:
-    n: int
-    nodes: tuple[str, ...]
-    edges: list[tuple[str, str]]
-    counter_edges: list[tuple[str, str, str]]
+class LatticeReport(Record):
+    _fields = ("n", "nodes", "edges", "counter_edges")
+
+    def __init__(
+        self,
+        n: int,
+        nodes: tuple[str, ...],
+        edges: list[tuple[str, str]],
+        counter_edges: list[tuple[str, str, str]],
+    ) -> None:
+        self._fill(n, nodes, edges, counter_edges)
 
     def as_dict(self) -> dict:
         return {

@@ -80,13 +80,12 @@ from __future__ import annotations
 import json
 import operator
 import os
-import shutil
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import closing
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, groupby, islice, pairwise
+from typing import NamedTuple
 
 from .axioms import (
     CHAIN,
@@ -117,32 +116,34 @@ from .enumeration import (
 )
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
+from .records import FrozenRecord, Record
 from .sets import members
 from .spacefile import space_to_data
 
 BLOCKS_PER_LEVEL = 32
 
 
-@dataclass(frozen=True)
-class MiningQuery:
-    antecedents: tuple[str, ...]
-    consequent: str
-    n_min: int = 1
-    n_max: int = 3
-    symmetry: str = "perm+swap"
-    limit: int = 10
+class MiningQuery(FrozenRecord):
+    _fields = ("antecedents", "consequent", "n_min", "n_max", "symmetry", "limit")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "antecedents", tuple(normalize_axiom_name(a) for a in self.antecedents)
-        )
-        object.__setattr__(self, "consequent", normalize_axiom_name(self.consequent))
-        check_symmetry(self.symmetry)
-        if not 1 <= self.n_min <= self.n_max:
-            raise ValueError(f"bad size range [{self.n_min}, {self.n_max}]")
-        check_size(self.n_max)
-        if self.limit < 1:
+    def __init__(
+        self,
+        antecedents: tuple[str, ...],
+        consequent: str,
+        n_min: int = 1,
+        n_max: int = 3,
+        symmetry: str = "perm+swap",
+        limit: int = 10,
+    ) -> None:
+        antecedents = tuple(normalize_axiom_name(a) for a in antecedents)
+        consequent = normalize_axiom_name(consequent)
+        check_symmetry(symmetry)
+        if not 1 <= n_min <= n_max:
+            raise ValueError(f"bad size range [{n_min}, {n_max}]")
+        check_size(n_max)
+        if limit < 1:
             raise ValueError("limit must be positive")
+        self._fill(antecedents, consequent, n_min, n_max, symmetry, limit)
 
     def as_dict(self) -> dict:
         return {
@@ -155,8 +156,7 @@ class MiningQuery:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     space: GbtSpace
     profile: AxiomProfile
     key: bytes
@@ -169,13 +169,19 @@ class Witness:
         }
 
 
-@dataclass
-class MiningResult:
-    query: MiningQuery
-    witnesses: list[Witness]
-    complete: bool
-    spaces_checked: int
-    checked_by_n: dict[int, int] = field(default_factory=dict)
+class MiningResult(Record):
+    _fields = ("query", "witnesses", "complete", "spaces_checked", "checked_by_n")
+
+    def __init__(
+        self,
+        query: MiningQuery,
+        witnesses: list[Witness],
+        complete: bool,
+        spaces_checked: int,
+        checked_by_n: dict[int, int] | None = None,
+    ) -> None:
+        checked_by_n = {} if checked_by_n is None else checked_by_n
+        self._fill(query, witnesses, complete, spaces_checked, checked_by_n)
 
     @property
     def exhausted(self) -> bool:
@@ -376,6 +382,8 @@ class _BlockLog:
                 if self._resumed is None:
                     self.record(self._header)
                 else:
+                    import shutil
+
                     with open(self._resumed, encoding="utf-8") as source:
                         shutil.copyfileobj(source, self._handle)
         return self
@@ -469,28 +477,28 @@ def mine(
     return MiningResult(query, witnesses, not stopped, sum(checked_by_n.values()), checked_by_n)
 
 
-@dataclass
-class CensusRow:
-    n: int
-    symmetry: str
-    labeled_gt_count: int
-    labeled_pair_count: int
-    canonical_pair_count: int
-    axiom_counts: dict[str, int]
-    constraint: str | None = None
-    orbit_check: bool | None = None
+class CensusRow(Record):
+    _fields = (
+        "n", "symmetry", "labeled_gt_count", "labeled_pair_count", "canonical_pair_count", "axiom_counts",
+        "constraint", "orbit_check",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        symmetry: str,
+        labeled_gt_count: int,
+        labeled_pair_count: int,
+        canonical_pair_count: int,
+        axiom_counts: dict[str, int],
+        constraint: str | None = None,
+        orbit_check: bool | None = None,
+    ) -> None:
+        counts = (labeled_gt_count, labeled_pair_count, canonical_pair_count)
+        self._fill(n, symmetry, *counts, axiom_counts, constraint, orbit_check)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "symmetry": self.symmetry,
-            "labeled_gt_count": self.labeled_gt_count,
-            "labeled_pair_count": self.labeled_pair_count,
-            "canonical_pair_count": self.canonical_pair_count,
-            "axiom_counts": self.axiom_counts,
-            "constraint": self.constraint,
-            "orbit_check": self.orbit_check,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 # The distinct pair kernels: bit k of a verdict word is kernel k's verdict.
@@ -514,7 +522,10 @@ def implication_masks(links) -> tuple[tuple[int, int], ...]:
 def breaks(word: int, implications) -> bool:
     """Whether a verdict word has every antecedent bit and lacks the
     consequent bit of one of the (mask, bit) ``implications``."""
-    return any(word & mask == mask and not word & bit for mask, bit in implications)
+    for mask, bit in implications:
+        if word & mask == mask and not word & bit:
+            return True
+    return False
 
 
 def chain_links(names, *extra) -> list:
@@ -685,8 +696,7 @@ def census(
     )
 
 
-@dataclass(frozen=True)
-class SetWitness:
+class SetWitness(NamedTuple):
     """A space together with the subsets exhibiting a set-level phenomenon."""
 
     space: GbtSpace

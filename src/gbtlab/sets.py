@@ -14,7 +14,7 @@ belongs to the family.  ``family_of`` builds one, and ``members`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import FrozenRecord
 
 MAX_GROUND_SIZE = 16
 
@@ -25,21 +25,19 @@ class GroundSetError(ValueError):
     """Invalid ground set, unknown label, or ground-set mismatch."""
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(FrozenRecord):
     """Ordered, distinct element labels; label i owns bit i."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.names) <= MAX_GROUND_SIZE:
-            raise GroundSetError(
-                f"ground set must have 1..{MAX_GROUND_SIZE} elements, got {len(self.names)}"
-            )
-        if len(set(self.names)) != len(self.names):
-            raise GroundSetError(f"duplicate labels in {self.names}")
-        if any(not name for name in self.names):
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if not 1 <= len(names) <= MAX_GROUND_SIZE:
+            raise GroundSetError(f"ground set must have 1..{MAX_GROUND_SIZE} elements, got {len(names)}")
+        if len(set(names)) != len(names):
+            raise GroundSetError(f"duplicate labels in {names}")
+        if any(not name for name in names):
             raise GroundSetError("empty label")
+        self._fill(names)
 
     @property
     def size(self) -> int:
@@ -84,16 +82,29 @@ def ground(n_or_names) -> GroundSet:
     return GroundSet(tuple(n_or_names))
 
 
-@dataclass(frozen=True, order=True)
-class Subset:
-    """Characteristic bit vector over one ground set."""
+class Subset(FrozenRecord):
+    """Characteristic bit vector over one ground set; equality, hash and
+    order read the bits alone."""
 
-    bits: int
-    ground: GroundSet = field(compare=False)
+    _fields = ("bits", "ground")
+    _compared = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits & ~self.ground.full_mask:
-            raise GroundSetError(f"bits {self.bits:#x} outside ground set of size {self.ground.size}")
+    def __init__(self, bits: int, ground: GroundSet) -> None:
+        if bits & ~ground.full_mask:
+            raise GroundSetError(f"bits {bits:#x} outside ground set of size {ground.size}")
+        self._fill(bits, ground)
+
+    def __lt__(self, other: Subset) -> bool:
+        return self.bits < other.bits if other.__class__ is Subset else NotImplemented
+
+    def __le__(self, other: Subset) -> bool:
+        return self.bits <= other.bits if other.__class__ is Subset else NotImplemented
+
+    def __gt__(self, other: Subset) -> bool:
+        return self.bits > other.bits if other.__class__ is Subset else NotImplemented
+
+    def __ge__(self, other: Subset) -> bool:
+        return self.bits >= other.bits if other.__class__ is Subset else NotImplemented
 
     def labels(self) -> tuple[str, ...]:
         return self.ground.labels(self.bits)
