@@ -17,10 +17,10 @@ CLI maps to exit code 3.
 
 The second routes take the space and read its family masks (``gbt``):
 T0 when every singleton is pairwise λ-closed, T1/2 when each side's
-g-closed family lies inside its closed one.  The deciders keep ``(t1, t2)``
-and their own scans, since mining decides every hit again through
-``evaluate_axiom(name, t1, t2)`` with no space at hand; reading a space's
-family masks there made hit-heavy queries slower.
+g-closed family lies inside its closed one.  Sweeps read the pair kernels
+below; the deciders decide one space, and ``mine``'s hits again through
+``evaluate_axiom(name, t1, t2)`` with no space at hand, so they keep
+``(t1, t2)`` and their own scans: reading masks there slowed hit-heavy queries.
 """
 
 from __future__ import annotations

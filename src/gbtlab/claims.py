@@ -5,9 +5,10 @@ a universal implication or equivalence (checked on every canonical space
 in scope, then spot-checked on random larger spaces), a conditional
 closure statement, a fixture assertion (a worked example's stated
 verdict, recomputed by the engine), or an out-of-scope note for claims
-that need an infinite carrier.  Engine verdicts are always computed from
-the deciders; recorded verdicts are data.  The universal claims that read
-only verdicts are rows of one implication table, ``IMPLICATION_ROWS``.  A
+that need an infinite carrier.  A swept space's verdicts are its verdict
+word (``mining.verdict_words``), the fixtures' are ``axiom_profile``'s,
+and recorded verdicts are data.  The universal claims that read only
+verdicts are rows of one implication table, ``IMPLICATION_ROWS``.  A
 disagreement on a fixture is reported as a fixture mismatch, not raised
 as an error, so errata in the source examples surface as findings.
 
@@ -33,7 +34,7 @@ from .axioms import (
     CHAIN,
     InternalDisagreementError,
     axiom_profile,
-    # unused here, but bench/tracing.py patches these three names in this module
+    # unused here; bench/tracing.py patches them, and they go with it as SpaceContext.profile does
     decide_all_lambda,
     decide_t0,
     decide_t_half,
@@ -43,7 +44,7 @@ from .axioms import (
     t_fraction_by_definition,
     t_half_by_definition,
 )
-from .enumeration import canonical_pair_indices, check_size, gts_on
+from .enumeration import canonical_pair_indices, check_size, gts_on, index_pair_of_key, key_width
 from .fixtures import FIXTURES, Assertion, Fixture, get_fixture
 from .gbt import GbtSpace
 from .gt import (
@@ -58,7 +59,7 @@ from .gt import (
     validate_gt,
     wedge,
 )
-from .mining import AXIOM_BITS, breaks, chain_links, implication_masks
+from .mining import AXIOM_BITS, breaks, chain_links, implication_masks, verdict_words
 from .mining import find_g_intersection_violation, find_g_union_violation
 from .records import Record
 from .sets import complemented, members, parse_subset
@@ -100,16 +101,16 @@ class SpaceContext:
 
     The subset families are the space's and its topologies' cached family
     masks (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
-    keyed by side and read when the context is made; the verdicts are
-    computed once per space, when a checker first asks, and so is their
-    ``word`` (bits as ``mining.AXIOM_BITS``), which the implication rows
-    read.  ``verified`` maps a one-topology claim to the topologies that
+    keyed by side and read when the context is made.  The verdicts are its
+    ``word`` from ``mining.verdict_words`` (bits as ``mining.AXIOM_BITS``):
+    a sweep passes it in, a context made alone reads it by its topologies'
+    indices.  ``verified`` maps a one-topology claim to the topologies that
     already passed it, keyed by ``id`` (the value keeps the topology, so
     the id stays its own); a sweep shares one such dict among all its
     spaces, whose topologies are the shared objects of ``gts_on``.
     """
 
-    def __init__(self, space: GbtSpace, verified: dict[str, dict] | None = None):
+    def __init__(self, space: GbtSpace, verified: dict[str, dict] | None = None, word: int | None = None):
         self.space = space
         self.t1 = space.mu1
         self.t2 = space.mu2
@@ -124,6 +125,8 @@ class SpaceContext:
         self.pairwise_lambda: int = space.pairwise_lambda_closed
         self.wedge_sets = {1: self.t1.wedge_sets, 2: self.t2.wedge_sets}
         self.vee_sets = {1: self.t1.vee_sets, 2: self.t2.vee_sets}
+        if word is not None:
+            self.word = word
 
     def sides(self):
         return self.space.sides()
@@ -143,24 +146,21 @@ class SpaceContext:
 
     @cached_property
     def profile(self):
+        # no checker reads it; bench/worker.py does, and it goes with bench/tracing.py
         return axiom_profile(self.space)
 
     @cached_property
     def word(self) -> int:
-        p, bit = self.profile, AXIOM_BITS
-        return (
-            p.t0 * bit["T0"]
-            | (p.t_quarter | p.t_3_8 | p.t_5_8) * bit["T1_4"]  # one shared bit
-            | p.t_half * bit["T1_2"]
-            | p.t1 * bit["T1"]
-            | p.r0 * bit["R0"]
-            | p.symmetric * bit["SYM"]
-            | p.lambda_symmetric * bit["LSYM"]
-        )
+        parts = ((t.open_family >> 1).to_bytes(key_width(self.size), "big") for t in (self.t1, self.t2))
+        _, i, j = index_pair_of_key(bytes([self.size]) + b"".join(parts))
+        return next(verdict_words(self.size, [(i, j)]))
+
+    def holds(self, axiom: str) -> bool:
+        return bool(self.word & AXIOM_BITS[axiom])
 
     @property
     def all_lambda(self) -> bool:
-        return self.profile.t_quarter
+        return self.holds("T1_4")
 
     @cached_property
     def fraction_definitional(self) -> bool:
@@ -314,19 +314,19 @@ def check_union_weakly_separated(ctx: SpaceContext) -> str | None:
 
 
 def check_thm15(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t0 != t0_by_one_point_sets(ctx.space):
+    if ctx.holds("T0") != t0_by_one_point_sets(ctx.space):
         return ctx.where("T0 differs from the one-point-set characterization")
     return None
 
 
 def check_rem16(ctx: SpaceContext) -> str | None:
-    if not ctx.profile.t0 and (is_gt_T0(ctx.t1) or is_gt_T0(ctx.t2)):
+    if not ctx.holds("T0") and (is_gt_T0(ctx.t1) or is_gt_T0(ctx.t2)):
         return ctx.where("one topology is T0 but the space is not pairwise T0")
     return _REM16_ROW(ctx)
 
 
 def check_thm18(ctx: SpaceContext) -> str | None:
-    if not ctx.profile.t0:
+    if not ctx.holds("T0"):
         return None
     cl1, cl2 = ctx.t1.closure_table, ctx.t2.closure_table
     for x, y in itertools.combinations(range(ctx.space.ground.size), 2):
@@ -337,13 +337,13 @@ def check_thm18(ctx: SpaceContext) -> str | None:
 
 
 def check_thm21(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t1 and ctx.t1.closed_points | ctx.t2.closed_points != ctx.full:
+    if ctx.holds("T1") and ctx.t1.closed_points | ctx.t2.closed_points != ctx.full:
         return ctx.where("T1 but some singleton closed on neither side")
     return None
 
 
 def check_note23(ctx: SpaceContext) -> str | None:
-    if ctx.t1.closed_points & ctx.t2.closed_points == ctx.full and not ctx.profile.t1:
+    if ctx.t1.closed_points & ctx.t2.closed_points == ctx.full and not ctx.holds("T1"):
         return ctx.where("all singletons closed on both sides but not T1")
     return None
 
@@ -376,7 +376,7 @@ def check_thm30(ctx: SpaceContext) -> str | None:
 
 
 def check_rem32(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t_half != ctx.t_half_definitional:
+    if ctx.holds("T1_2") != ctx.t_half_definitional:
         return ctx.where("two-condition singleton rule disagrees with definitional T1/2")
     return None
 
@@ -392,7 +392,7 @@ def check_thm33_literal(ctx: SpaceContext) -> str | None:
 
 
 def check_thm34(ctx: SpaceContext) -> str | None:
-    if not ctx.profile.t_half:
+    if not ctx.holds("T1_2"):
         return None
     t1, t2 = ctx.t1, ctx.t2
     none = ctx.full & ~(t1.open_points | t2.open_points | t1.closed_points | t2.closed_points)
@@ -535,7 +535,7 @@ def check_note50(ctx: SpaceContext) -> str | None:
 
 
 def check_thm51(ctx: SpaceContext) -> str | None:
-    if not ctx.profile.t1:
+    if not ctx.holds("T1"):
         return None
     missing = ~ctx.space.wedge12_sets & ((1 << ctx.space.n_subsets) - 1)
     if missing:
@@ -552,7 +552,7 @@ def check_fraction_equivalence(ctx: SpaceContext) -> str | None:
 
 
 def check_thm58(ctx: SpaceContext) -> str | None:
-    if ctx.profile.t0 != t0_by_singletons(ctx.space):
+    if ctx.holds("T0") != t0_by_singletons(ctx.space):
         return ctx.where("T0 differs from singleton pairwise-λ-closedness")
     return None
 
@@ -885,7 +885,8 @@ def run_claims(
 def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimReport]:
     """The reports of the universal claims, swept over the index pairs of
     ``canonical_pair_indices`` on 1 to ``n_scope`` points and then over
-    ``n4_samples`` seeded four-point index pairs, and of the one-off claims."""
+    ``n4_samples`` seeded four-point index pairs, with their words from
+    ``verdict_words``, and of the one-off claims."""
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
     elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
@@ -897,7 +898,9 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
         clock = time.perf_counter
         gts = gts_on(n)
         g = gts[0].ground
-        contexts = (SpaceContext(GbtSpace(g, gts[i], gts[j]), verified) for i, j in pairs)
+        pairs, copy = itertools.tee(pairs)
+        words = verdict_words(n, copy)
+        contexts = (SpaceContext(GbtSpace(g, gts[i], gts[j]), verified, next(words)) for i, j in pairs)
         while chunk := list(itertools.islice(contexts, SWEEP_CHUNK)):
             for claim_id, checker in _UNIVERSAL_CHECKERS.items():
                 if claim_id in violations:

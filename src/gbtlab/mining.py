@@ -25,23 +25,22 @@ canonical pair, and a disagreement raises InternalDisagreementError.  That
 covers every hit of a block that completes; only the hits after the
 witness limit, in the block it interrupts, are never read.
 
-A census (and the implication lattice, which reads the same words)
-decides the canonical pairs of a level with every kernel at once:
-``verdict_words`` gives each pair a verdict word, one bit per distinct
-kernel, read from the int rows made once per first index, and asserts
-the implication chain of ``axiom_profile`` on every word.  The kernel
-columns hold only the topologies a census's ``max_open_sets`` bound
-admits, found through a position map; without a bound (the unbounded
-census, the lattice and ``mine``) that is every topology.  A bounded
-census enumerates the canonical pairs of its admitted topologies only
-(the ``among`` mask of ``canonical_pair_indices``); the bound counts
-opens, so it never splits an orbit.  The pairs of
-``canonical_pair_indices`` are minimal in encoding order, so each logged
-key is ``canonical_index_key`` of the pair's indices, and a logged space
-lists each topology's cached ``open_labels``.  A census log line is
-assembled from JSON fragments made once: each topology's key hex and
-labels and each verdict word's profile; its bytes are those of ``_dump``
-of the record.
+A census, the implication lattice and the claims sweep decide pairs with
+every kernel at once: ``verdict_words`` gives each index pair a verdict
+word, one bit per distinct kernel, read from the int rows made once per
+first index, and asserts the implication chain of ``axiom_profile`` on
+every word.  The kernel columns hold only the topologies a census's
+``max_open_sets`` bound admits, found through a position map; without a
+bound (the unbounded census, the lattice, claims and ``mine``) that is
+every topology.  A bounded census enumerates the canonical pairs of its
+admitted topologies only (the ``among`` mask of
+``canonical_pair_indices``); the bound counts opens, so it never splits
+an orbit.  The pairs of ``canonical_pair_indices`` are minimal in
+encoding order, so each logged key is ``canonical_index_key`` of the
+pair's indices, and a logged space lists each topology's cached
+``open_labels``.  A census log line is assembled from JSON fragments made
+once: each topology's key hex and labels and each verdict word's
+profile; its bytes are those of ``_dump`` of the record.
 ``axiom_profile``, ``canonical_key`` and ``space_to_data`` are the tests'
 oracles for them.
 
@@ -537,6 +536,9 @@ _CHAIN_MASKS = implication_masks(chain_links(CHAIN))
 
 
 _BYTE_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# verdict_words spreads a group of this many pairs or more.  At n = 4 (2 cores, Python 3.11.7) a group
+# of 32 pairs took 97 µs read bit by bit, one of 40 took 111-120 µs, and either took 97-109 µs spread.
+SPREAD_GROUP = 36
 
 
 def _spread(row: int, count: int) -> int:
@@ -551,12 +553,12 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
     The kernel columns (cached, built on the first pair) hold the admitted
     topologies only, and a position map takes an index to its place in
     them; with no bound every topology is admitted.  The pairs of one
-    first index i that follow each other share one int row per kernel;
-    the rows are spread to a byte per place and added, kernel k's at bit
-    k, so the word of (i, j) is the byte at the place of j.  The
+    first index i that follow each other share one int row per kernel: a
+    group of ``SPREAD_GROUP`` or more spreads them to a byte per place and
+    adds them, kernel k's at bit k, so the word of (i, j) is the byte at the
+    place of j; a smaller group reads each pair's bits from them.  The
     implication chain of ``axiom_profile`` is asserted on every distinct
-    word, which covers every pair that has it.  The tests hold the words
-    against ``axiom_profile`` on canonical pairs.
+    word, which covers every pair that has it; the tests hold the words to it.
     """
     gts = gts_on(n)
     position = {index: k for k, index in enumerate(_admitted(n, max_open_sets))}
@@ -564,10 +566,14 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
     seen: set[int] = set()
     count = len(position)
     for i, group in groupby(pairs, key=operator.itemgetter(0)):
-        rows = (kernel.verdicts(column, position[i]) for kernel, column in columns)
-        words = sum(_spread(row, count) << k for k, row in enumerate(rows)).to_bytes(count, "little")
-        for _, j in group:
-            word = words[position[j]]
+        rows = [kernel.verdicts(column, position[i]) for kernel, column in columns]
+        seconds = [j for _, j in group]
+        if len(seconds) < SPREAD_GROUP:
+            words = [sum((row >> position[j] & 1) << k for k, row in enumerate(rows)) for j in seconds]
+        else:
+            spread = sum(_spread(row, count) << k for k, row in enumerate(rows)).to_bytes(count, "little")
+            words = [spread[position[j]] for j in seconds]
+        for j, word in zip(seconds, words):
             if word not in seen:
                 check_implication_chain(word_verdicts(word), GbtSpace(gts[i].ground, gts[i], gts[j]))
                 seen.add(word)

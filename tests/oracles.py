@@ -16,7 +16,8 @@ signatures, each from one topology's own tables, are what the kernels
 built before their columns were sliced from tables of all topologies at
 once.  The verdict-only claim predicates at the end are the claims
 checkers that the implication rows of ``claims.IMPLICATION_ROWS`` replaced,
-as they were written before.  These are the independent side of every
+as they were written before, reading the context's verdict word as a
+profile.  These are the independent side of every
 dual-route check in the suite.
 """
 
@@ -26,10 +27,11 @@ from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
 
-from gbtlab.axioms import KernelColumn
+from gbtlab.axioms import AxiomProfile, KernelColumn
 from gbtlab.enumeration import gt_mask_families
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology
+from gbtlab.mining import word_verdicts
 
 LABELS = "abcdefghijklmnop"
 
@@ -549,47 +551,59 @@ def signature_column(name, topologies):
 
 
 # The verdict-only claim checkers as they were before they became rows of
-# ``claims.IMPLICATION_ROWS``: each takes a SpaceContext and reads its profile.
+# ``claims.IMPLICATION_ROWS``: each takes a SpaceContext and reads the profile
+# its verdict word holds.
+
+
+def _profile(ctx):
+    # word_verdicts follows AXIOM_NAMES, as the profile's fields do
+    return AxiomProfile(*word_verdicts(ctx.word).values())
 
 
 def check_rem16_t1_clause(ctx):
-    if ctx.profile.t1 and not ctx.profile.t0:
+    p = _profile(ctx)
+    if p.t1 and not p.t0:
         return ctx.where("pairwise T1 without pairwise T0")
     return None
 
 
 def check_thm20(ctx):
-    if ctx.profile.t0 and ctx.profile.symmetric and not ctx.profile.t1:
+    p = _profile(ctx)
+    if p.t0 and p.symmetric and not p.t1:
         return ctx.where("T0 and symmetric but not T1")
     return None
 
 
 def check_rem37(ctx):
-    if ctx.profile.t_half and not ctx.profile.t0:
+    p = _profile(ctx)
+    if p.t_half and not p.t0:
         return ctx.where("T1/2 without T0")
     return None
 
 
 def check_thm52(ctx):
-    if ctx.profile.t_half and not ctx.all_lambda:
+    p = _profile(ctx)
+    if p.t_half and not ctx.all_lambda:
         return ctx.where("T1/2 but some subset is not pairwise λ-closed")
     return None
 
 
 def check_thm54(ctx):
-    if ctx.profile.t1 and ctx.profile.lambda_symmetric and not ctx.profile.t_half:
+    p = _profile(ctx)
+    if p.t1 and p.lambda_symmetric and not p.t_half:
         return ctx.where("T1 and λ-symmetric but not T1/2")
     return None
 
 
 def check_thm57(ctx):
-    if ctx.profile.t_quarter and not ctx.profile.t0:
+    p = _profile(ctx)
+    if p.t_quarter and not p.t0:
         return ctx.where("T1/4 without T0")
     return None
 
 
 def check_rem63(ctx):
-    p = ctx.profile
+    p = _profile(ctx)
     chain = ((p.t_half, p.t_5_8), (p.t_5_8, p.t_3_8), (p.t_3_8, p.t_quarter))
     if any(strong and not weak for strong, weak in chain):
         return ctx.where("separation chain broken")
@@ -597,13 +611,14 @@ def check_rem63(ctx):
 
 
 def check_thm65(ctx):
-    if ctx.profile.t0 and ctx.profile.r0 and not ctx.profile.t1:
+    p = _profile(ctx)
+    if p.t0 and p.r0 and not p.t1:
         return ctx.where("T0 and R0 but not T1")
     return None
 
 
 def check_cor67(ctx):
-    p = ctx.profile
+    p = _profile(ctx)
     if p.r0 and p.lambda_symmetric:
         values = {p.t0, p.t1, p.t_half, p.t_5_8, p.t_3_8, p.t_quarter}
         if len(values) > 1:

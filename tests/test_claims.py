@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import time
 from random import Random
 
 import pytest
 
 from gbtlab import axioms, claims
-from gbtlab.axioms import AxiomProfile, decide_t0
+from gbtlab.axioms import axiom_profile
 from gbtlab.claims import (
     CLAIM_IDS,
     IMPLICATION_ROWS,
@@ -472,36 +473,39 @@ def test_the_claim_sweep_reads_the_canonical_pairs_once_per_level(monkeypatch):
     assert {r.spaces_checked for r in reports if r.status == STATUS_VERIFIED} == {411}
 
 
-def test_the_claim_sweep_decides_t0_once_per_space(monkeypatch):
-    """The profile's T0 verdict is the only T0 decision: THM-15 and THM-58
-    compare it with their second routes instead of deciding T0 again."""
-    decided = []
+def test_the_claim_sweep_runs_no_decider(monkeypatch):
+    """The sweep reads each space's verdicts from the word ``verdict_words``
+    gives it: no decider runs, through ``axiom_profile`` or alone, and every
+    swept word holds the nine verdicts of ``axiom_profile``."""
+    calls = []
+    counted = {}
+    for decide in set(axioms.DECIDERS.values()):
+        def count(t1, t2, decide=decide):
+            calls.append(decide.__name__)
+            return decide(t1, t2)
 
-    def counted(t1, t2):
-        decided.append((t1, t2))
-        return decide_t0(t1, t2)
-
-    monkeypatch.setitem(axioms.DECIDERS, "T0", counted)
-    monkeypatch.setattr(claims, "decide_t0", counted)
+        counted[decide] = count
+        for module in (axioms, claims):
+            if hasattr(module, decide.__name__):
+                monkeypatch.setattr(module, decide.__name__, count)
+    for name, decide in list(axioms.DECIDERS.items()):
+        monkeypatch.setitem(axioms.DECIDERS, name, counted[decide])
     swept = []
 
-    def context(space, verified):
-        swept.append(space)
-        return SpaceContext(space, verified)
+    def context(*args):
+        swept.append(SpaceContext(*args))
+        return swept[-1]
 
     monkeypatch.setattr(claims, "SpaceContext", context)
     # only the sweep: no one-off claims (REM-24 profiles fixtures) and no fixtures
     monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
     monkeypatch.setattr(claims, "FIXTURES", ())
     reports = {r.id: r for r in run_claims(n_scope=3, n4_samples=50)}
+    monkeypatch.undo()
+    assert calls == []
     assert len(swept) == 411 + 50
-    assert decided == [(space.mu1, space.mu2) for space in swept]
+    assert [word_verdicts(ctx.word) for ctx in swept] == [axiom_profile(ctx.space).as_dict() for ctx in swept]
     assert reports["THM-15"].status == reports["THM-58"].status == STATUS_VERIFIED
-
-
-def _word_profile(word):
-    # word_verdicts follows AXIOM_NAMES, as the profile's fields do
-    return AxiomProfile(*word_verdicts(word).values())
 
 
 def _sweep_spaces(n_scope):
@@ -522,8 +526,7 @@ def test_the_implication_rows_fail_exactly_where_the_old_checkers_did():
     assert set(VERDICT_CLAIMS) == set(IMPLICATION_ROWS)
     broken = set()
     for word in range(1 << 7):
-        ctx = SpaceContext(_NO_T0[1])
-        ctx.profile = _word_profile(word)
+        ctx = SpaceContext(_NO_T0[1], word=word)
         for claim_id, oracle in VERDICT_CLAIMS.items():
             got = _UNIVERSAL_CHECKERS[claim_id](ctx)
             assert got == oracle(ctx), (claim_id, word)
@@ -534,17 +537,20 @@ def test_the_implication_rows_fail_exactly_where_the_old_checkers_did():
 
 @pytest.mark.parametrize("claim_id", list(IMPLICATION_ROWS))
 def test_a_planted_breaking_profile_refutes_its_row(monkeypatch, claim_id):
-    """A profile that breaks a row, planted on one space of the sweep, is
-    that row's first violation: its witness, at that space's position."""
+    """A verdict word that breaks a row, planted on one space of the sweep
+    through the sweep's word source, is that row's first violation: its
+    witness, at that space's position."""
     links, detail = IMPLICATION_ROWS[claim_id]
     word = next(w for w in range(1 << 7) if breaks(w, implication_masks(links)))
     position, target = _NO_T0
-    real = claims.axiom_profile
+    real = claims.verdict_words
 
-    def planted(space, *args):
-        return _word_profile(word) if (space.mu1, space.mu2) == (target.mu1, target.mu2) else real(space, *args)
+    def planted(n, pairs):
+        pairs, copy = itertools.tee(pairs)
+        for (i, j), got in zip(pairs, real(n, copy)):
+            yield word if (gts_on(n)[i], gts_on(n)[j]) == (target.mu1, target.mu2) else got
 
-    monkeypatch.setattr(claims, "axiom_profile", planted)
+    monkeypatch.setattr(claims, "verdict_words", planted)
     monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
     monkeypatch.setattr(claims, "FIXTURES", ())
     report = {r.id: r for r in run_claims(n_scope=2, n4_samples=0)}[claim_id]
@@ -554,8 +560,8 @@ def test_a_planted_breaking_profile_refutes_its_row(monkeypatch, claim_id):
 
 
 def test_the_single_antecedent_links_are_verified_lattice_edges():
-    """The lattice decides from kernel words and the claims from decider
-    profiles; every row link with one antecedent is an edge of both."""
+    """The lattice's edges and the claims' rows read the same kernel words;
+    every row link with one antecedent is an edge of both."""
     single = {
         claim_id: [(antecedents[0], consequent) for antecedents, consequent in links]
         for claim_id, (links, _) in IMPLICATION_ROWS.items()

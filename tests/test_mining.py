@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from concurrent.futures import Future
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -297,6 +299,26 @@ def test_verdict_words_match_axiom_profile(symmetry):
 def test_verdict_words_match_axiom_profile_on_sampled_n4_pairs(symmetry):
     pairs = list(canonical_pair_indices(4, symmetry))
     _assert_words_match_profiles(4, random.Random(11).sample(pairs, 400))
+
+
+def test_verdict_words_read_few_and_many_pairs_of_a_first_index_alike():
+    """2,000 seeded n = 4 pairs with 25 first indices: in their drawn order
+    each first index has fewer than ``SPREAD_GROUP`` pairs in a row, so their
+    bits are read from the rows; sorted, each has more, so its rows are
+    spread.  Both orders give each pair the word of ``axiom_profile``."""
+    rng, count = random.Random(24), len(gts_on(4))
+    firsts = rng.sample(range(count), 25)
+    drawn = [(rng.choice(firsts), rng.randrange(count)) for _ in range(2000)]
+    ordered = sorted(drawn)
+
+    def longest_group(pairs):
+        return max(len(list(group)) for _, group in groupby(pairs, key=itemgetter(0)))
+
+    assert longest_group(drawn) < mining.SPREAD_GROUP
+    assert min(Counter(i for i, _ in drawn).values()) >= mining.SPREAD_GROUP
+    words = dict(zip(drawn, verdict_words(4, drawn)))
+    assert dict(zip(ordered, verdict_words(4, ordered))) == words
+    _assert_words_match_profiles(4, drawn)
 
 
 @pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
