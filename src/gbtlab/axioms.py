@@ -21,6 +21,11 @@ g-closed family lies inside its closed one.  Sweeps read the pair kernels
 below; the deciders decide one space, and ``mine``'s hits again through
 ``evaluate_axiom(name, t1, t2)`` with no space at hand, so they keep
 ``(t1, t2)`` and their own scans: reading masks there slowed hit-heavy queries.
+
+Each axiom is one row of ``AXIOMS``; the names, aliases, decider and kernel
+tables and the profile's fields are read from it.  The sweeps' verdict
+words (one bit per distinct kernel) and the implication chain check on
+them close the module.
 """
 
 from __future__ import annotations
@@ -169,101 +174,6 @@ def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) ->
         if cl1[a] & w2[a] != a or cl2[a] & w1[a] != a:
             return False, f"{t1.ground.label(a)} pairwise λ-closed but not λ-closed on both sides"
     return True, None
-
-
-AXIOM_NAMES = ("T0", "T1_4", "T3_8", "T5_8", "T1_2", "T1", "R0", "SYM", "LSYM")
-# the implication chain T1/2 ⟹ T5/8 ⟹ T3/8 ⟹ T1/4 ⟹ T0, strongest first
-CHAIN = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
-
-_ALIASES = {
-    "t0": "T0",
-    "t1/4": "T1_4",
-    "t1_4": "T1_4",
-    "t3/8": "T3_8",
-    "t3_8": "T3_8",
-    "t5/8": "T5_8",
-    "t5_8": "T5_8",
-    "t1/2": "T1_2",
-    "t1_2": "T1_2",
-    "t1": "T1",
-    "r0": "R0",
-    "sym": "SYM",
-    "symmetric": "SYM",
-    "lsym": "LSYM",
-    "lambda-symmetric": "LSYM",
-    "lambda_symmetric": "LSYM",
-}
-
-
-def normalize_axiom_name(name: str) -> str:
-    try:
-        return _ALIASES[name.lower()]
-    except KeyError:
-        raise UnknownAxiomError(f"unknown axiom {name!r}; known: {', '.join(AXIOM_NAMES)}") from None
-
-
-class AxiomProfile(FrozenRecord):
-    """Truth record of the nine pairwise axioms for one space.
-
-    ``witnesses`` maps an axiom name to a short explanation of the first
-    falsifying configuration found, for every axiom that is false; equality
-    and hash read the nine verdicts alone.
-    """
-
-    _compared = ("t0", "t_quarter", "t_3_8", "t_5_8", "t_half", "t1", "r0", "symmetric", "lambda_symmetric")
-    _fields = (*_compared, "witnesses")
-
-    def __init__(
-        self,
-        t0: bool,
-        t_quarter: bool,
-        t_3_8: bool,
-        t_5_8: bool,
-        t_half: bool,
-        t1: bool,
-        r0: bool,
-        symmetric: bool,
-        lambda_symmetric: bool,
-        witnesses: dict[str, str] | None = None,
-    ) -> None:
-        witnesses = {} if witnesses is None else witnesses
-        self._fill(t0, t_quarter, t_3_8, t_5_8, t_half, t1, r0, symmetric, lambda_symmetric, witnesses)
-
-    def value(self, axiom: str) -> bool:
-        return self.as_dict()[normalize_axiom_name(axiom)]
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "T0": self.t0,
-            "T1_4": self.t_quarter,
-            "T3_8": self.t_3_8,
-            "T5_8": self.t_5_8,
-            "T1_2": self.t_half,
-            "T1": self.t1,
-            "R0": self.r0,
-            "SYM": self.symmetric,
-            "LSYM": self.lambda_symmetric,
-        }
-
-
-# The decider of each axiom, in the order of AXIOM_NAMES.  T1/4, T3/8 and
-# T5/8 share one.
-DECIDERS = {
-    "T0": decide_t0,
-    "T1_4": decide_all_lambda,
-    "T3_8": decide_all_lambda,
-    "T5_8": decide_all_lambda,
-    "T1_2": decide_t_half,
-    "T1": decide_t1,
-    "R0": decide_r0,
-    "SYM": decide_symmetric,
-    "LSYM": decide_lambda_symmetric,
-}
-
-
-def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
-    """Fast single-axiom evaluation used by the mining sweeps."""
-    return DECIDERS[normalize_axiom_name(name)](t1, t2)[0]
 
 
 # Pair kernel.  Mining decides millions of pairs drawn from one list of
@@ -497,50 +407,138 @@ class PairKernel(NamedTuple):
         return self.row(column, *column.signatures[i])
 
 
-_LAMBDA_KERNEL = PairKernel(_lambda_slices, _disjoint_row)
+class Axiom(NamedTuple):
+    """One axiom's row of ``AXIOMS``: its ``AxiomProfile`` field, its decider
+    (one space) and pair kernel (the pairs of a list of topologies), the
+    second routes that ``cross_validate_space`` holds the decider to (each
+    takes the space), and the names it answers to besides its lower-case
+    name written with ``_`` or ``/``."""
 
-# T1/4, T3/8 and T5/8 share one kernel, as they share one decider.
-PAIR_KERNELS = {
-    "T0": PairKernel(_t0_slices, _disjoint_row),
-    "T1_4": _LAMBDA_KERNEL,
-    "T3_8": _LAMBDA_KERNEL,
-    "T5_8": _LAMBDA_KERNEL,
-    "T1_2": PairKernel(_t_half_slices, _crossed_disjoint_row),
-    "T1": PairKernel(_t1_slices, _t1_row),
-    "R0": PairKernel(_r0_slices, _crossed_disjoint_row),
-    "SYM": PairKernel(_symmetric_slices, _crossed_disjoint_row),
-    "LSYM": PairKernel(_lambda_symmetric_slices, _lambda_symmetric_row),
+    field: str
+    decide: Callable[[GeneralizedTopology, GeneralizedTopology], tuple[bool, str | None]]
+    kernel: PairKernel
+    routes: tuple[Callable[[GbtSpace], bool], ...] = ()
+    aliases: tuple[str, ...] = ()
+
+
+# T1/4, T3/8 and T5/8 share one decider, kernel and route, so one verdict-word bit.
+_FRACTION = (decide_all_lambda, PairKernel(_lambda_slices, _disjoint_row), (t_fraction_by_definition,))
+
+# Every axiom, in the order of the profile's fields and of each table below.
+AXIOMS = {
+    "T0": Axiom("t0", decide_t0, PairKernel(_t0_slices, _disjoint_row), (t0_by_one_point_sets, t0_by_singletons)),
+    "T1_4": Axiom("t_quarter", *_FRACTION),
+    "T3_8": Axiom("t_3_8", *_FRACTION),
+    "T5_8": Axiom("t_5_8", *_FRACTION),
+    "T1_2": Axiom("t_half", decide_t_half, PairKernel(_t_half_slices, _crossed_disjoint_row),
+        (t_half_by_definition,)),
+    "T1": Axiom("t1", decide_t1, PairKernel(_t1_slices, _t1_row)),
+    "R0": Axiom("r0", decide_r0, PairKernel(_r0_slices, _crossed_disjoint_row)),
+    "SYM": Axiom("symmetric", decide_symmetric, PairKernel(_symmetric_slices, _crossed_disjoint_row),
+        aliases=("symmetric",)),
+    "LSYM": Axiom("lambda_symmetric", decide_lambda_symmetric, aliases=("lambda-symmetric", "lambda_symmetric"),
+        kernel=PairKernel(_lambda_symmetric_slices, _lambda_symmetric_row)),
 }
+AXIOM_NAMES = tuple(AXIOMS)
+DECIDERS = {name: row.decide for name, row in AXIOMS.items()}
+PAIR_KERNELS = {name: row.kernel for name, row in AXIOMS.items()}
+# the implication chain T1/2 ⟹ T5/8 ⟹ T3/8 ⟹ T1/4 ⟹ T0, strongest first
+CHAIN = ("T1_2", "T5_8", "T3_8", "T1_4", "T0")
+_ALIASES = {alias: name for name, row in AXIOMS.items()
+    for alias in (name.lower(), name.lower().replace("_", "/"), *row.aliases)}
+
+
+def normalize_axiom_name(name: str) -> str:
+    try:
+        return _ALIASES[name.lower()]
+    except KeyError:
+        raise UnknownAxiomError(f"unknown axiom {name!r}; known: {', '.join(AXIOM_NAMES)}") from None
+
+
+class AxiomProfile(FrozenRecord):
+    """Truth record of the nine pairwise axioms for one space.
+
+    It takes the nine verdicts in the order of ``AXIOMS``, whose rows name
+    its fields.  ``witnesses`` maps an axiom name to a short explanation of
+    the first falsifying configuration found, for every axiom that is
+    false; equality and hash read the nine verdicts alone.
+    """
+
+    _compared = tuple(row.field for row in AXIOMS.values())
+    _fields = (*_compared, "witnesses")
+
+    def __init__(self, *verdicts: bool, witnesses: dict[str, str] | None = None) -> None:
+        if len(verdicts) != len(AXIOMS):
+            raise TypeError(f"AxiomProfile takes {len(AXIOMS)} verdicts, got {len(verdicts)}")
+        self._fill(*verdicts, {} if witnesses is None else witnesses)
+
+    def as_dict(self) -> dict[str, bool]:
+        return dict(zip(AXIOM_NAMES, self._key(self)))
+
+
+def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) -> bool:
+    """One axiom's verdict on one pair; ``mine`` decides each hit it reads again with it."""
+    return DECIDERS[normalize_axiom_name(name)](t1, t2)[0]
 
 
 def cross_validate_space(s: GbtSpace) -> None:
-    """Run every alternative decision route; raise on any disagreement."""
-    t1, t2 = s.mu1, s.mu2
-    t0 = decide_t0(t1, t2)[0]
-    routes_t0 = (t0_by_one_point_sets(s), t0_by_singletons(s))
-    if any(r != t0 for r in routes_t0):
-        raise InternalDisagreementError(
-            f"T0 routes disagree on {s!r}: definitional={t0}, "
-            f"one-point-sets={routes_t0[0]}, singleton-λ={routes_t0[1]}"
-        )
-    t_half = decide_t_half(t1, t2)[0]
-    if t_half_by_definition(s) != t_half:
-        raise InternalDisagreementError(f"T1/2 routes disagree on {s!r}: singleton rule={t_half}")
-    frac = decide_all_lambda(t1, t2)[0]
-    if t_fraction_by_definition(s) != frac:
-        raise InternalDisagreementError(f"T1/4-T5/8 routes disagree on {s!r}: λ-scan={frac}")
+    """Hold each decider to its rows' second routes; raise on any
+    disagreement.  Rows that share a decider and routes are checked once."""
+    for decide, routes in dict.fromkeys((row.decide, row.routes) for row in AXIOMS.values() if row.routes):
+        verdict = decide(s.mu1, s.mu2)[0]
+        for route in routes:
+            value = route(s)
+            if value != verdict:
+                raise InternalDisagreementError(
+                    f"routes disagree on {s!r}: {decide.__name__}={verdict}, {route.__name__}={value}"
+                )
 
 
-def check_implication_chain(verdicts: dict[str, bool], where: object) -> None:
-    """Raise unless the implication ``CHAIN`` holds among ``verdicts``.
+# Verdict words.  The census, the lattice and the claims sweep decide pairs
+# with every distinct pair kernel at once: bit k of a verdict word is
+# kernel k's verdict.  There are seven, so a word fits in a byte.
+WORD_KERNELS = tuple(dict.fromkeys(PAIR_KERNELS.values()))
+AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
 
-    ``where`` names the space in the message.
-    """
+
+def word_verdicts(word: int) -> dict[str, bool]:
+    """The nine verdicts a verdict word holds, in the order of AXIOM_NAMES."""
+    return {name: bool(word & bit) for name, bit in AXIOM_BITS.items()}
+
+
+def implication_masks(links) -> tuple[tuple[int, int], ...]:
+    """The (antecedent mask, consequent bit) of each (antecedent names,
+    consequent name) link, for ``breaks``; the mask sums distinct bits."""
+    return tuple((sum({AXIOM_BITS[a] for a in names}), AXIOM_BITS[consequent]) for names, consequent in links)
+
+
+def breaks(word: int, implications) -> bool:
+    """Whether a verdict word has every antecedent bit and lacks the
+    consequent bit of one of the (mask, bit) ``implications``."""
+    for mask, bit in implications:
+        if word & mask == mask and not word & bit:
+            return True
+    return False
+
+
+def chain_links(names, *extra) -> list:
+    """The links between consecutive ``names``, with ``extra`` in every antecedent."""
+    return [((a, *extra), b) for a, b in itertools.pairwise(names)]
+
+
+def chain_break(word: int) -> str | None:
+    """How a verdict word breaks the implication ``CHAIN``, or None if it keeps it."""
     for stronger, weaker in itertools.pairwise(CHAIN):
-        if verdicts[stronger] and not verdicts[weaker]:
-            raise InternalDisagreementError(
-                f"implication chain broken on {where!r}: {stronger} holds but {weaker} fails"
-            )
+        if word & AXIOM_BITS[stronger] and not word & AXIOM_BITS[weaker]:
+            return f"{stronger} holds but {weaker} fails"
+    return None
+
+
+def check_implication_chain(word: int, where: object) -> None:
+    """Raise if the verdict word breaks the chain; ``where`` names the space in the message."""
+    broken = chain_break(word)
+    if broken:
+        raise InternalDisagreementError(f"implication chain broken on {where!r}: {broken}")
 
 
 def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
@@ -553,12 +551,9 @@ def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
     t1, t2 = s.mu1, s.mu2
     if cross_validate:
         cross_validate_space(s)
-
     decided = {decide: decide(t1, t2) for decide in dict.fromkeys(DECIDERS.values())}
     verdicts = {name: decided[decide] for name, decide in DECIDERS.items()}
-
-    check_implication_chain({name: ok for name, (ok, _) in verdicts.items()}, s)
-
+    check_implication_chain(sum({AXIOM_BITS[name] for name, (ok, _) in verdicts.items() if ok}), s)
     witnesses = {name: w for name, (ok, w) in verdicts.items() if not ok and w is not None}
     # the profile's fields follow AXIOM_NAMES, as DECIDERS does
     return AxiomProfile(*(ok for ok, _ in verdicts.values()), witnesses=witnesses)

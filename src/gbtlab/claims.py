@@ -30,14 +30,18 @@ from typing import NamedTuple
 
 from . import gbt
 from .axioms import (
+    AXIOM_BITS,
     AXIOM_NAMES,
     CHAIN,
     InternalDisagreementError,
     axiom_profile,
+    breaks,
+    chain_links,
     # unused here; bench/tracing.py patches them, and they go with it as SpaceContext.profile does
     decide_all_lambda,
     decide_t0,
     decide_t_half,
+    implication_masks,
     normalize_axiom_name,
     t0_by_one_point_sets,
     t0_by_singletons,
@@ -59,7 +63,7 @@ from .gt import (
     validate_gt,
     wedge,
 )
-from .mining import AXIOM_BITS, breaks, chain_links, implication_masks, verdict_words
+from .mining import verdict_words
 from .mining import find_g_intersection_violation, find_g_union_violation
 from .records import Record
 from .sets import complemented, members, parse_subset
@@ -102,7 +106,7 @@ class SpaceContext:
     The subset families are the space's and its topologies' cached family
     masks (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
     keyed by side and read when the context is made.  The verdicts are its
-    ``word`` from ``mining.verdict_words`` (bits as ``mining.AXIOM_BITS``):
+    ``word`` from ``mining.verdict_words`` (bits as ``axioms.AXIOM_BITS``):
     a sweep passes it in, a context made alone reads it by its topologies'
     indices.  ``verified`` maps a one-topology claim to the topologies that
     already passed it, keyed by ``id`` (the value keeps the topology, so

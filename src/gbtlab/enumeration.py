@@ -203,12 +203,13 @@ def index_pair_of_key(key: bytes) -> tuple[int, int, int]:
     return n, i, j
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+# "0" and "1" to the bytes 0 and 1, for ``bytes.translate`` of binary numerals
+BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _set_bits(mask: int, count: int):
     """The set bits of ``mask`` below ``count``, ascending."""
-    digits = format(mask, f"0{count}b")[::-1].encode().translate(_BITS)
+    digits = format(mask, f"0{count}b")[::-1].encode().translate(BIT_DIGITS)
     return itertools.compress(range(count), digits)
 
 

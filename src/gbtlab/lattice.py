@@ -7,21 +7,21 @@ solid and, dashed, the refuted converses of verified implications; the
 JSON report carries the full partition of all ordered pairs.
 
 The sweep reads the verdict words of ``mining.verdict_words`` over each
-level's canonical index pairs and keeps, per distinct word, the
+level's canonical index pairs, streamed, and keeps, per distinct word, the
 ``canonical_index_key`` of the first space that has it; the first
 countering space of (P, Q) is the first of those spaces whose word
-``breaks`` the link P ⟹ Q: it has P's bit and lacks Q's.
+breaks the link P ⟹ Q (``axioms.breaks``): it has P's bit and lacks Q's.
 ``axiom_profile`` and ``canonical_key`` are the oracles the tests hold
 the words and keys to.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, tee
 
-from .axioms import AXIOM_NAMES
+from .axioms import AXIOM_BITS, AXIOM_NAMES, breaks
 from .enumeration import canonical_index_key, canonical_pair_indices, check_size
-from .mining import AXIOM_BITS, breaks, verdict_words
+from .mining import verdict_words
 from .records import Record
 
 
@@ -73,8 +73,8 @@ def implication_lattice(n: int) -> LatticeReport:
     # the canonical spaces' verdict words, each with the key of its first space
     first_keys: dict[int, bytes] = {}
     for level in range(1, n + 1):
-        pairs = list(canonical_pair_indices(level))
-        for (i, j), word in zip(pairs, verdict_words(level, pairs)):
+        pairs, copy = tee(canonical_pair_indices(level))
+        for (i, j), word in zip(pairs, verdict_words(level, copy)):
             if word not in first_keys:
                 first_keys[word] = canonical_index_key(level, i, j)
 

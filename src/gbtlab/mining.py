@@ -27,9 +27,11 @@ witness limit, in the block it interrupts, are never read.
 
 A census, the implication lattice and the claims sweep decide pairs with
 every kernel at once: ``verdict_words`` gives each index pair a verdict
-word, one bit per distinct kernel, read from the int rows made once per
-first index, and asserts the implication chain of ``axiom_profile`` on
-every word.  The kernel columns hold only the topologies a census's
+word, one bit per distinct kernel (the word layer of ``axioms``:
+``WORD_KERNELS``, ``AXIOM_BITS``), read from the int rows made once per
+first index, and asserts on every word the implication chain that
+``axiom_profile`` asserts (``check_implication_chain``).  The kernel
+columns hold only the topologies a census's
 ``max_open_sets`` bound admits, found through a position map; without a
 bound (the unbounded census, the lattice, claims and ``mine``) that is
 every topology.  A bounded census enumerates the canonical pairs of its
@@ -83,24 +85,27 @@ from collections import Counter
 from collections.abc import Sequence
 from contextlib import closing
 from functools import lru_cache, partial
-from itertools import combinations, groupby, islice, pairwise
+from itertools import combinations, groupby, islice
 from typing import NamedTuple
 
 from .axioms import (
-    CHAIN,
     PAIR_KERNELS,
+    WORD_KERNELS,
     AxiomProfile,
     InternalDisagreementError,
     KernelColumn,
     PairKernel,
     SlicedTables,
     axiom_profile,
+    chain_break,
     check_implication_chain,
     evaluate_axiom,
     normalize_axiom_name,
     sliced_tables,
+    word_verdicts,
 )
 from .enumeration import (
+    BIT_DIGITS,
     canonical_index_key,
     canonical_index_pair,
     canonical_key,  # unused here, but bench/tracing.py patches this name in this module
@@ -500,42 +505,6 @@ class CensusRow(Record):
         return {name: getattr(self, name) for name in self._fields}
 
 
-# The distinct pair kernels: bit k of a verdict word is kernel k's verdict.
-# There are seven, so a word fits in the byte ``verdict_words`` reads it from.
-# T1/4, T3/8 and T5/8 share the kernel of ``decide_all_lambda``, so one bit.
-WORD_KERNELS = tuple(dict.fromkeys(PAIR_KERNELS.values()))
-AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
-
-
-def word_verdicts(word: int) -> dict[str, bool]:
-    """The nine verdicts a verdict word holds, in the order of AXIOM_NAMES."""
-    return {name: bool(word & bit) for name, bit in AXIOM_BITS.items()}
-
-
-def implication_masks(links) -> tuple[tuple[int, int], ...]:
-    """The (antecedent mask, consequent bit) of each (antecedent names,
-    consequent name) link, for ``breaks``; the mask sums distinct bits."""
-    return tuple((sum({AXIOM_BITS[a] for a in names}), AXIOM_BITS[consequent]) for names, consequent in links)
-
-
-def breaks(word: int, implications) -> bool:
-    """Whether a verdict word has every antecedent bit and lacks the
-    consequent bit of one of the (mask, bit) ``implications``."""
-    for mask, bit in implications:
-        if word & mask == mask and not word & bit:
-            return True
-    return False
-
-
-def chain_links(names, *extra) -> list:
-    """The links between consecutive ``names``, with ``extra`` in every antecedent."""
-    return [((a, *extra), b) for a, b in pairwise(names)]
-
-
-_CHAIN_MASKS = implication_masks(chain_links(CHAIN))
-
-
-_BYTE_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 # verdict_words spreads a group of this many pairs or more.  At n = 4 (2 cores, Python 3.11.7) a group
 # of 32 pairs took 97 µs read bit by bit, one of 40 took 111-120 µs, and either took 97-109 µs spread.
 SPREAD_GROUP = 36
@@ -543,7 +512,7 @@ SPREAD_GROUP = 36
 
 def _spread(row: int, count: int) -> int:
     """Bit p of ``row`` (of ``count`` bits) moved to bit 8p: a byte per bit."""
-    return int.from_bytes(format(row, f"0{count}b").encode().translate(_BYTE_DIGITS), "big")
+    return int.from_bytes(format(row, f"0{count}b").encode().translate(BIT_DIGITS), "big")
 
 
 def verdict_words(n: int, pairs, max_open_sets: int | None = None):
@@ -575,7 +544,7 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
             words = [spread[position[j]] for j in seconds]
         for j, word in zip(seconds, words):
             if word not in seen:
-                check_implication_chain(word_verdicts(word), GbtSpace(gts[i].ground, gts[i], gts[j]))
+                check_implication_chain(word, GbtSpace(gts[i].ground, gts[i], gts[j]))
                 seen.add(word)
             yield word
 
@@ -618,12 +587,12 @@ def _census_words(n: int, line, lines, where):
 
     The key's hex gives the pair (i, j) and the profile text gives the
     word, from a map of the profiles of the words that keep the implication
-    chain; the line must then be byte-identical to ``line(i, j, word)``,
-    the census's own line (``_census_lines``), so a line that the census
-    would not have written raises ValueError.
+    chain (``chain_break``); the line must then be byte-identical to
+    ``line(i, j, word)``, the census's own line (``_census_lines``), so a
+    line that the census would not have written raises ValueError.
     """
     indices = key_part_hexes(n)
-    words = {text: word for word, text in enumerate(_profile_texts()) if not breaks(word, _CHAIN_MASKS)}
+    words = {text: word for word, text in enumerate(_profile_texts()) if chain_break(word) is None}
     first = len('{"key":"00')  # a key's hex: the size byte, then each topology's part
     second = first + 2 * key_width(n)
     end = second + 2 * key_width(n)

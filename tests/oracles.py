@@ -27,11 +27,10 @@ from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
 
-from gbtlab.axioms import AxiomProfile, KernelColumn
+from gbtlab.axioms import AxiomProfile, KernelColumn, word_verdicts
 from gbtlab.enumeration import gt_mask_families
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology
-from gbtlab.mining import word_verdicts
 
 LABELS = "abcdefghijklmnop"
 

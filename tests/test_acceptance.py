@@ -179,9 +179,10 @@ def test_criterion_3_decider_cross_validation():
 
 
 def test_criterion_3_disagreement_exits_3(monkeypatch, tmp_path):
-    import gbtlab.axioms as axioms_module
+    from gbtlab.axioms import AXIOMS
 
-    monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda s: None)
+    row = AXIOMS["T0"]
+    monkeypatch.setitem(AXIOMS, "T0", row._replace(routes=(row.routes[0], lambda s: None)))
     from importlib import resources
 
     path = str(resources.files("gbtlab").joinpath("fixtures/e35.json"))

@@ -11,7 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gbtlab.axioms import (
+    AXIOM_BITS,
     AXIOM_NAMES,
+    AXIOMS,
+    AxiomProfile,
     DECIDERS,
     PAIR_KERNELS,
     InternalDisagreementError,
@@ -59,16 +62,68 @@ def _holds(decide, s):
     return decide(s.mu1, s.mu2)[0]
 
 
+ALIASES = {
+    "t0": "T0",
+    "t1/4": "T1_4",
+    "t1_4": "T1_4",
+    "t3/8": "T3_8",
+    "t3_8": "T3_8",
+    "t5/8": "T5_8",
+    "t5_8": "T5_8",
+    "t1/2": "T1_2",
+    "t1_2": "T1_2",
+    "t1": "T1",
+    "r0": "R0",
+    "sym": "SYM",
+    "symmetric": "SYM",
+    "lsym": "LSYM",
+    "lambda-symmetric": "LSYM",
+    "lambda_symmetric": "LSYM",
+}
+
+
 def test_axiom_name_normalization():
-    assert normalize_axiom_name("t1/4") == "T1_4"
-    assert normalize_axiom_name("lambda-symmetric") == "LSYM"
-    with pytest.raises(UnknownAxiomError):
-        normalize_axiom_name("T9")
+    for alias, name in ALIASES.items():
+        assert normalize_axiom_name(alias) == name
+        assert normalize_axiom_name(alias.upper()) == name
+    known = "known: T0, T1_4, T3_8, T5_8, T1_2, T1, R0, SYM, LSYM"
+    for unknown in ("T9", "t1/3", "lambda symmetric", ""):
+        with pytest.raises(UnknownAxiomError) as caught:
+            normalize_axiom_name(unknown)
+        assert str(caught.value) == f"unknown axiom {unknown!r}; {known}"
 
 
 def test_decider_table_follows_axiom_names():
     # axiom_profile fills the profile's fields in this order
-    assert tuple(DECIDERS) == AXIOM_NAMES == tuple(axiom_profile(_space("a", [], [])).as_dict())
+    profile = axiom_profile(_space("a", [], []))
+    assert AXIOM_NAMES == ("T0", "T1_4", "T3_8", "T5_8", "T1_2", "T1", "R0", "SYM", "LSYM")
+    assert AXIOM_NAMES == tuple(DECIDERS) == tuple(PAIR_KERNELS) == tuple(AXIOM_BITS) == tuple(profile.as_dict())
+
+
+def test_verdict_word_bits_stay_fixed():
+    # census log lines index their profile texts by word, so the bits must not move
+    assert AXIOM_BITS == {
+        "T0": 1, "T1_4": 2, "T3_8": 2, "T5_8": 2, "T1_2": 4, "T1": 8, "R0": 16, "SYM": 32, "LSYM": 64,
+    }
+
+
+def test_profile_takes_exactly_nine_verdicts():
+    verdicts = [True] * len(AXIOM_NAMES)
+    assert AxiomProfile(*verdicts).as_dict() == dict.fromkeys(AXIOM_NAMES, True)
+    with pytest.raises(TypeError):
+        AxiomProfile(*verdicts[:-1])
+    with pytest.raises(TypeError):
+        AxiomProfile(*verdicts[:-1], witnesses={})
+    with pytest.raises(TypeError):
+        AxiomProfile(*verdicts, True, witnesses={})
+
+
+def test_profile_asserts_the_implication_chain(monkeypatch):
+    s = get_fixture("e17").space()
+    assert not axiom_profile(s).t_quarter
+    monkeypatch.setitem(DECIDERS, "T1_2", lambda t1, t2: (True, None))
+    with pytest.raises(InternalDisagreementError, match="T1_2 holds but T5_8 fails"):
+        axiom_profile(s)
 
 
 def test_t0_examples():
@@ -229,9 +284,8 @@ def test_profile_invariant_under_permutation_and_swap(s):
 
 def test_internal_disagreement_is_raised_for_broken_engine(monkeypatch):
     s = get_fixture("e35").space()
-    import gbtlab.axioms as axioms_module
-
-    monkeypatch.setattr(axioms_module, "t0_by_singletons", lambda s: False)
+    row = AXIOMS["T0"]
+    monkeypatch.setitem(AXIOMS, "T0", row._replace(routes=(row.routes[0], lambda s: False)))
     with pytest.raises(InternalDisagreementError):
         cross_validate_space(s)
 

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from gbtlab import axioms, claims
-from gbtlab.axioms import axiom_profile
+from gbtlab.axioms import axiom_profile, breaks, implication_masks, word_verdicts
 from gbtlab.claims import (
     CLAIM_IDS,
     IMPLICATION_ROWS,
@@ -32,7 +32,6 @@ from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology, is_gt_T0
 from gbtlab.lattice import implication_lattice
-from gbtlab.mining import breaks, implication_masks, word_verdicts
 from oracles import VERDICT_CLAIMS
 
 EXPECTED_IDS = {

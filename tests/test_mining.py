@@ -15,6 +15,7 @@ import pytest
 from gbtlab import axioms, mining
 from gbtlab import lattice as lattice_module
 from gbtlab.axioms import (
+    AXIOM_BITS,
     PAIR_KERNELS,
     InternalDisagreementError,
     PairKernel,
@@ -23,6 +24,7 @@ from gbtlab.axioms import (
     check_implication_chain,
     evaluate_axiom,
     sliced_tables,
+    word_verdicts,
 )
 from gbtlab.enumeration import canonical_key, canonical_pair_indices, enumerate_gbt_pairs, gts_on
 from gbtlab.lattice import implication_lattice
@@ -35,7 +37,6 @@ from gbtlab.mining import (
     find_note50_witness,
     mine,
     verdict_words,
-    word_verdicts,
 )
 from gbtlab.gbt import GbtSpace, is_pairwise_lambda_closed, is_wedge12_set
 from gbtlab.spacefile import space_to_data
@@ -369,9 +370,9 @@ def test_census_lines_equal_the_dumped_records(symmetry):
 
 
 def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
-    t_half_only = mining.AXIOM_BITS["T1_2"]  # T1/2 holds, T5/8 fails
+    t_half_only = AXIOM_BITS["T1_2"]  # T1/2 holds, T5/8 fails
     with pytest.raises(InternalDisagreementError, match="T1_2 holds but T5_8 fails"):
-        check_implication_chain(word_verdicts(t_half_only), "a hand-made word")
+        check_implication_chain(t_half_only, "a hand-made word")
     # a T1/2 kernel that holds everywhere makes such words in the sweeps
     t_half = PAIR_KERNELS["T1_2"]
     forced = PairKernel(t_half.slices, lambda column, *signature: column.every)
