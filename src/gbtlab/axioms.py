@@ -410,9 +410,9 @@ class PairKernel(NamedTuple):
 class Axiom(NamedTuple):
     """One axiom's row of ``AXIOMS``: its ``AxiomProfile`` field, its decider
     (one space) and pair kernel (the pairs of a list of topologies), the
-    second routes that ``cross_validate_space`` holds the decider to (each
-    takes the space), and the names it answers to besides its lower-case
-    name written with ``_`` or ``/``."""
+    second routes that a cross-validated ``axiom_profile`` holds the
+    decider's verdict to (each takes the space), and the names it answers
+    to besides its lower-case name written with ``_`` or ``/``."""
 
     field: str
     decide: Callable[[GeneralizedTopology, GeneralizedTopology], tuple[bool, str | None]]
@@ -481,19 +481,6 @@ def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) 
     return DECIDERS[normalize_axiom_name(name)](t1, t2)[0]
 
 
-def cross_validate_space(s: GbtSpace) -> None:
-    """Hold each decider to its rows' second routes; raise on any
-    disagreement.  Rows that share a decider and routes are checked once."""
-    for decide, routes in dict.fromkeys((row.decide, row.routes) for row in AXIOMS.values() if row.routes):
-        verdict = decide(s.mu1, s.mu2)[0]
-        for route in routes:
-            value = route(s)
-            if value != verdict:
-                raise InternalDisagreementError(
-                    f"routes disagree on {s!r}: {decide.__name__}={verdict}, {route.__name__}={value}"
-                )
-
-
 # Verdict words.  The census, the lattice and the claims sweep decide pairs
 # with every distinct pair kernel at once: bit k of a verdict word is
 # kernel k's verdict.  There are seven, so a word fits in a byte.
@@ -544,15 +531,21 @@ def check_implication_chain(word: int, where: object) -> None:
 def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
     """All nine verdicts, with the implication chain asserted.
 
-    With ``cross_validate`` every axiom that has more than one decision
-    route is computed by all of them (exit surface for the agreement
-    acceptance criterion).
+    Each distinct decider of ``DECIDERS`` runs once.  With ``cross_validate``
+    its verdict is also held to the second routes of its ``AXIOMS`` rows
+    (a route that rows share runs once), before the chain: a disagreement
+    between routes raises.
     """
     t1, t2 = s.mu1, s.mu2
-    if cross_validate:
-        cross_validate_space(s)
     decided = {decide: decide(t1, t2) for decide in dict.fromkeys(DECIDERS.values())}
     verdicts = {name: decided[decide] for name, decide in DECIDERS.items()}
+    routes = ((DECIDERS[name], route) for name, row in AXIOMS.items() for route in row.routes)
+    for decide, route in dict.fromkeys(routes) if cross_validate else ():
+        verdict, value = decided[decide][0], route(s)
+        if value != verdict:
+            raise InternalDisagreementError(
+                f"routes disagree on {s!r}: {decide.__name__}={verdict}, {route.__name__}={value}"
+            )
     check_implication_chain(sum({AXIOM_BITS[name] for name, (ok, _) in verdicts.items() if ok}), s)
     witnesses = {name: w for name, (ok, w) in verdicts.items() if not ok and w is not None}
     # the profile's fields follow AXIOM_NAMES, as DECIDERS does

@@ -68,12 +68,12 @@ those of a block a crash left unfinished.  ``mine`` decodes its few
 witness records; a logged witness key is read back to its pair
 (``index_pair_of_key``), and one that no run of the query can have
 written is refused.  ``census`` decodes none of its records
-(``_census_words``): a line's key hex gives its pair, its profile text
-its verdict word, and the line must be byte for byte the one
-``_census_lines`` writes for them, so any other line is refused.  Only
-then is the log file opened; one that is missing or empty starts as a
-copy of the resumed log, so either file can be resumed later.  Without a
-log file the writes do nothing.
+(``_census_words``): a line's profile text gives its verdict word, and
+the k-th record line must be byte for byte the one ``_census_lines``
+writes for the k-th pair of the census's list and that word; any other
+line is refused.  Only then is the log file opened; one that is missing
+or empty starts as a copy of the resumed log, so either file can be
+resumed later.  Without a log file the writes do nothing.
 """
 
 from __future__ import annotations
@@ -368,7 +368,8 @@ class _BlockLog:
             lines = filter(str.strip, handle)
             first = json.loads(next(lines, "null"))
             if not isinstance(first, dict) or first.get("header") != self._header["header"]:
-                raise ValueError(f"{self._resumed}: log was written for a different {self._header['log']} run")
+                why = f"was written for a different {self._header['log']} run" if first else "holds no header"
+                raise ValueError(f"{self._resumed}: log {why}")
             for line in lines:
                 if line.startswith('{"block":'):
                     record = json.loads(line)
@@ -582,27 +583,22 @@ def _census_lines(n: int, max_open_sets: int | None = None):
     return line
 
 
-def _census_words(n: int, line, lines, where):
+def _census_words(n: int, line, pairs, lines, where):
     """The verdict word of each census record line, read without decoding it.
 
-    The key's hex gives the pair (i, j) and the profile text gives the
-    word, from a map of the profiles of the words that keep the implication
-    chain (``chain_break``); the line must then be byte-identical to
-    ``line(i, j, word)``, the census's own line (``_census_lines``), so a
-    line that the census would not have written raises ValueError.
+    The profile text gives the word, from a map of the profiles of the
+    words that keep the implication chain (``chain_break``); the k-th line
+    must then be byte-identical to ``line(*pairs[k], word)``, the census's
+    own line (``_census_lines``) for the k-th pair of its list, so a line
+    that the census would not have written there raises ValueError.
     """
-    indices = key_part_hexes(n)
     words = {text: word for word, text in enumerate(_profile_texts()) if chain_break(word) is None}
-    first = len('{"key":"00')  # a key's hex: the size byte, then each topology's part
-    second = first + 2 * key_width(n)
-    end = second + 2 * key_width(n)
-    start = end + len('","profile":')
-    for text in lines:
+    start = len('{"key":"00","profile":') + 4 * key_width(n)  # after the size byte and both key parts
+    for k, text in enumerate(lines):
         try:
-            i, j = indices[text[first:second]], indices[text[second:end]]
             word = words[text[start : text.index("}", start) + 1]]
-            known = text == line(i, j, word)
-        except (KeyError, ValueError):
+            known = text == line(*pairs[k], word)
+        except (KeyError, ValueError, IndexError):
             known = False
         if not known:
             raise ValueError(f"{where}: not a record of this census: {text.rstrip()!r}")
@@ -643,7 +639,7 @@ def census(
     pairs = list(canonical_pair_indices(n, symmetry, among))
 
     line = _census_lines(n, max_open_sets)
-    word_counts = Counter(_census_words(n, line, log.replay(), resume_path))
+    word_counts = Counter(_census_words(n, line, pairs, log.replay(), resume_path))
     with log:
         for _, index, block in _block_walk([(n, len(pairs))], log.done, lambda _, lo, hi: pairs[lo:hi]):
             words = list(verdict_words(n, block, max_open_sets))

@@ -19,7 +19,7 @@ import json
 import time
 from contextlib import redirect_stdout
 
-from gbtlab.axioms import cross_validate_space
+from gbtlab.axioms import axiom_profile
 from gbtlab.claims import eval_predicate, run_claims, statuses_match_expectations
 from gbtlab.cli import main
 from gbtlab.enumeration import canonical_pair_indices, gt_mask_families, gts_on
@@ -166,7 +166,7 @@ def test_criterion_3_decider_cross_validation():
     for n in (1, 2, 3):
         gts = gts_on(n)
         for i, j in canonical_pair_indices(n, "perm"):
-            cross_validate_space(GbtSpace(gts[0].ground, gts[i], gts[j]))
+            axiom_profile(GbtSpace(gts[0].ground, gts[i], gts[j]), cross_validate=True)
             count += 1
     elapsed = time.perf_counter() - start
     _line(

@@ -4,7 +4,8 @@ import hashlib
 import itertools
 import json
 import random
-from functools import cache
+from collections import Counter
+from functools import cache, wraps
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,6 @@ from gbtlab.axioms import (
     InternalDisagreementError,
     UnknownAxiomError,
     axiom_profile,
-    cross_validate_space,
     decide_lambda_symmetric,
     decide_r0,
     decide_symmetric,
@@ -200,7 +200,7 @@ def test_profile_chain_always_holds():
 def test_cross_validation_clean_small():
     gts = gts_on(2)
     for i, j in canonical_pair_indices(2, "perm"):
-        cross_validate_space(GbtSpace(gts[0].ground, gts[i], gts[j]))
+        axiom_profile(GbtSpace(gts[0].ground, gts[i], gts[j]), cross_validate=True)
 
 
 def test_four_kind_hull_matches_the_separation_scan():
@@ -283,11 +283,48 @@ def test_profile_invariant_under_permutation_and_swap(s):
 
 
 def test_internal_disagreement_is_raised_for_broken_engine(monkeypatch):
+    """Each second route in turn, made to answer the opposite of itself in
+    every row that holds it: the cross-validated profile raises, naming the
+    decider and that route."""
     s = get_fixture("e35").space()
-    row = AXIOMS["T0"]
-    monkeypatch.setitem(AXIOMS, "T0", row._replace(routes=(row.routes[0], lambda s: False)))
-    with pytest.raises(InternalDisagreementError):
-        cross_validate_space(s)
+    routes = dict.fromkeys((row.decide, route) for row in AXIOMS.values() for route in row.routes)
+    assert len(routes) == 4
+    for decide, route in routes:
+
+        @wraps(route)
+        def broken(space, route=route):
+            return not route(space)
+
+        with monkeypatch.context() as patch:
+            for name, row in list(AXIOMS.items()):
+                forced = tuple(broken if r is route else r for r in row.routes)
+                patch.setitem(AXIOMS, name, row._replace(routes=forced))
+            with pytest.raises(InternalDisagreementError, match=f"{decide.__name__}=.*, {route.__name__}="):
+                axiom_profile(s, cross_validate=True)
+    axiom_profile(s, cross_validate=True)
+
+
+def test_cross_validated_profile_runs_each_decider_once(monkeypatch):
+    """One counting wrapper per distinct decider, in ``DECIDERS`` and in its
+    ``AXIOMS`` rows: a cross-validated profile calls each exactly once."""
+    calls = Counter()
+    counted = {}
+    for decide in dict.fromkeys(DECIDERS.values()):
+
+        @wraps(decide)
+        def count(t1, t2, decide=decide):
+            calls[decide] += 1
+            return decide(t1, t2)
+
+        counted[decide] = count
+    assert len(counted) == 7
+    for name, row in list(AXIOMS.items()):
+        monkeypatch.setitem(DECIDERS, name, counted[row.decide])
+        monkeypatch.setitem(AXIOMS, name, row._replace(decide=counted[row.decide]))
+    for fixture in ("e11", "e17", "e35"):
+        calls.clear()
+        axiom_profile(get_fixture(fixture).space(), cross_validate=True)
+        assert calls == dict.fromkeys(counted, 1), fixture
 
 
 # pair kernel ---------------------------------------------------------------

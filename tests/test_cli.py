@@ -6,7 +6,8 @@ from importlib import resources
 import pytest
 
 from gbtlab.cli import main
-from gbtlab.mining import MiningQuery
+from gbtlab.enumeration import canonical_index_pair
+from gbtlab.mining import MiningQuery, _census_lines, verdict_words
 
 
 def _fixture_path(name: str) -> str:
@@ -367,6 +368,50 @@ def test_census_resume_refuses_a_line_the_census_would_not_write(tmp_path, capsy
     code, out, err = _run(capsys, "census", "--n", "3", "--resume", str(log))
     assert (code, out) == (1, "")
     assert err == f"error: {log}: not a record of this census: {changed.rstrip()!r}\n"
+
+
+def _non_canonical(lines, k):
+    """Line k replaced by the line of the pair (0, 2), which is not canonical
+    under ``perm``, with its true verdicts."""
+    assert canonical_index_pair(3, 0, 2, "perm") != (0, 2)
+    return [*lines[:k], _census_lines(3)(0, 2, next(verdict_words(3, [(0, 2)]))), *lines[k + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "change, refused",
+    [
+        (lambda lines, k: lines[:k] + lines[k + 1 :], 0),
+        (lambda lines, k: [*lines[:k], lines[k + 1], lines[k], *lines[k + 2 :]], 0),
+        (lambda lines, k: lines[: k + 1] + lines[k:], 1),
+        (_non_canonical, 0),
+    ],
+    ids=["deleted", "swapped", "repeated", "non-canonical-pair"],
+)
+def test_census_resume_refuses_a_record_out_of_its_place(tmp_path, capsys, change, refused):
+    """Census lines in the middle of a finished log, each byte for byte one
+    the census writes, but not at the place of its pair in the census's
+    list: the first line out of place is refused."""
+    log = tmp_path / "census.ndjson"
+    assert _run(capsys, "census", "--n", "3", "--log", str(log))[0] == 0
+    lines = log.read_text().splitlines(keepends=True)
+    k = next(k for k in range(len(lines) // 2, len(lines)) if '"key"' in lines[k] and '"key"' in lines[k + 1])
+    lines = change(lines, k)
+    log.write_text("".join(lines))
+    code, out, err = _run(capsys, "census", "--n", "3", "--resume", str(log))
+    assert (code, out) == (1, "")
+    assert err == f"error: {log}: not a record of this census: {lines[k + refused].rstrip()!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("census", "--n", "2"), ("mine", "--require", "T1", "--forbid", "R0", "--n", "2")],
+    ids=["census", "mine"],
+)
+def test_resuming_an_empty_log_says_it_holds_no_header(tmp_path, capsys, argv):
+    """A crash before the header line was flushed leaves an empty log."""
+    log = tmp_path / "empty.ndjson"
+    log.write_text("")
+    assert _run(capsys, *argv, "--resume", str(log)) == (1, "", f"error: {log}: log holds no header\n")
 
 
 @pytest.mark.parametrize(
