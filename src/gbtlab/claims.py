@@ -8,9 +8,10 @@ verdict, recomputed by the engine), or an out-of-scope note for claims
 that need an infinite carrier.  A swept space's verdicts are its verdict
 word (``mining.verdict_words``), the fixtures' are ``axiom_profile``'s,
 and recorded verdicts are data.  The universal claims that read only
-verdicts are rows of one implication table, ``IMPLICATION_ROWS``.  A
-disagreement on a fixture is reported as a fixture mismatch, not raised
-as an error, so errata in the source examples surface as findings.
+verdicts are rows of one implication table, ``IMPLICATION_ROWS``, and
+thirteen family claims are kernels of ``claim_kernels``.  A disagreement on
+a fixture is reported as a fixture mismatch, not raised as an error, so
+errata in the source examples surface as findings.
 
 Claim THM-33 is registered twice on purpose: once literally (each
 singleton open or closed within the SAME topology) and once in the
@@ -124,7 +125,6 @@ class SpaceContext:
         self.label = space.ground.label
         self.verified = {} if verified is None else verified
         self.g_closed: dict[int, int] = space.g_closed
-        self.g_open = {i: complemented(family, self.size) for i, family in self.g_closed.items()}
         self.lambda_closed: dict[int, int] = space.lambda_closed
         self.pairwise_lambda: int = space.pairwise_lambda_closed
         self.wedge_sets = {1: self.t1.wedge_sets, 2: self.t2.wedge_sets}
@@ -134,6 +134,10 @@ class SpaceContext:
 
     def sides(self):
         return self.space.sides()
+
+    @cached_property
+    def g_open(self) -> dict[int, int]:
+        return {i: complemented(family, self.size) for i, family in self.g_closed.items()}
 
     def unverified_sides(self, claim_id: str):
         """(i, mu_i) for the sides whose topology has not yet passed the
@@ -584,8 +588,9 @@ def check_rem66() -> str | None:
 _IMPLICATION, _EQUIVALENCE, _CONDITIONAL = "universal-implication", "equivalence", "conditional"
 
 # The claim table, by scope: claim id -> (kind, checker, statement).  The
-# "enumeration" checkers take a SpaceContext and run on every swept space;
-# the "fixture" checkers take nothing and run once on corpus spaces.
+# "enumeration" checkers take a SpaceContext and run on every swept space
+# (a kernel claim's at its kernel's first failing pair only); the "fixture"
+# checkers take nothing and run once on corpus spaces.
 _CLAIMS = {
     "enumeration": {
         "LEM-7": (_IMPLICATION, check_lem7,
@@ -891,34 +896,49 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
     ``canonical_pair_indices`` on 1 to ``n_scope`` points and then over
     ``n4_samples`` seeded four-point index pairs, with their words from
     ``verdict_words``, and of the one-off claims."""
+    from . import claim_kernels
+
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
     elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
     verified: dict[str, dict] = {}
 
     def sweep(n, pairs):
-        # checker-major over chunks: each unviolated checker runs over the
-        # chunk's contexts in sweep order and stops at its first violation
+        # per block: the words and kernel claims at once, the index pairs let
+        # go; then checker-major over chunks, each unviolated checker in sweep
+        # order up to its first violation, a kernel claim's at its hit alone
         clock = time.perf_counter
         gts = gts_on(n)
         g = gts[0].ground
-        pairs, copy = itertools.tee(pairs)
-        words = verdict_words(n, copy)
-        contexts = (SpaceContext(GbtSpace(g, gts[i], gts[j]), verified, next(words)) for i, j in pairs)
-        while chunk := list(itertools.islice(contexts, SWEEP_CHUNK)):
-            for claim_id, checker in _UNIVERSAL_CHECKERS.items():
-                if claim_id in violations:
-                    continue
-                start = clock()
-                count = len(chunk)
-                for position, ctx in enumerate(chunk, 1):
-                    result = checker(ctx)
-                    if result is not None:
-                        violations[claim_id] = result
-                        count = position
-                        break
-                elapsed[claim_id] += clock() - start
-                checked[claim_id] += count
+        pairs = iter(pairs)
+        while block := list(itertools.islice(pairs, claim_kernels.BLOCK)):
+            words = bytes(verdict_words(n, block))
+            firsts, seconds = [gts[i] for i, _ in block], [gts[j] for _, j in block]
+            del block
+            kernel_ids = [c for c in claim_kernels.KERNELS if c not in violations]
+            hits = claim_kernels.first_failures(firsts, seconds, kernel_ids, elapsed)
+            contexts = (SpaceContext(GbtSpace(g, t1, t2), verified, word)
+                for t1, t2, word in zip(firsts, seconds, words))
+            for offset in range(0, len(words), SWEEP_CHUNK):
+                chunk = list(itertools.islice(contexts, SWEEP_CHUNK))
+                for claim_id, checker in _UNIVERSAL_CHECKERS.items():
+                    if claim_id in violations:
+                        continue
+                    start = clock()
+                    count, spaces = len(chunk), enumerate(chunk, 1)
+                    if claim_id in kernel_ids:
+                        place = hits.get(claim_id, -1) - offset
+                        spaces = [(place + 1, chunk[place])] if 0 <= place < count else ()
+                    for position, ctx in spaces:
+                        result = checker(ctx)
+                        if result is not None:
+                            violations[claim_id] = result
+                            count = position
+                            break
+                        if claim_id in kernel_ids:
+                            raise InternalDisagreementError(f"{claim_id}: kernel and checker disagree on {ctx.space!r}")
+                    elapsed[claim_id] += clock() - start
+                    checked[claim_id] += count
 
     for n in range(1, n_scope + 1):
         sweep(n, canonical_pair_indices(n))

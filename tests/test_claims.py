@@ -30,7 +30,7 @@ from gbtlab.claims import (
 from gbtlab.enumeration import canonical_pair_indices, gts_on
 from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace
-from gbtlab.gt import GeneralizedTopology, is_gt_T0
+from gbtlab.gt import GeneralizedTopology, is_gt_T0, is_gt_T1
 from gbtlab.lattice import implication_lattice
 from oracles import VERDICT_CLAIMS
 
@@ -569,3 +569,37 @@ def test_the_single_antecedent_links_are_verified_lattice_edges():
     assert set(single) == {"REM-16", "REM-37", "THM-52", "THM-57", "REM-63"}
     edges = set(implication_lattice(4).edges)
     assert [link for links in single.values() for link in links if link not in edges] == []
+
+
+def _t1_both_labelings(t1, t2):
+    """Pairwise T1 read with both labelings of each pair: for x, y in
+    either order, a μ1-open holds x but not y and a μ2-open holds y but not x."""
+    for x, y in itertools.permutations(range(t1.ground.size), 2):
+        if not any(u >> x & 1 and not u >> y & 1 for u in t1.opens):
+            return False
+        if not any(v >> y & 1 and not v >> x & 1 for v in t2.opens):
+            return False
+    return True
+
+
+def test_the_both_labelings_reading_of_pairwise_t1_is_t1_on_each_side():
+    """On every labeled pair with n <= 3 the both-labelings reading is each
+    topology being T1 on its own; there every singleton is closed on both
+    sides and every subset is a ∧12-set, and the pair is pairwise T1 and
+    T1/2, so THM-21, THM-51 and THM-54 hold under that reading at once."""
+    strong = 0
+    for n in (1, 2, 3):
+        gts = gts_on(n)
+        for t1, t2 in itertools.product(gts, repeat=2):
+            holds = _t1_both_labelings(t1, t2)
+            assert holds == (is_gt_T1(t1) and is_gt_T1(t2)), (t1, t2)
+            if holds:
+                strong += 1
+                space = GbtSpace(t1.ground, t1, t2)
+                full = t1.ground.full_mask
+                assert t1.closed_points == t2.closed_points == full
+                assert space.wedge12_sets == (1 << space.n_subsets) - 1
+                profile = axiom_profile(space)
+                assert profile.t1 and profile.t_half
+    # 2, 1 and 8 topologies are T1 on 1, 2 and 3 points
+    assert strong == 2 * 2 + 1 * 1 + 8 * 8
