@@ -179,8 +179,8 @@ def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) ->
 # Pair kernel.  Mining decides millions of pairs drawn from one list of
 # topologies, so every axiom also has a packed form: a few integers per
 # topology (its signature), each recording what a pair must not have in
-# common.  Bit fields are n bits wide (n + 1 for LSYM); field k of a
-# packing belongs to subset mask k or to point k.
+# common.  Bit fields are n bits wide; field k of a packing belongs to
+# subset mask k or to point k, and T1 ends its fields with one more bit.
 #
 # A column holds the signatures of the list bit-sliced: per signature
 # component, slice k is the int whose bit p is set when topology p's
@@ -188,10 +188,12 @@ def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) ->
 # ``sliced_tables`` runs one ``gt.sliced_meet_table`` pass for the closure
 # and one for the wedge over every topology together, and each kernel
 # combines those table slices (T1/2 reads the open slices); no table of
-# a single topology is built.  The signatures are the slices transposed.  A row (first topology fixed) is then one int whose
-# bit p is the verdict on the pair (first, topology p): the complement of
-# the positions whose signatures meet the first's, and those are the OR of
-# the slices named by the set bits of the first's signature (``_meet``).
+# a single topology is built.  The signatures are the slices transposed.
+# A row (first topology fixed) is then one int whose bit p is the verdict
+# on the pair (first, topology p): the complement of the positions whose
+# signatures meet the first's, and those are the OR of the slices named by
+# the set bits of the first's signature (``_meet``).  Three row rules serve
+# the seven kernels: disjoint, crossed-disjoint, and LSYM's rule per field.
 # Signatures are sparse, so a row costs a few big-int ORs, not one step
 # per pair.  The deciders above are the kernels' oracles: mining decides
 # every hit it reads again with them, and the tests hold each column to
@@ -252,12 +254,14 @@ class KernelColumn(NamedTuple):
 
     ``slices`` holds, per signature component, one slice per bit (as many
     as the widest component has bits, at least one); ``every`` has one bit
-    per position.
+    per position, and ``size`` is the topologies' number of points, the
+    width of a field.
     """
 
     signatures: tuple[tuple[int, ...], ...]
     slices: tuple[tuple[int, ...], ...]
     every: int
+    size: int
 
 
 def _excess(table, n: int) -> list[int]:
@@ -298,23 +302,15 @@ def _disjoint_row(column: KernelColumn, p: int) -> int:
     return column.every & ~_meet(column.slices[0], p)
 
 
-def _t1_slices(t: SlicedTables) -> tuple[list[int], list[int], list[int]]:
+def _t1_slices(t: SlicedTables) -> tuple[list[int], list[int]]:
     """Bit y of field x (x != y): no open contains x but not y, which is
-    when y lies in ∧({x}); its transpose; and 1 when those two meet, which
-    fails every pair."""
+    when y lies in ∧({x}); then one more bit.  In the first component it
+    flags a topology that on its own leaves some pair unsplit both ways (it
+    fails ``gt.is_gt_T0``), in the second it is always set.  A point pair
+    is left unseparated under both labelings exactly when one topology is
+    flagged or the two fields share a bit, so T1 is the crossed rule."""
     missing = _off_diagonal(_point_fields(t.wedge, t.size), t.size)
-    missing_t = _transposed(missing, t.size)
-    return missing, missing_t, [reduce(or_, map(and_, missing, missing_t))]
-
-
-def _t1_row(column: KernelColumn, m: int, mt: int, alone: int) -> int:
-    """Holds iff no ordered point pair is left unseparated by both readings:
-    (m1 ∪ mt2) ∩ (mt1 ∪ m2) is empty.  Of its four terms, m1 ∩ mt1 is the
-    first topology's flag, m2 ∩ mt2 is the slice of the second's flags."""
-    if alone:
-        return 0
-    ms, mts, alones = column.slices
-    return column.every & ~(_meet(ms, m) | _meet(mts, mt) | alones[0])
+    return missing + [reduce(or_, _t0_slices(t)[0], 0)], missing + [t.every]
 
 
 def _t_half_slices(t: SlicedTables) -> tuple[list[int], list[int]]:
@@ -341,42 +337,29 @@ def _symmetric_slices(t: SlicedTables) -> tuple[list[int], list[int]]:
 
 
 def _crossed_disjoint_row(column: KernelColumn, p: int, q: int) -> int:
-    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, R0 and SYM)."""
+    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, T1, R0 and SYM)."""
     ps, qs = column.slices
     return column.every & ~(_meet(qs, p) | _meet(ps, q))
 
 
-def _widened(fields: list[int], n: int, top: int) -> list[int]:
-    """n-bit fields as fields of n + 1 bits whose top bit is ``top``."""
-    return [v for a in range(0, len(fields), n) for v in (*fields[a : a + n], top)]
-
-
 def _lambda_symmetric_slices(t: SlicedTables) -> tuple[list[int], ...]:
-    """Per subset a: cl(a) ∩ ∧(a), cl(a) and ∧(a), each minus a, in fields
-    one bit wider than n whose top bits are the guards; then the guards."""
-    n = t.size
-    tables = (map(and_, t.closure, t.wedge), t.closure, t.wedge)
-    return (
-        *(_widened(_excess(table, n), n, 0) for table in tables),
-        _widened([0] * (n << n), n, t.every),
-    )
+    """Per subset a: cl(a) ∩ ∧(a), cl(a) and ∧(a), each minus a."""
+    return tuple(_excess(table, t.size) for table in (map(and_, t.closure, t.wedge), t.closure, t.wedge))
 
 
-def _lambda_symmetric_row(column: KernelColumn, lam: int, clx: int, wx: int, g: int) -> int:
+def _lambda_symmetric_row(column: KernelColumn, lam: int, clx: int, wx: int) -> int:
     """A subset that is pairwise λ-closed (its field of lam1 ∩ lam2 is empty)
     must be λ-closed on both sides (its field of cl1 ∩ w2 ∪ cl2 ∩ w1 is empty).
-    Per field (the bits between two guards of g), the positions where the
-    first is not empty must be those where the second is not."""
-    lams, clxs, wxs, _ = column.slices
-    fails = below = 0
-    while g:
-        guard = g & -g
-        g ^= guard
-        field = guard - 1 & ~below
-        below = guard | guard - 1
+    Per field of ``column.size`` bits, the positions where the first is not
+    empty must be those where the second is not."""
+    lams, clxs, wxs = column.slices
+    n, fails = column.size, 0
+    field = (1 << n) - 1
+    for _ in range(1 << n):
         c, w = clx & field, wx & field
         if c | w:
             fails |= _meet(lams, lam & field) ^ (_meet(wxs, c) | _meet(clxs, w))
+        field <<= n
     return column.every & ~fails
 
 
@@ -400,7 +383,7 @@ class PairKernel(NamedTuple):
         slices = tuple(tuple(c[:width]) + (0,) * (width - len(c)) for c in components)
         count = tables.every.bit_length()
         signatures = tuple(zip(*(_sliced(c, count) for c in slices)))
-        return KernelColumn(signatures, slices, tables.every)
+        return KernelColumn(signatures, slices, tables.every, tables.size)
 
     def verdicts(self, column: KernelColumn, i: int) -> int:
         """The row of position i: bit p is the verdict on the pair (i, p)."""
@@ -432,7 +415,7 @@ AXIOMS = {
     "T5_8": Axiom("t_5_8", *_FRACTION),
     "T1_2": Axiom("t_half", decide_t_half, PairKernel(_t_half_slices, _crossed_disjoint_row),
         (t_half_by_definition,)),
-    "T1": Axiom("t1", decide_t1, PairKernel(_t1_slices, _t1_row)),
+    "T1": Axiom("t1", decide_t1, PairKernel(_t1_slices, _crossed_disjoint_row)),
     "R0": Axiom("r0", decide_r0, PairKernel(_r0_slices, _crossed_disjoint_row)),
     "SYM": Axiom("symmetric", decide_symmetric, PairKernel(_symmetric_slices, _crossed_disjoint_row),
         aliases=("symmetric",)),

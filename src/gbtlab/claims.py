@@ -38,7 +38,7 @@ from .axioms import (
     axiom_profile,
     breaks,
     chain_links,
-    # unused here; bench/tracing.py patches them, and they go with it as SpaceContext.profile does
+    # unused here; bench/tracing.py patches them, and they go with it
     decide_all_lambda,
     decide_t0,
     decide_t_half,
@@ -49,7 +49,7 @@ from .axioms import (
     t_fraction_by_definition,
     t_half_by_definition,
 )
-from .enumeration import canonical_pair_indices, check_size, gts_on, index_pair_of_key, key_width
+from .enumeration import canonical_pair_indices, check_size, gts_on
 from .fixtures import FIXTURES, Assertion, Fixture, get_fixture
 from .gbt import GbtSpace
 from .gt import (
@@ -107,12 +107,13 @@ class SpaceContext:
     The subset families are the space's and its topologies' cached family
     masks (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
     keyed by side and read when the context is made.  The verdicts are its
-    ``word`` from ``mining.verdict_words`` (bits as ``axioms.AXIOM_BITS``):
-    a sweep passes it in, a context made alone reads it by its topologies'
-    indices.  ``verified`` maps a one-topology claim to the topologies that
-    already passed it, keyed by ``id`` (the value keeps the topology, so
-    the id stays its own); a sweep shares one such dict among all its
-    spaces, whose topologies are the shared objects of ``gts_on``.
+    ``word`` (bits as ``axioms.AXIOM_BITS``): a sweep passes it in from
+    ``mining.verdict_words``, a context made alone reads it from its own
+    ``profile``, on any number of points.  ``verified`` maps a one-topology
+    claim to the topologies that already passed it, keyed by ``id`` (the
+    value keeps the topology, so the id stays its own); a sweep shares one
+    such dict among all its spaces, whose topologies are the shared objects
+    of ``gts_on``.
     """
 
     def __init__(self, space: GbtSpace, verified: dict[str, dict] | None = None, word: int | None = None):
@@ -154,14 +155,12 @@ class SpaceContext:
 
     @cached_property
     def profile(self):
-        # no checker reads it; bench/worker.py does, and it goes with bench/tracing.py
+        # a context made alone reads its word from it; bench/worker.py reads it too
         return axiom_profile(self.space)
 
     @cached_property
     def word(self) -> int:
-        parts = ((t.open_family >> 1).to_bytes(key_width(self.size), "big") for t in (self.t1, self.t2))
-        _, i, j = index_pair_of_key(bytes([self.size]) + b"".join(parts))
-        return next(verdict_words(self.size, [(i, j)]))
+        return sum({AXIOM_BITS[name] for name, ok in self.profile.as_dict().items() if ok})
 
     def holds(self, axiom: str) -> bool:
         return bool(self.word & AXIOM_BITS[axiom])

@@ -397,27 +397,22 @@ def canonical_pair_indices_by_scan(n, symmetry):
     return pairs
 
 
-def disjoint_list_row(p, ps):
+def disjoint_list_row(n, p, ps):
     return [p & b == 0 for b in ps]
 
 
-def t1_list_row(m, mt, ms, mts):
-    """Holds iff no ordered point pair is left unseparated by both readings."""
-    return [(m | bt) & (mt | b) == 0 for b, bt in zip(ms, mts)]
-
-
-def crossed_disjoint_list_row(p, q, ps, qs):
-    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, R0 and SYM)."""
+def crossed_disjoint_list_row(n, p, q, ps, qs):
+    """Holds iff p1 ∩ q2 and p2 ∩ q1 are both empty (T1/2, T1, R0 and SYM)."""
     return [p & b | a & q == 0 for a, b in zip(ps, qs)]
 
 
-def lambda_symmetric_list_row(lam, clx, wx, g, lams, clxs, wxs, _):
+def lambda_symmetric_list_row(n, lam, clx, wx, lams, clxs, wxs):
     """A subset that is pairwise λ-closed (its field of lam1 ∩ lam2 is empty)
-    must be λ-closed on both sides (its field of cl1 ∩ w2 ∪ cl2 ∩ w1 is empty).
-    The first field lies inside the second, so their empty fields must agree:
-    a field's guard survives g - v iff the field of v is empty."""
+    must be λ-closed on both sides (its field of cl1 ∩ w2 ∪ cl2 ∩ w1 is empty):
+    each n-bit field of the two is empty in both or in neither."""
+    fields = [((1 << n) - 1) << n * a for a in range(1 << n)]
     return [
-        (g - (lam & m)) & g == (g - (clx & w | c & wx)) & g
+        all((lam & m & f == 0) == ((clx & w | c & wx) & f == 0) for f in fields)
         for m, c, w in zip(lams, clxs, wxs)
     ]
 
@@ -428,26 +423,24 @@ LIST_ROWS = {
     "T3_8": disjoint_list_row,
     "T5_8": disjoint_list_row,
     "T1_2": crossed_disjoint_list_row,
-    "T1": t1_list_row,
+    "T1": crossed_disjoint_list_row,
     "R0": crossed_disjoint_list_row,
     "SYM": crossed_disjoint_list_row,
     "LSYM": lambda_symmetric_list_row,
 }
 
 
-def kernel_list_row(name, first, seconds):
+def kernel_list_row(name, n, first, seconds):
     """The verdicts of axiom ``name``'s kernel on (first, s) for each
-    signature s of ``seconds``, by the list row; T1's list row does not
-    read the flag that ends its signature."""
-    if name == "T1":
-        first, seconds = first[:2], [s[:2] for s in seconds]
-    return LIST_ROWS[name](*first, *zip(*seconds))
+    signature s of ``seconds``, signatures of topologies on n points, by
+    the list row."""
+    return LIST_ROWS[name](n, *first, *zip(*seconds))
 
 
 # Per-topology kernel signatures, each built from one topology's own
 # closure and wedge tables: the route the sliced kernel columns replaced.
-# Bit fields are n bits wide (n + 1 for LSYM); field k of a packing belongs
-# to subset mask k or to point k.
+# Bit fields are n bits wide; field k of a packing belongs to subset mask k
+# or to point k, and T1 ends its fields with one more bit.
 
 
 def _packed(fields, width):
@@ -477,13 +470,13 @@ def t0_signature(t):
 
 
 def t1_signature(t):
-    """Bit y of field x (x != y): no open contains x but not y; its
-    transpose; and 1 when those two meet, which fails every pair."""
+    """Bit y of field x (x != y): no open contains x but not y; then bit n²,
+    set when that field and its transpose meet (which fails every pair),
+    and the same fields with bit n² always set."""
     n, full = t.ground.size, t.ground.full_mask
     o = _packed((reduce(or_, (full & ~u for u in t.opens if u >> x & 1), 0) for x in range(n)), n)
     missing = _off_diagonal(n) & ~o
-    missing_t = _transposed(missing, n)
-    return missing, missing_t, int(missing & missing_t != 0)
+    return missing | (missing & _transposed(missing, n) != 0) << n * n, missing | 1 << n * n
 
 
 def t_half_signature(t):
@@ -510,15 +503,13 @@ def symmetric_signature(t):
 
 
 def lambda_symmetric_signature(t):
-    """Per subset a: cl(a) ∩ wedge(a), cl(a) and wedge(a), each minus a, in
-    fields one bit wider than n whose top bits are the guards; then the guards."""
+    """Per subset a: cl(a) ∩ wedge(a), cl(a) and wedge(a), each minus a."""
     cl, w, n = t.closure_table, t.wedge_table, t.ground.size
     subsets = range(1 << n)
     return (
-        _packed((cl[a] & w[a] & ~a for a in subsets), n + 1),
-        _packed((cl[a] & ~a for a in subsets), n + 1),
-        _packed((w[a] & ~a for a in subsets), n + 1),
-        _packed([1 << n] * (1 << n), n + 1),
+        _packed((cl[a] & w[a] & ~a for a in subsets), n),
+        _packed((cl[a] & ~a for a in subsets), n),
+        _packed((w[a] & ~a for a in subsets), n),
     )
 
 
@@ -546,7 +537,7 @@ def signature_column(name, topologies):
         tuple(sum(1 << p for p, v in enumerate(c) if v >> k & 1) for k in range(width))
         for c in components
     )
-    return KernelColumn(signatures, slices, (1 << len(signatures)) - 1)
+    return KernelColumn(signatures, slices, (1 << len(signatures)) - 1, topologies[0].ground.size)
 
 
 # The verdict-only claim checkers as they were before they became rows of

@@ -40,7 +40,7 @@ from gbtlab.enumeration import (
 )
 from gbtlab.fixtures import get_fixture
 from gbtlab.gbt import GbtSpace, make_space
-from gbtlab.gt import GeneralizedTopology, complete_unions
+from gbtlab.gt import GeneralizedTopology, complete_unions, is_gt_T0
 from gbtlab.mining import _kernel_column
 from gbtlab.sets import ground
 
@@ -371,7 +371,7 @@ def _assert_rows_equal_the_list_rows(name, column, firsts):
     the same signatures, read as an int (bit p is entry p)."""
     kernel = PAIR_KERNELS[name]
     for i in firsts:
-        want = kernel_list_row(name, column.signatures[i], column.signatures)
+        want = kernel_list_row(name, column.size, column.signatures[i], column.signatures)
         assert len(want) == len(column.signatures)
         assert kernel.verdicts(column, i) == int(bytes(want)[::-1].translate(_DIGITS), 2), (name, i)
 
@@ -438,3 +438,37 @@ def test_sliced_columns_equal_the_signature_columns_on_five_points(name):
     topologies, tables = _five_point_sample()
     assert len(topologies) == 500
     assert PAIR_KERNELS[name].column(tables) == signature_column(name, topologies)
+
+
+def test_the_t1_flag_slice_holds_the_topologies_that_are_not_t0_on_their_own():
+    """The bit after T1's n² field bits: flagged in the first component
+    exactly where ``gt.is_gt_T0`` fails, and set everywhere in the second."""
+    counts = []
+    for n in range(1, 5):
+        gts = gts_on(n)
+        flags, always = (c[n * n] for c in _kernel_column(n, PAIR_KERNELS["T1"]).slices)
+        assert flags == sum(1 << p for p, t in enumerate(gts) if not is_gt_T0(t)), n
+        assert always == (1 << len(gts)) - 1, n
+        counts.append(flags.bit_count())
+    assert counts == [0, 2, 17, 301]
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_pair_kernel_matches_the_deciders_on_five_points(name):
+    """Seeded pairs of the five-point sample, each row bit against the
+    decider: 200 pairs drawn at random, and 100 drawn from the pairs the
+    kernel says hold (R0 and SYM hold on 42 of the 250,000 pairs)."""
+    topologies, tables = _five_point_sample()
+    kernel = PAIR_KERNELS[name]
+    column = kernel.column(tables)
+    rows = [kernel.verdicts(column, i) for i in range(len(topologies))]
+    holding = [(i, j) for i, row in enumerate(rows) for j in range(len(topologies)) if row >> j & 1]
+    rng = random.Random(36)
+    pairs = [(rng.randrange(500), rng.randrange(500)) for _ in range(200)]
+    pairs += rng.choices(holding, k=100)
+    verdicts = Counter()
+    for i, j in pairs:
+        verdict = evaluate_axiom(name, topologies[i], topologies[j])
+        assert bool(rows[i] >> j & 1) == verdict, (name, i, j)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False], verdicts

@@ -27,11 +27,13 @@ from gbtlab.claims import (
     run_claims,
     statuses_match_expectations,
 )
-from gbtlab.enumeration import canonical_pair_indices, gts_on
+from gbtlab.enumeration import canonical_pair_indices, gts_on, iter_gt_mask_families
 from gbtlab.fixtures import FIXTURES, get_fixture
-from gbtlab.gbt import GbtSpace
+from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import GeneralizedTopology, is_gt_T0, is_gt_T1
 from gbtlab.lattice import implication_lattice
+from gbtlab.mining import verdict_words
+from gbtlab.sets import ground
 from oracles import VERDICT_CLAIMS
 
 EXPECTED_IDS = {
@@ -505,6 +507,44 @@ def test_the_claim_sweep_runs_no_decider(monkeypatch):
     assert len(swept) == 411 + 50
     assert [word_verdicts(ctx.word) for ctx in swept] == [axiom_profile(ctx.space).as_dict() for ctx in swept]
     assert reports["THM-15"].status == reports["THM-58"].status == STATUS_VERIFIED
+
+
+def _kernel_word(space):
+    """The verdict word of one space from the pair kernels, by a column of
+    its two topologies (row 0, bit 1)."""
+    tables = axioms.sliced_tables([space.mu1, space.mu2])
+    return sum(
+        (kernel.verdicts(kernel.column(tables), 0) >> 1 & 1) << k for k, kernel in enumerate(axioms.WORD_KERNELS)
+    )
+
+
+def test_a_context_made_alone_reads_its_word_from_its_profile_on_five_points():
+    """Five points lie past ``index_pair_of_key``: a context made alone
+    takes its word from its profile, which equals the pair kernels' word,
+    and all universal checkers give what they give on a context handed the
+    cross-validated profile's word."""
+    g = ground(5)
+    topologies = [GeneralizedTopology(g, f) for f in itertools.islice(iter_gt_mask_families(5), 0, 6000, 60)]
+    rng = Random(36)
+    spaces = [make_space("abcde", [["a"], ["a", "b"]], [["c"], ["d", "e"], ["c", "d", "e"]])]
+    spaces += [GbtSpace(g, *rng.sample(topologies, 2)) for _ in range(11)]
+    words = set()
+    for s in spaces:
+        alone = SpaceContext(s)
+        profile = axiom_profile(s, cross_validate=True).as_dict()
+        handed = SpaceContext(s, word=sum({axioms.AXIOM_BITS[name] for name, ok in profile.items() if ok}))
+        assert alone.word == handed.word == _kernel_word(s), s
+        for claim_id, check in _UNIVERSAL_CHECKERS.items():
+            assert check(alone) == check(handed), (claim_id, s)
+        words.add(alone.word)
+    assert len(_UNIVERSAL_CHECKERS) == 42 and len(words) > 1
+
+
+def test_a_context_made_alone_has_the_swept_word_up_to_three_points():
+    for n in (1, 2, 3):
+        gts, pairs = gts_on(n), list(canonical_pair_indices(n))
+        for (i, j), word in zip(pairs, verdict_words(n, pairs)):
+            assert SpaceContext(GbtSpace(gts[i].ground, gts[i], gts[j])).word == word, (n, i, j)
 
 
 def _sweep_spaces(n_scope):
