@@ -476,6 +476,11 @@ def word_verdicts(word: int) -> dict[str, bool]:
     return {name: bool(word & bit) for name, bit in AXIOM_BITS.items()}
 
 
+def profile_word(profile: AxiomProfile) -> int:
+    """The verdict word of a profile, the inverse of ``word_verdicts``."""
+    return sum({AXIOM_BITS[name] for name, ok in profile.as_dict().items() if ok})
+
+
 def implication_masks(links) -> tuple[tuple[int, int], ...]:
     """The (antecedent mask, consequent bit) of each (antecedent names,
     consequent name) link, for ``breaks``; the mask sums distinct bits."""
@@ -529,7 +534,8 @@ def axiom_profile(s: GbtSpace, cross_validate: bool = False) -> AxiomProfile:
             raise InternalDisagreementError(
                 f"routes disagree on {s!r}: {decide.__name__}={verdict}, {route.__name__}={value}"
             )
-    check_implication_chain(sum({AXIOM_BITS[name] for name, (ok, _) in verdicts.items() if ok}), s)
     witnesses = {name: w for name, (ok, w) in verdicts.items() if not ok and w is not None}
     # the profile's fields follow AXIOM_NAMES, as DECIDERS does
-    return AxiomProfile(*(ok for ok, _ in verdicts.values()), witnesses=witnesses)
+    profile = AxiomProfile(*(ok for ok, _ in verdicts.values()), witnesses=witnesses)
+    check_implication_chain(profile_word(profile), s)
+    return profile

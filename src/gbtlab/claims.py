@@ -44,6 +44,7 @@ from .axioms import (
     decide_t_half,
     implication_masks,
     normalize_axiom_name,
+    profile_word,
     t0_by_one_point_sets,
     t0_by_singletons,
     t_fraction_by_definition,
@@ -160,7 +161,7 @@ class SpaceContext:
 
     @cached_property
     def word(self) -> int:
-        return sum({AXIOM_BITS[name] for name, ok in self.profile.as_dict().items() if ok})
+        return profile_word(self.profile)
 
     def holds(self, axiom: str) -> bool:
         return bool(self.word & AXIOM_BITS[axiom])

@@ -17,14 +17,14 @@ gone or killed.  The working tree is never written.
 
 Run from the repository root:
 
-    python tests/mutants.py [--jobs N]
+    python tests/mutants.py
 
-The timeout per mutant is six times the unmutated run's time.
+``JOBS`` mutants run at once, each in its own copy; the timeout per mutant
+is six times the unmutated run's time.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -41,6 +41,7 @@ TARGET = Path("src/gbtlab/axioms.py")
 TESTS = ("tests/test_axioms.py", "tests/test_mining.py")
 SECTION = ("# Pair kernel.", "class Axiom(")
 OPERATORS = (ast.BitAnd, ast.BitOr, ast.BitXor)
+JOBS = 2  # each lane is one pytest process at a time
 
 # Survivors that decide what the original decides: label -> proof.
 EQUIVALENT: dict[str, str] = {}
@@ -138,15 +139,12 @@ def _run(copy: Path, source: str, timeout: float | None) -> tuple[str, float]:
     return outcome, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (default 1)")
-    jobs = max(1, parser.parse_args(argv).jobs)
+def main() -> int:
     start = time.perf_counter()
     source = (ROOT / TARGET).read_text()
     found = mutants(source)
     with tempfile.TemporaryDirectory(prefix="gbtlab-mutants-") as scratch:
-        copies = [_copy(Path(scratch) / str(k)) for k in range(jobs)]
+        copies = [_copy(Path(scratch) / str(k)) for k in range(JOBS)]
         probe = subprocess.run([sys.executable, "-c", "import gbtlab.axioms as a; print(a.__file__)"],
             env={**os.environ, "PYTHONPATH": str(copies[0] / "src")}, capture_output=True, text=True)
         if Path(probe.stdout.strip()) != copies[0] / TARGET:
@@ -160,13 +158,13 @@ def main(argv=None) -> int:
             return 2
 
         def lane(k):
-            """Every jobs-th mutant from the k-th on, in copy k."""
-            return [_run(copies[k], found[m][1], timeout) for m in range(k, len(found), jobs)]
+            """Every JOBS-th mutant from the k-th on, in copy k."""
+            return [_run(copies[k], found[m][1], timeout) for m in range(k, len(found), JOBS)]
 
         results = [None] * len(found)
-        with ThreadPoolExecutor(jobs) as pool:
-            for k, outcomes in enumerate(pool.map(lane, range(jobs))):
-                results[k::jobs] = outcomes
+        with ThreadPoolExecutor(JOBS) as pool:
+            for k, outcomes in enumerate(pool.map(lane, range(JOBS))):
+                results[k::JOBS] = outcomes
     for (label, _), (outcome, seconds) in zip(found, results):
         print(f"{outcome:9} {seconds:5.1f} s  {label}")
     survivors = [label for (label, _), (outcome, _) in zip(found, results) if outcome == "survived"]

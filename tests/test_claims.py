@@ -531,8 +531,7 @@ def test_a_context_made_alone_reads_its_word_from_its_profile_on_five_points():
     words = set()
     for s in spaces:
         alone = SpaceContext(s)
-        profile = axiom_profile(s, cross_validate=True).as_dict()
-        handed = SpaceContext(s, word=sum({axioms.AXIOM_BITS[name] for name, ok in profile.items() if ok}))
+        handed = SpaceContext(s, word=axioms.profile_word(axiom_profile(s, cross_validate=True)))
         assert alone.word == handed.word == _kernel_word(s), s
         for claim_id, check in _UNIVERSAL_CHECKERS.items():
             assert check(alone) == check(handed), (claim_id, s)
