@@ -24,15 +24,15 @@ below; the deciders decide one space, and ``mine``'s hits again through
 
 Each axiom is one row of ``AXIOMS``; the names, aliases, decider and kernel
 tables and the profile's fields are read from it.  The sweeps' verdict
-words (one bit per distinct kernel) and the implication chain check on
-them close the module.
+words (one bit per distinct kernel), the tables of the words that break
+implication links, and the chain check on the words close the module.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import NamedTuple
 
@@ -481,24 +481,18 @@ def profile_word(profile: AxiomProfile) -> int:
     return sum({AXIOM_BITS[name] for name, ok in profile.as_dict().items() if ok})
 
 
-def implication_masks(links) -> tuple[tuple[int, int], ...]:
-    """The (antecedent mask, consequent bit) of each (antecedent names,
-    consequent name) link, for ``breaks``; the mask sums distinct bits."""
-    return tuple((sum({AXIOM_BITS[a] for a in names}), AXIOM_BITS[consequent]) for names, consequent in links)
+@lru_cache(maxsize=None)
+def break_table(links) -> bytes:
+    """A table for ``bytes.translate`` whose byte w is 1 where verdict word w
+    has every antecedent bit and lacks the consequent bit of one of the
+    (antecedent names, consequent name) ``links``, a tuple, and 0 elsewhere."""
+    masks = [(sum({AXIOM_BITS[a] for a in names}), AXIOM_BITS[consequent]) for names, consequent in links]
+    return bytes(any(w & mask == mask and not w & bit for mask, bit in masks) for w in range(256))
 
 
-def breaks(word: int, implications) -> bool:
-    """Whether a verdict word has every antecedent bit and lacks the
-    consequent bit of one of the (mask, bit) ``implications``."""
-    for mask, bit in implications:
-        if word & mask == mask and not word & bit:
-            return True
-    return False
-
-
-def chain_links(names, *extra) -> list:
+def chain_links(names, *extra) -> tuple:
     """The links between consecutive ``names``, with ``extra`` in every antecedent."""
-    return [((a, *extra), b) for a, b in itertools.pairwise(names)]
+    return tuple(((a, *extra), b) for a, b in itertools.pairwise(names))
 
 
 def chain_break(word: int) -> str | None:

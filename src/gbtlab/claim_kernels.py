@@ -9,10 +9,11 @@ topologies (E. Biham, "A fast new DES implementation in software", FSE
 
 ``block_families`` reads ``axioms.sliced_tables`` once over the pairs'
 first topologies and once over their second ones, and gives per subset the
-slices of each family the claims read, by the ORs of
-``GbtSpace._family_masks``.  A kernel of ``KERNELS`` takes those and returns
-the int of the block's positions where its claim fails.  A complement is
-written ``every ^ x``: on long ints ``every & ~x`` costs far more.
+slices of each family the claims read, by the tests that
+``GbtSpace.__init__`` makes per space.  A kernel of ``KERNELS`` takes
+those and returns the int of the block's positions where its claim fails.
+A complement is written ``every ^ x``: on long ints ``every & ~x`` costs
+far more.
 
 The claims' per-space checkers stay the oracle and the witness writers:
 the sweep runs a claim's checker at the lowest set bit of its kernel's int
@@ -353,7 +354,7 @@ KERNELS = {
 
 def first_failures(firsts, seconds, claim_ids, elapsed: dict[str, float]) -> dict[str, int]:
     """The place in the block of the first pair (firsts[s], seconds[s]) on
-    which each claim of ``claim_ids`` fails, for the claims that fail on one.
+    which each claim of ``claim_ids`` fails, or -1 where it fails on none.
     ``elapsed`` gains each claim's kernel time and an equal share of the
     families' time."""
     if not claim_ids:
@@ -367,6 +368,5 @@ def first_failures(firsts, seconds, claim_ids, elapsed: dict[str, float]) -> dic
         start = clock()
         found = KERNELS[claim_id](families)
         elapsed[claim_id] += clock() - start + share
-        if found:
-            places[claim_id] = (found & -found).bit_length() - 1
+        places[claim_id] = (found & -found).bit_length() - 1
     return places

@@ -9,9 +9,11 @@ that need an infinite carrier.  A swept space's verdicts are its verdict
 word (``mining.verdict_words``), the fixtures' are ``axiom_profile``'s,
 and recorded verdicts are data.  The universal claims that read only
 verdicts are rows of one implication table, ``IMPLICATION_ROWS``, and
-thirteen family claims are kernels of ``claim_kernels``.  A disagreement on
-a fixture is reported as a fixture mismatch, not raised as an error, so
-errata in the source examples surface as findings.
+thirteen family claims are kernels of ``claim_kernels``; the sweep decides
+those and all rows but REM-16 per block, and runs their checkers only
+where the block fails.  A disagreement on a fixture is reported as a
+fixture mismatch, not raised as an error, so errata in the source
+examples surface as findings.
 
 Claim THM-33 is registered twice on purpose: once literally (each
 singleton open or closed within the SAME topology) and once in the
@@ -36,13 +38,12 @@ from .axioms import (
     CHAIN,
     InternalDisagreementError,
     axiom_profile,
-    breaks,
+    break_table,
     chain_links,
     # unused here; bench/tracing.py patches them, and they go with it
     decide_all_lambda,
     decide_t0,
     decide_t_half,
-    implication_masks,
     normalize_axiom_name,
     profile_word,
     t0_by_one_point_sets,
@@ -105,10 +106,10 @@ class ClaimReport(Record):
 class SpaceContext:
     """One space with everything the claim checkers share.
 
-    The subset families are the space's and its topologies' cached family
-    masks (``GbtSpace.g_closed``, ``GeneralizedTopology.wedge_sets``, ...),
-    keyed by side and read when the context is made.  The verdicts are its
-    ``word`` (bits as ``axioms.AXIOM_BITS``): a sweep passes it in from
+    The subset families are the space's family-mask fields and its
+    topologies' cached family masks (``GbtSpace.g_closed``,
+    ``GeneralizedTopology.wedge_sets``, ...), keyed by side.  The verdicts
+    are its ``word`` (bits as ``axioms.AXIOM_BITS``): a sweep passes it in from
     ``mining.verdict_words``, a context made alone reads it from its own
     ``profile``, on any number of points.  ``verified`` maps a one-topology
     claim to the topologies that already passed it, keyed by ``id`` (the
@@ -181,18 +182,20 @@ class SpaceContext:
 
 # ---------------------------------------------------------------------------
 # Claims that read only verdicts: id -> (links, detail), a link (antecedent
-# axioms, consequent axiom), violated where the verdict word ``breaks`` one.
+# axioms, consequent axiom), violated where the verdict word breaks one (its
+# byte of ``break_table(links)`` is 1).  The sweep decides all rows but
+# REM-16, whose other clause reads the space, on a block's words at once.
 # COR-67's six axioms are equal iff no link of their cycle breaks.  T1/4, T3/8
 # and T5/8 share one word bit, so REM-63's links from T5/8 on cannot break.
 IMPLICATION_ROWS = {
     "REM-16": (chain_links(("T1", "T0")), "pairwise T1 without pairwise T0"),
-    "THM-20": ([(("T0", "SYM"), "T1")], "T0 and symmetric but not T1"),
+    "THM-20": (((("T0", "SYM"), "T1"),), "T0 and symmetric but not T1"),
     "REM-37": (chain_links(("T1_2", "T0")), "T1/2 without T0"),
     "THM-52": (chain_links(("T1_2", "T1_4")), "T1/2 but some subset is not pairwise λ-closed"),
-    "THM-54": ([(("T1", "LSYM"), "T1_2")], "T1 and λ-symmetric but not T1/2"),
+    "THM-54": (((("T1", "LSYM"), "T1_2"),), "T1 and λ-symmetric but not T1/2"),
     "THM-57": (chain_links(CHAIN[3:]), "T1/4 without T0"),
     "REM-63": (chain_links(CHAIN[:4]), "separation chain broken"),
-    "THM-65": ([(("T0", "R0"), "T1")], "T0 and R0 but not T1"),
+    "THM-65": (((("T0", "R0"), "T1"),), "T0 and R0 but not T1"),
     "COR-67": (chain_links(("T0", "T1", "T1_2", "T5_8", "T3_8", "T1_4", "T0"), "R0", "LSYM"),
         "R0 and λ-symmetric but the six axioms are not equivalent"),
 }
@@ -201,10 +204,9 @@ IMPLICATION_ROWS = {
 def _row_checker(claim_id: str):
     """A row's checker, with the name that ``claims --list`` prints."""
     links, detail = IMPLICATION_ROWS[claim_id]
-    masks = implication_masks(links)
 
     def check(ctx: SpaceContext) -> str | None:
-        return ctx.where(detail) if breaks(ctx.word, masks) else None
+        return ctx.where(detail) if break_table(links)[ctx.word] else None
 
     check.__name__ = "check_" + claim_id.lower().replace("-", "")
     return check
@@ -589,8 +591,8 @@ _IMPLICATION, _EQUIVALENCE, _CONDITIONAL = "universal-implication", "equivalence
 
 # The claim table, by scope: claim id -> (kind, checker, statement).  The
 # "enumeration" checkers take a SpaceContext and run on every swept space
-# (a kernel claim's at its kernel's first failing pair only); the "fixture"
-# checkers take nothing and run once on corpus spaces.
+# (a kernel claim's or a block row's at its first failing pair only); the
+# "fixture" checkers take nothing and run once on corpus spaces.
 _CLAIMS = {
     "enumeration": {
         "LEM-7": (_IMPLICATION, check_lem7,
@@ -904,9 +906,10 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
     verified: dict[str, dict] = {}
 
     def sweep(n, pairs):
-        # per block: the words and kernel claims at once, the index pairs let
-        # go; then checker-major over chunks, each unviolated checker in sweep
-        # order up to its first violation, a kernel claim's at its hit alone
+        # per block: the words, kernel claims and rows at once, the index pairs
+        # let go; then checker-major over chunks, each unviolated checker in
+        # sweep order up to its first violation, a kernel claim's or a row's at
+        # its hit alone
         clock = time.perf_counter
         gts = gts_on(n)
         g = gts[0].ground
@@ -917,6 +920,8 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
             del block
             kernel_ids = [c for c in claim_kernels.KERNELS if c not in violations]
             hits = claim_kernels.first_failures(firsts, seconds, kernel_ids, elapsed)
+            for claim_id in IMPLICATION_ROWS.keys() - violations.keys() - {"REM-16"}:
+                hits[claim_id] = words.translate(break_table(IMPLICATION_ROWS[claim_id][0])).find(1)
             contexts = (SpaceContext(GbtSpace(g, t1, t2), verified, word)
                 for t1, t2, word in zip(firsts, seconds, words))
             for offset in range(0, len(words), SWEEP_CHUNK):
@@ -926,8 +931,8 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
                         continue
                     start = clock()
                     count, spaces = len(chunk), enumerate(chunk, 1)
-                    if claim_id in kernel_ids:
-                        place = hits.get(claim_id, -1) - offset
+                    if claim_id in hits:
+                        place = hits[claim_id] - offset
                         spaces = [(place + 1, chunk[place])] if 0 <= place < count else ()
                     for position, ctx in spaces:
                         result = checker(ctx)
@@ -935,7 +940,7 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
                             violations[claim_id] = result
                             count = position
                             break
-                        if claim_id in kernel_ids:
+                        if claim_id in hits:
                             raise InternalDisagreementError(f"{claim_id}: kernel and checker disagree on {ctx.space!r}")
                     elapsed[claim_id] += clock() - start
                     checked[claim_id] += count

@@ -11,15 +11,15 @@ operator tables of ``gt``:
 * weakly separated in μj:         A ∩ closure_j(B) = ∅ = B ∩ closure_j(A),
 * closed set in the closure gap:  vee_j(closure_i(A) − A) ≠ ∅.
 
-The first four are family masks cached per space, all built in one pass
-over the subsets: ``GbtSpace.g_closed`` and ``lambda_closed`` map each side
-i to a 2^n-bit integer whose bit a is set exactly when subset a belongs to
-the family, and ``pairwise_lambda_closed`` and ``wedge12_sets`` are such
-integers (``sets.members`` lists one, ``sets.complemented`` gives the
-family of complements, so the open families are complemented masks).  The
-last two are the mask functions ``weakly_separated`` and ``closed_in_gap``.
-The predicates, the λ-open families, the claim checkers and the mining
-queries read them.  The existential decomposition forms are oracles:
+The first four are family-mask fields of a space, made in one pass over the
+subsets as it is built: ``GbtSpace.g_closed`` and ``lambda_closed`` map each
+side i to a 2^n-bit integer whose bit a is set exactly when subset a belongs
+to the family, and ``pairwise_lambda_closed`` and ``wedge12_sets`` are such
+integers (``sets.members`` lists one, ``sets.complemented`` gives the family
+of complements, so the open families are complemented masks).  The last two
+are the mask functions ``weakly_separated`` and ``closed_in_gap``.  The
+predicates, the λ-open families, the claim checkers and the mining queries
+read them.  The existential decomposition forms are oracles:
 ``lambda_closed_forms`` and ``pairwise_lambda_closed_forms`` give one family
 mask per form (LEM-43, LEM-45 and the tests compare them), both from one
 form builder, ``_closed_forms``, fed the one-sided or the pairwise closed
@@ -29,7 +29,7 @@ sets, ∧-sets and tables; ``g_open_by_kernels`` and
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import and_
 
 from .gt import GeneralizedTopology, gt_from_labels, validate_gt
@@ -38,14 +38,37 @@ from .sets import GroundSet, GroundSetError, Subset, complemented, family_of, gr
 
 
 class GbtSpace(FrozenRecord):
-    """Ground set with two generalized topologies over it."""
+    """Ground set with two generalized topologies over it, and the family
+    masks of its sets, all made in one pass over the subsets when the space
+    is built: ``g_closed`` and ``lambda_closed`` map each side i to its
+    family wrt side j.  Equality, hash and repr read the ground set and
+    the topologies alone."""
 
-    _fields = ("ground", "mu1", "mu2")
+    _fields = ("ground", "mu1", "mu2", "g_closed", "lambda_closed", "pairwise_lambda_closed", "wedge12_sets")
+    _compared = ("ground", "mu1", "mu2")
 
     def __init__(self, ground: GroundSet, mu1: GeneralizedTopology, mu2: GeneralizedTopology) -> None:
         if mu1.ground != ground or mu2.ground != ground:
             raise GroundSetError("both topologies must live on the space's ground set")
-        self._fill(ground, mu1, mu2)
+        g1 = g2 = l1 = l2 = pairwise = w12 = 0
+        bit = 1
+        for a, c1, c2, v1, v2 in zip(
+            range(1 << ground.size), mu1.closure_table, mu2.closure_table, mu1.wedge_table, mu2.wedge_table
+        ):
+            if not c1 & ~v2:
+                g1 |= bit
+            if not c2 & ~v1:
+                g2 |= bit
+            if c1 & v2 == a:
+                l1 |= bit
+            if c2 & v1 == a:
+                l2 |= bit
+            if v1 & v2 == a:
+                w12 |= bit
+            if c1 & c2 & v1 & v2 == a:
+                pairwise |= bit
+            bit <<= 1
+        self._fill(ground, mu1, mu2, {1: g1, 2: g2}, {1: l1, 2: l2}, pairwise, w12)
 
     def side(self, i: int) -> GeneralizedTopology:
         return self.mu1 if _side(i) == 1 else self.mu2
@@ -60,51 +83,6 @@ class GbtSpace(FrozenRecord):
     @property
     def n_subsets(self) -> int:
         return 1 << self.ground.size
-
-    @cached_property
-    def _family_masks(self) -> tuple[int, int, int, int, int, int]:
-        """g-closed (sides 1, 2), λ-closed (sides 1, 2), pairwise λ-closed
-        and ∧12-set family masks, in one pass over the subsets."""
-        cl1, cl2 = self.mu1.closure_table, self.mu2.closure_table
-        w1, w2 = self.mu1.wedge_table, self.mu2.wedge_table
-        g1 = g2 = l1 = l2 = pairwise = w12 = 0
-        bit = 1
-        for a in range(self.n_subsets):
-            c1, c2, v1, v2 = cl1[a], cl2[a], w1[a], w2[a]
-            if not c1 & ~v2:
-                g1 |= bit
-            if not c2 & ~v1:
-                g2 |= bit
-            if c1 & v2 == a:
-                l1 |= bit
-            if c2 & v1 == a:
-                l2 |= bit
-            if v1 & v2 == a:
-                w12 |= bit
-            if c1 & c2 & v1 & v2 == a:
-                pairwise |= bit
-            bit <<= 1
-        return g1, g2, l1, l2, pairwise, w12
-
-    @cached_property
-    def g_closed(self) -> dict[int, int]:
-        """Per side i, the family mask of the g-closed sets wrt side j."""
-        return {1: self._family_masks[0], 2: self._family_masks[1]}
-
-    @cached_property
-    def lambda_closed(self) -> dict[int, int]:
-        """Per side i, the family mask of the λ-closed sets wrt side j."""
-        return {1: self._family_masks[2], 2: self._family_masks[3]}
-
-    @cached_property
-    def pairwise_lambda_closed(self) -> int:
-        """Family mask of the pairwise λ-closed sets."""
-        return self._family_masks[4]
-
-    @cached_property
-    def wedge12_sets(self) -> int:
-        """Family mask of the ∧12-sets, A = wedge_1(A) ∩ wedge_2(A)."""
-        return self._family_masks[5]
 
     def __repr__(self) -> str:
         label = self.ground.label_family

@@ -10,7 +10,7 @@ The sweep reads the verdict words of ``mining.verdict_words`` over each
 level's canonical index pairs, streamed, and keeps, per distinct word, the
 ``canonical_index_key`` of the first space that has it; the first
 countering space of (P, Q) is the first of those spaces whose word
-breaks the link P ⟹ Q (``axioms.breaks``): it has P's bit and lacks Q's.
+breaks the link P ⟹ Q: it has P's bit and lacks Q's.  No space is built.
 ``axiom_profile`` and ``canonical_key`` are the oracles the tests hold
 the words and keys to.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import permutations, tee
 
-from .axioms import AXIOM_BITS, AXIOM_NAMES, breaks
+from .axioms import AXIOM_BITS, AXIOM_NAMES
 from .enumeration import canonical_index_key, canonical_pair_indices, check_size
 from .mining import verdict_words
 from .records import Record
@@ -80,8 +80,8 @@ def implication_lattice(n: int) -> LatticeReport:
 
     edges, counter_edges = [], []
     for src, dst in permutations(AXIOM_NAMES, 2):
-        link = ((AXIOM_BITS[src], AXIOM_BITS[dst]),)
-        witness = next((key.hex() for word, key in first_keys.items() if breaks(word, link)), None)
+        p, q = AXIOM_BITS[src], AXIOM_BITS[dst]
+        witness = next((key.hex() for word, key in first_keys.items() if word & p and not word & q), None)
         if witness is None:
             edges.append((src, dst))
         else:

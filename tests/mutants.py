@@ -1,16 +1,22 @@
-"""Mutation gate for the pair-kernel section of ``gbtlab.axioms``.
+"""Mutation gate for the kernels: each target of ``TARGETS`` is a section
+of one module and the tests that hold it to its oracles.
 
-A mutant changes one operator site of the section, from the "Pair kernel."
-comment to ``class Axiom``: a ``&``, ``|`` or ``^``, in an expression or an
-augmented assignment, is swapped for each of the other two, or one of its
-operands is dropped (``x |= v`` loses the statement or becomes ``x = v``).
-A site is addressed by its path of (field, index) steps from the module's
-root: nested ``a | b | c`` operators share a line and a column offset.
+- the pair kernels of ``gbtlab.axioms``, from the "Pair kernel." comment
+  to ``class Axiom``, against ``test_axioms.py`` and ``test_mining.py``;
+- the claim kernels of ``gbtlab.claim_kernels``, from ``block_families``
+  to the "claim id -> kernel" comment, against ``test_claim_kernels.py``.
+
+A mutant changes one operator site of a section: a ``&``, ``|`` or ``^``,
+in an expression or an augmented assignment, is swapped for each of the
+other two, or one of its operands is dropped (``x |= v`` loses the
+statement or becomes ``x = v``).  A site is addressed by its path of
+(field, index) steps from the module's root: nested ``a | b | c``
+operators share a line and a column offset.
 
 Each mutant is written into a temporary copy of ``src/`` and ``tests/``,
-and ``test_axioms.py`` and ``test_mining.py`` run against it with ``-x``.
-A mutant whose tests pass survives; one whose tests fail or run past the
-timeout is killed (``x |= low`` for ``x ^= low`` makes ``_meet`` loop forever).
+and the target's tests run against it with ``-x``.  A mutant whose tests
+pass survives; one whose tests fail or run past the timeout is killed
+(``x |= low`` for ``x ^= low`` makes ``_meet`` loop forever).
 The gate fails on a survivor that ``EQUIVALENT`` does not list with a proof
 that it decides what the original decides, and on a listed mutant that is
 gone or killed.  The working tree is never written.
@@ -20,7 +26,7 @@ Run from the repository root:
     python tests/mutants.py
 
 ``JOBS`` mutants run at once, each in its own copy; the timeout per mutant
-is six times the unmutated run's time.
+is six times the unmutated run's time.  Each target prints its wall time.
 """
 
 from __future__ import annotations
@@ -37,20 +43,36 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/gbtlab/axioms.py")
-TESTS = ("tests/test_axioms.py", "tests/test_mining.py")
-SECTION = ("# Pair kernel.", "class Axiom(")
+# (module, (first line's start, the start of the line after the section), tests)
+TARGETS = (
+    (Path("src/gbtlab/axioms.py"), ("# Pair kernel.", "class Axiom("), ("tests/test_axioms.py", "tests/test_mining.py")),
+    (Path("src/gbtlab/claim_kernels.py"), ("def block_families(", "# claim id -> kernel"),
+        ("tests/test_claim_kernels.py",)),
+)
 OPERATORS = (ast.BitAnd, ast.BitOr, ast.BitXor)
 JOBS = 2  # each lane is one pytest process at a time
 
 # Survivors that decide what the original decides: label -> proof.
-EQUIVALENT: dict[str, str] = {}
+EQUIVALENT: dict[str, str] = {
+    "_incomparable: a & b -> a | b": (
+        "a | b is a or b exactly when one of the two sets holds the other, as a & b is, "
+        "so the same pairs are incomparable."
+    ),
+    "_incomparable: a & b -> a ^ b": (
+        "For a < b, a ^ b is a or b only when a = 0, so the nested pairs of nonempty sets "
+        "join the incomparable ones.  In _not_intersection_closed the meet of a nested pair is "
+        "its smaller member, which is in the family.  In thm_union_g the union of a nested pair "
+        "is its larger member, so escapes gains nothing, and unproven gains only "
+        "closed[b] & ~g[b], which _escapes(every, closed, g) already holds."
+    ),
+    "thm_union_ws: a | b -> a ^ b": "The pairs of _disjoint are disjoint, so a | b = a ^ b.",
+}
 
 
-def _section(source: str) -> tuple[int, int]:
+def _section(source: str, marks) -> tuple[int, int]:
     """The first line of the section and the line after its last."""
     lines = source.splitlines()
-    start, end = (next(k for k, line in enumerate(lines, 1) if line.startswith(mark)) for mark in SECTION)
+    start, end = (next(k for k, line in enumerate(lines, 1) if line.startswith(mark)) for mark in marks)
     return start, end
 
 
@@ -86,10 +108,11 @@ def _replacements(node):
     return [ast.copy_location(new, node) for new in out]
 
 
-def mutants(source: str) -> list[tuple[str, str]]:
-    """(label, mutated source) of every mutant of the section; a label reads
-    ``where: original -> mutated``, numbered when one would repeat."""
-    start, end = _section(source)
+def mutants(source: str, marks) -> list[tuple[str, str]]:
+    """(label, mutated source) of every mutant of the section that ``marks``
+    bound; a label reads ``where: original -> mutated``, numbered when one
+    would repeat."""
+    start, end = _section(source, marks)
     tree = ast.parse(source)
     found = []
     for k, stmt in enumerate(tree.body):
@@ -121,12 +144,12 @@ def _copy(into: Path) -> Path:
     return into
 
 
-def _run(copy: Path, source: str, timeout: float | None) -> tuple[str, float]:
+def _run(copy: Path, target: Path, tests, source: str, timeout: float | None) -> tuple[str, float]:
     """Write ``source`` as the copy's target and run the tests: ``killed``,
     ``timed out`` or ``survived``, and the seconds it took."""
-    (copy / TARGET).write_text(source)
+    (copy / target).write_text(source)
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     process = subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, start_new_session=True)
@@ -139,45 +162,58 @@ def _run(copy: Path, source: str, timeout: float | None) -> tuple[str, float]:
     return outcome, time.perf_counter() - start
 
 
-def main() -> int:
+def _gate(scratch: Path, target: Path, marks, tests) -> list[tuple[str, str]] | None:
+    """(label, outcome) of every mutant of the target's section, run in
+    fresh copies under ``scratch``; None if the unmutated tests fail."""
     start = time.perf_counter()
-    source = (ROOT / TARGET).read_text()
-    found = mutants(source)
-    with tempfile.TemporaryDirectory(prefix="gbtlab-mutants-") as scratch:
-        copies = [_copy(Path(scratch) / str(k)) for k in range(JOBS)]
-        probe = subprocess.run([sys.executable, "-c", "import gbtlab.axioms as a; print(a.__file__)"],
-            env={**os.environ, "PYTHONPATH": str(copies[0] / "src")}, capture_output=True, text=True)
-        if Path(probe.stdout.strip()) != copies[0] / TARGET:
-            print(f"the copy's gbtlab is not the one imported: {probe.stdout or probe.stderr}", file=sys.stderr)
-            return 2
-        outcome, seconds = _run(copies[0], ast.unparse(ast.parse(source)), None)
-        timeout = 6 * seconds
-        print(f"unmutated: {outcome} in {seconds:.1f} s; timeout per mutant {timeout:.0f} s")
-        if outcome != "survived":
-            print("the tests do not pass on the unmutated section", file=sys.stderr)
-            return 2
+    source = (ROOT / target).read_text()
+    found = mutants(source, marks)
+    copies = [_copy(scratch / str(k)) for k in range(JOBS)]
+    probe = subprocess.run([sys.executable, "-c", f"import gbtlab.{target.stem} as m; print(m.__file__)"],
+        env={**os.environ, "PYTHONPATH": str(copies[0] / "src")}, capture_output=True, text=True)
+    if Path(probe.stdout.strip()) != copies[0] / target:
+        print(f"the copy's gbtlab is not the one imported: {probe.stdout or probe.stderr}", file=sys.stderr)
+        return None
+    outcome, seconds = _run(copies[0], target, tests, ast.unparse(ast.parse(source)), None)
+    timeout = 6 * seconds
+    print(f"{target}: unmutated: {outcome} in {seconds:.1f} s; timeout per mutant {timeout:.0f} s")
+    if outcome != "survived":
+        print(f"{target}: the tests do not pass on the unmutated section", file=sys.stderr)
+        return None
 
-        def lane(k):
-            """Every JOBS-th mutant from the k-th on, in copy k."""
-            return [_run(copies[k], found[m][1], timeout) for m in range(k, len(found), JOBS)]
+    def lane(k):
+        """Every JOBS-th mutant from the k-th on, in copy k."""
+        return [_run(copies[k], target, tests, found[m][1], timeout) for m in range(k, len(found), JOBS)]
 
-        results = [None] * len(found)
-        with ThreadPoolExecutor(JOBS) as pool:
-            for k, outcomes in enumerate(pool.map(lane, range(JOBS))):
-                results[k::JOBS] = outcomes
+    results = [None] * len(found)
+    with ThreadPoolExecutor(JOBS) as pool:
+        for k, outcomes in enumerate(pool.map(lane, range(JOBS))):
+            results[k::JOBS] = outcomes
     for (label, _), (outcome, seconds) in zip(found, results):
         print(f"{outcome:9} {seconds:5.1f} s  {label}")
-    survivors = [label for (label, _), (outcome, _) in zip(found, results) if outcome == "survived"]
+    survived = sum(outcome == "survived" for outcome, _ in results)
+    print(f"{target}: {len(found)} mutants at {len(found) // 4} sites: {len(found) - survived} killed "
+        f"({sum(outcome == 'timed out' for outcome, _ in results)} by the timeout), {survived} survived")
+    print(f"{target}: {time.perf_counter() - start:.0f} s wall", file=sys.stderr)
+    return [(label, outcome) for (label, _), (outcome, _) in zip(found, results)]
+
+
+def main() -> int:
+    outcomes = []
+    with tempfile.TemporaryDirectory(prefix="gbtlab-mutants-") as scratch:
+        for k, (target, marks, tests) in enumerate(TARGETS):
+            found = _gate(Path(scratch) / str(k), target, marks, tests)
+            if found is None:
+                return 2
+            outcomes += found
+    survivors = [label for label, outcome in outcomes if outcome == "survived"]
     unproved = [label for label in survivors if label not in EQUIVALENT]
     stale = [label for label in EQUIVALENT if label not in survivors]
-    print(f"{len(found)} mutants at {len(found) // 4} sites: {len(found) - len(survivors)} killed "
-        f"({sum(outcome == 'timed out' for outcome, _ in results)} by the timeout), "
-        f"{len(survivors)} survived, {len(survivors) - len(unproved)} of them listed as equivalent")
+    print(f"{len(survivors)} survivors, {len(survivors) - len(unproved)} of them listed as equivalent")
     for label in unproved:
         print(f"survivor without a proof of equivalence: {label}", file=sys.stderr)
     for label in stale:
         print(f"listed as equivalent but killed or gone: {label}", file=sys.stderr)
-    print(f"mutation gate: {time.perf_counter() - start:.0f} s wall", file=sys.stderr)
     return 1 if unproved or stale else 0
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import combinations, product
 from pathlib import Path
 from random import Random
 
@@ -87,15 +88,18 @@ def test_the_kernel_forms_equal_the_per_space_forms(n, pairs):
     forms = claim_kernels.pairwise_lambda_closed_forms(f)
     got = [_per_pair(form, len(pairs)) for form in forms]
     assert list(zip(*got)) == [gbt.pairwise_lambda_closed_forms(s) for s in spaces]
-    # one form flipped at one subset of the last pair differs there alone
-    for k in range(4):
-        flipped = [list(form) for form in forms]
-        flipped[k][-1] ^= 1 << len(pairs) - 1
-        assert claim_kernels._forms_differ(flipped) == 1 << len(pairs) - 1, k
+    # one to three forms flipped at X, or at X and ∅, of the last pair differ there alone
+    last = 1 << len(pairs) - 1
+    for chosen in (c for r in (1, 2, 3) for c in combinations(range(4), r)):
+        for subsets in ((-1,), (-1, 0)):
+            flipped = [list(form) for form in forms]
+            for k, a in product(chosen, subsets):
+                flipped[k][a] ^= last
+            assert claim_kernels._forms_differ(flipped) == last, (chosen, subsets)
 
 
-# claim -> the families a planted fault changes; the GbtSpace caches them
-# under the same names that the kernels' families carry
+# claim -> the families a planted fault changes; they are fields of the
+# GbtSpace under the same names that the kernels' families carry
 PLANTED_IN = {
     "REM-9": "g_closed",
     "THM-12": "g_closed",
@@ -118,8 +122,8 @@ FIRST_PLACE = 100  # faults are sought from here on, away from the block's first
 
 
 def _planted_space(space, name, side, a):
-    """A copy of the space whose cached family ``name`` (of ``side``, or
-    the unsided one for side 0) has subset a flipped."""
+    """A copy of the space whose family ``name`` (of ``side``, or the
+    unsided one for side 0) has subset a flipped."""
     copy = GbtSpace(space.ground, space.mu1, space.mu2)
     family = getattr(space, name)
     copy.__dict__[name] = {**family, side: family[side] ^ 1 << a} if side else family ^ 1 << a
@@ -183,6 +187,29 @@ def test_each_single_flip_fails_the_kernel_where_it_fails_the_checker(claim_id):
                     fails = checker(SpaceContext(_planted_space(spaces[place], name, side, a))) is not None
                     assert kernel(_planted_families(f, name, side, a, place)) == fails << place, (n, place, side, a)
                     failures += fails
+    assert failures
+
+
+@pytest.mark.parametrize("claim_id", list(claim_kernels.KERNELS))
+def test_two_flips_at_one_position_fail_the_kernel_where_they_fail_the_checker(claim_id):
+    """At spread positions of the n = 3 level, every two flips of the
+    claim's family that each fail the checker alone: on both sides, or at
+    two subsets of one side, which two members or two terms of the kernel
+    see.  The kernel's bit there is set exactly when the checker, given
+    both flips, fails, so two sightings of a fault do not cancel."""
+    name, checker, kernel = PLANTED_IN[claim_id], _UNIVERSAL_CHECKERS[claim_id], claim_kernels.KERNELS[claim_id]
+    f, failures = _families(3, N3_PAIRS), 0
+    for place in range(0, len(N3_PAIRS), len(N3_PAIRS) // 8):
+        space = N3_SPACES[place]
+        flips = [
+            (side, a) for side in ((1, 2) if name in SIDED else (0,)) for a in range(8)
+            if checker(SpaceContext(_planted_space(space, name, side, a))) is not None
+        ]
+        for (s1, a1), (s2, a2) in combinations(flips, 2):
+            fails = checker(SpaceContext(_planted_space(_planted_space(space, name, s1, a1), name, s2, a2))) is not None
+            both = _planted_families(_planted_families(f, name, s1, a1, place), name, s2, a2, place)
+            assert kernel(both) == fails << place, (place, s1, a1, s2, a2)
+            failures += fails
     assert failures
 
 

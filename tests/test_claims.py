@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 from gbtlab import axioms, claims
-from gbtlab.axioms import axiom_profile, breaks, implication_masks, word_verdicts
+from gbtlab.axioms import axiom_profile, break_table, word_verdicts
+from gbtlab.claim_kernels import BLOCK
 from gbtlab.claims import (
     CLAIM_IDS,
     IMPLICATION_ROWS,
@@ -217,13 +218,13 @@ def test_fixture_assertions_pass_the_arguments_the_predicate_table_names():
 
 def _altered(fixture_id, alter):
     """Context of a copy of the fixture space with some family masks
-    replaced.  A family the space caches is replaced on the copy as well, for
-    the checkers that read it there (LEM-43, THM-40)."""
+    replaced.  A family that is a field of the space is replaced on the copy
+    as well, for the checkers that read it there (LEM-43, THM-40)."""
     fixture_space = get_fixture(fixture_id).space()
     ctx = SpaceContext(GbtSpace(fixture_space.ground, fixture_space.mu1, fixture_space.mu2))
     for name, family in alter(ctx).items():
         setattr(ctx, name, family)
-        if name in GbtSpace.__dict__:
+        if name in GbtSpace._fields:
             ctx.space.__dict__[name] = family
     return ctx
 
@@ -431,20 +432,20 @@ def test_a_violation_past_the_first_chunk_stops_only_its_own_claim(monkeypatch):
     sweep = [GbtSpace(gts_on(n)[0].ground, gts_on(n)[i], gts_on(n)[j]) for n, i, j in pairs]
     position = len(sweep) - 100 + claims.SWEEP_CHUNK + 6
     want = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
-    original, calls = _UNIVERSAL_CHECKERS["THM-20"], []
+    original, calls = _UNIVERSAL_CHECKERS["NOTE-23"], []
 
     def planted(ctx):
         calls.append(ctx.space)
         return ctx.where("planted") if len(calls) == position else original(ctx)
 
-    monkeypatch.setitem(_UNIVERSAL_CHECKERS, "THM-20", planted)
+    monkeypatch.setitem(_UNIVERSAL_CHECKERS, "NOTE-23", planted)
     got = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
     assert calls == sweep[:position]
-    assert got.pop("THM-20") == {
-        "id": "THM-20", "status": STATUS_REFUTED, "witness": f"{sweep[position - 1]!r}: planted",
+    assert got.pop("NOTE-23") == {
+        "id": "NOTE-23", "status": STATUS_REFUTED, "witness": f"{sweep[position - 1]!r}: planted",
         "spaces_checked": position,
     }
-    want.pop("THM-20")
+    want.pop("NOTE-23")
     assert got == want
     swept = [r for claim_id, r in got.items() if claim_id in _UNIVERSAL_CHECKERS]
     assert {r["spaces_checked"] for r in swept if r["status"] == STATUS_VERIFIED} == {len(sweep)}
@@ -579,7 +580,7 @@ def test_a_planted_breaking_profile_refutes_its_row(monkeypatch, claim_id):
     through the sweep's word source, is that row's first violation: its
     witness, at that space's position."""
     links, detail = IMPLICATION_ROWS[claim_id]
-    word = next(w for w in range(1 << 7) if breaks(w, implication_masks(links)))
+    word = break_table(links).index(1)
     position, target = _NO_T0
     real = claims.verdict_words
 
@@ -594,6 +595,74 @@ def test_a_planted_breaking_profile_refutes_its_row(monkeypatch, claim_id):
     report = {r.id: r for r in run_claims(n_scope=2, n4_samples=0)}[claim_id]
     assert (report.status, report.witness, report.spaces_checked) == (
         STATUS_REFUTED, f"{target!r}: {detail}", position,
+    )
+
+
+# the rows the sweep decides on a block's words; REM-16's other clause reads the space
+BLOCK_ROWS = [claim_id for claim_id in IMPLICATION_ROWS if claim_id != "REM-16"]
+
+
+def _sweep_blocks(n_scope, n4_samples, seed):
+    """(n, index pairs) of each block of the claims sweep, drawn as ``run_claims`` draws them."""
+    levels = [(n, list(canonical_pair_indices(n))) for n in range(1, n_scope + 1)]
+    rng, count = Random(seed), len(gts_on(4))
+    levels.append((4, [(rng.randrange(count), rng.randrange(count)) for _ in range(n4_samples)]))
+    return [(n, pairs[k : k + BLOCK]) for n, pairs in levels for k in range(0, len(pairs), BLOCK)]
+
+
+def test_a_row_decided_on_a_block_s_words_fails_where_its_checker_first_fails():
+    """On every canonical pair with n <= 3 and on 4,000 seeded four-point
+    samples, as the benchmark's claims workload sweeps them: per block, the
+    first word that breaks a row is the first space on which the row's
+    checker fails (-1 for none), and the sweep reports the row there."""
+    seed, first, swept = 20240801, {}, 0
+    for n, block in _sweep_blocks(3, 4000, seed):
+        gts = gts_on(n)
+        words = bytes(verdict_words(n, block))
+        contexts = [SpaceContext(GbtSpace(gts[i].ground, gts[i], gts[j]), word=w) for (i, j), w in zip(block, words)]
+        for claim_id in BLOCK_ROWS:
+            fails = [p for p, ctx in enumerate(contexts) if _UNIVERSAL_CHECKERS[claim_id](ctx) is not None]
+            place = words.translate(break_table(IMPLICATION_ROWS[claim_id][0])).find(1)
+            assert place == (fails[0] if fails else -1), (claim_id, n)
+            if fails:
+                first.setdefault(claim_id, swept + fails[0] + 1)
+        swept += len(block)
+    assert swept == 4411 and set(first) == {"THM-54"}
+    reports = {r.id: r for r in run_claims(n_scope=3, n4_samples=4000, seed=seed)}
+    for claim_id in BLOCK_ROWS:
+        want = (STATUS_REFUTED, first[claim_id]) if claim_id in first else (STATUS_VERIFIED, swept)
+        assert (reports[claim_id].status, reports[claim_id].spaces_checked) == want, claim_id
+
+
+@pytest.mark.parametrize("claim_id", BLOCK_ROWS)
+def test_a_breaking_word_past_the_first_chunk_of_the_samples_runs_its_row_once(monkeypatch, claim_id):
+    """A word that breaks a row, planted on a four-point sample past the
+    first ``SWEEP_CHUNK``, is the row's violation at that sample's position
+    in the sweep, and the row's checker runs once, on that sample alone."""
+    links, detail = IMPLICATION_ROWS[claim_id]
+    word, place = break_table(links).index(1), claims.SWEEP_CHUNK + 5
+    real, original, calls = claims.verdict_words, _UNIVERSAL_CHECKERS[claim_id], []
+
+    def planted(n, pairs):
+        words = list(real(n, pairs))
+        if n == 4:
+            words[place] = word
+        return iter(words)
+
+    def counted(ctx):
+        calls.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(claims, "verdict_words", planted)
+    monkeypatch.setitem(_UNIVERSAL_CHECKERS, claim_id, counted)
+    monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
+    monkeypatch.setattr(claims, "FIXTURES", ())
+    report = {r.id: r for r in run_claims(n_scope=2, n4_samples=100, seed=7)}[claim_id]
+    ((_, block),) = _sweep_blocks(0, 100, 7)
+    gts, (i, j) = gts_on(4), block[place]
+    assert [(ctx.space, ctx.word) for ctx in calls] == [(GbtSpace(gts[i].ground, gts[i], gts[j]), word)]
+    assert (report.status, report.witness, report.spaces_checked) == (
+        STATUS_REFUTED, f"{calls[0].space!r}: {detail}", 3 + 18 + place + 1,
     )
 
 

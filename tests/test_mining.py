@@ -383,6 +383,28 @@ def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
             sweep(2)
 
 
+def test_census_and_lattice_build_a_space_only_to_name_a_broken_chain(monkeypatch):
+    """``verdict_words`` builds no space while every word keeps the
+    implication chain, so neither the census nor the lattice builds one;
+    a word that breaks it builds the one space its error names."""
+    built, init = [], GbtSpace.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GbtSpace, "__init__", counted)
+    census(3)
+    implication_lattice(3)
+    assert built == []
+    t_half = PAIR_KERNELS["T1_2"]
+    forced = PairKernel(t_half.slices, lambda column, *signature: column.every)
+    monkeypatch.setattr(mining, "WORD_KERNELS", tuple(forced if k is t_half else k for k in mining.WORD_KERNELS))
+    with pytest.raises(InternalDisagreementError, match="implication chain broken on GbtSpace") as raised:
+        census(2)
+    assert len(built) == 1 and f"on {GbtSpace(*built[0])!r}: " in str(raised.value)
+
+
 def test_census_and_lattice_decide_no_space_one_by_one(tmp_path, monkeypatch):
     def per_space(*args, **kwargs):
         raise AssertionError("a per-space route was called")
