@@ -464,9 +464,10 @@ def evaluate_axiom(name: str, t1: GeneralizedTopology, t2: GeneralizedTopology) 
     return DECIDERS[normalize_axiom_name(name)](t1, t2)[0]
 
 
-# Verdict words.  The census, the lattice and the claims sweep decide pairs
-# with every distinct pair kernel at once: bit k of a verdict word is
-# kernel k's verdict.  There are seven, so a word fits in a byte.
+# Verdict words.  The census, the lattice and mine decide pairs with every
+# distinct pair kernel at once: bit k of a verdict word is kernel k's
+# verdict; the claims sweep makes the same words from a block's slices
+# (``claim_kernels.block_words``).  There are seven, so a word fits in a byte.
 WORD_KERNELS = tuple(dict.fromkeys(PAIR_KERNELS.values()))
 AXIOM_BITS = {name: 1 << WORD_KERNELS.index(kernel) for name, kernel in PAIR_KERNELS.items()}
 

@@ -6,14 +6,13 @@ in scope, then spot-checked on random larger spaces), a conditional
 closure statement, a fixture assertion (a worked example's stated
 verdict, recomputed by the engine), or an out-of-scope note for claims
 that need an infinite carrier.  A swept space's verdicts are its verdict
-word (``mining.verdict_words``), the fixtures' are ``axiom_profile``'s,
+word (``claim_kernels.block_words``), the fixtures' are ``axiom_profile``'s,
 and recorded verdicts are data.  The universal claims that read only
-verdicts are rows of one implication table, ``IMPLICATION_ROWS``, and
-thirteen family claims are kernels of ``claim_kernels``; the sweep decides
-those and all rows but REM-16 per block, and runs their checkers only
-where the block fails.  A disagreement on a fixture is reported as a
-fixture mismatch, not raised as an error, so errata in the source
-examples surface as findings.
+verdicts are rows of one implication table, ``IMPLICATION_ROWS``.  Every
+universal claim has a kernel in ``claim_kernels``: the sweep decides them
+per block, and builds a space and runs a checker only where one fails.
+A disagreement on a fixture is reported as a fixture mismatch, not
+raised as an error, so errata in the source examples surface as findings.
 
 Claim THM-33 is registered twice on purpose: once literally (each
 singleton open or closed within the SAME topology) and once in the
@@ -66,7 +65,6 @@ from .gt import (
     validate_gt,
     wedge,
 )
-from .mining import verdict_words
 from .mining import find_g_intersection_violation, find_g_union_violation
 from .records import Record
 from .sets import complemented, members, parse_subset
@@ -109,16 +107,13 @@ class SpaceContext:
     The subset families are the space's family-mask fields and its
     topologies' cached family masks (``GbtSpace.g_closed``,
     ``GeneralizedTopology.wedge_sets``, ...), keyed by side.  The verdicts
-    are its ``word`` (bits as ``axioms.AXIOM_BITS``): a sweep passes it in from
-    ``mining.verdict_words``, a context made alone reads it from its own
-    ``profile``, on any number of points.  ``verified`` maps a one-topology
-    claim to the topologies that already passed it, keyed by ``id`` (the
-    value keeps the topology, so the id stays its own); a sweep shares one
-    such dict among all its spaces, whose topologies are the shared objects
-    of ``gts_on``.
+    are its ``word`` (bits as ``axioms.AXIOM_BITS``): a sweep, which builds
+    a context only where a claim's kernel fails, passes in the block's word,
+    and a context made alone reads it from its own ``profile``, on any
+    number of points.
     """
 
-    def __init__(self, space: GbtSpace, verified: dict[str, dict] | None = None, word: int | None = None):
+    def __init__(self, space: GbtSpace, word: int | None = None):
         self.space = space
         self.t1 = space.mu1
         self.t2 = space.mu2
@@ -126,7 +121,6 @@ class SpaceContext:
         self.full = space.ground.full_mask
         self.subsets = range(self.full + 1)
         self.label = space.ground.label
-        self.verified = {} if verified is None else verified
         self.g_closed: dict[int, int] = space.g_closed
         self.lambda_closed: dict[int, int] = space.lambda_closed
         self.pairwise_lambda: int = space.pairwise_lambda_closed
@@ -141,16 +135,6 @@ class SpaceContext:
     @cached_property
     def g_open(self) -> dict[int, int]:
         return {i: complemented(family, self.size) for i, family in self.g_closed.items()}
-
-    def unverified_sides(self, claim_id: str):
-        """(i, mu_i) for the sides whose topology has not yet passed the
-        one-topology claim; a topology counts as passed once the caller
-        asks for the next side, so a side that yields a witness does not."""
-        done = self.verified.setdefault(claim_id, {})
-        for i, t, _ in self.sides():
-            if done.get(id(t)) is not t:
-                yield i, t
-                done[id(t)] = t
 
     def where(self, detail: str) -> str:
         return f"{self.space!r}: {detail}"
@@ -183,8 +167,8 @@ class SpaceContext:
 # ---------------------------------------------------------------------------
 # Claims that read only verdicts: id -> (links, detail), a link (antecedent
 # axioms, consequent axiom), violated where the verdict word breaks one (its
-# byte of ``break_table(links)`` is 1).  The sweep decides all rows but
-# REM-16, whose other clause reads the space, on a block's words at once.
+# byte of ``break_table(links)`` is 1).  The sweep decides all rows on a
+# block's words at once, REM-16 with its other clause, on the open slices.
 # COR-67's six axioms are equal iff no link of their cycle breaks.  T1/4, T3/8
 # and T5/8 share one word bit, so REM-63's links from T5/8 on cannot break.
 IMPLICATION_ROWS = {
@@ -219,12 +203,12 @@ _REM16_ROW = _row_checker("REM-16")
 # universal / equivalence / conditional checkers: return None when the claim
 # holds on the given space, otherwise a description of the first violation.
 # Family checks are mask operations; a witness names the least offending
-# subset.  LEM-7, REM-41 and REM-46's hull scans read one topology and check
-# each topology once per sweep.
+# subset.  LEM-7, REM-41 and REM-46's hull scans read one topology at a
+# time, side 1 first; a sweep runs them only where a block's kernel fails.
 
 
 def check_lem7(ctx: SpaceContext) -> str | None:
-    for i, t in ctx.unverified_sides("LEM-7"):
+    for i, t, _ in ctx.sides():
         w, v = t.wedge_table, t.vee_table
         if w[0] != 0 or v[0] != 0 or w[ctx.full] != ctx.full or v[ctx.full] != ctx.full:
             return ctx.where(f"wedge/vee boundary values wrong on side {i}")
@@ -434,7 +418,7 @@ def check_thm40(ctx: SpaceContext) -> str | None:
 
 
 def check_rem41(ctx: SpaceContext) -> str | None:
-    for i, t in ctx.unverified_sides("REM-41"):
+    for i, t, _ in ctx.sides():
         try:
             validate_gt(ctx.space.ground, members(t.vee_sets))
         except Exception as exc:
@@ -480,7 +464,7 @@ def check_lem45(ctx: SpaceContext) -> str | None:
 
 
 def check_rem46(ctx: SpaceContext) -> str | None:
-    for _, t in ctx.unverified_sides("REM-46"):
+    for _, t, _ in ctx.sides():
         for a in ctx.subsets:
             hull_closed = ctx.full
             for c in t.closed_masks:
@@ -590,9 +574,9 @@ def check_rem66() -> str | None:
 _IMPLICATION, _EQUIVALENCE, _CONDITIONAL = "universal-implication", "equivalence", "conditional"
 
 # The claim table, by scope: claim id -> (kind, checker, statement).  The
-# "enumeration" checkers take a SpaceContext and run on every swept space
-# (a kernel claim's or a block row's at its first failing pair only); the
-# "fixture" checkers take nothing and run once on corpus spaces.
+# "enumeration" checkers take a SpaceContext; the sweep runs one only at the
+# first pair of a block where the claim's kernel fails, to write the witness.
+# The "fixture" checkers take nothing and run once on corpus spaces.
 _CLAIMS = {
     "enumeration": {
         "LEM-7": (_IMPLICATION, check_lem7,
@@ -833,10 +817,6 @@ def eval_fixture(fixture: Fixture) -> tuple[str, list[str]]:
 # runner
 
 
-# spaces whose contexts a sweep builds before running the checkers over them
-SWEEP_CHUNK = 32
-
-
 def run_claims(
     n_scope: int = 3,
     fixture_filter: str | None = None,
@@ -896,54 +876,38 @@ def run_claims(
 def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimReport]:
     """The reports of the universal claims, swept over the index pairs of
     ``canonical_pair_indices`` on 1 to ``n_scope`` points and then over
-    ``n4_samples`` seeded four-point index pairs, with their words from
-    ``verdict_words``, and of the one-off claims."""
+    ``n4_samples`` seeded four-point index pairs a block at a time, and of
+    the one-off claims."""
     from . import claim_kernels
 
     violations: dict[str, str] = {}
     checked: dict[str, int] = {claim_id: 0 for claim_id in _UNIVERSAL_CHECKERS}
     elapsed: dict[str, float] = {claim_id: 0.0 for claim_id in _UNIVERSAL_CHECKERS}
-    verified: dict[str, dict] = {}
 
     def sweep(n, pairs):
-        # per block: the words, kernel claims and rows at once, the index pairs
-        # let go; then checker-major over chunks, each unviolated checker in
-        # sweep order up to its first violation, a kernel claim's or a row's at
-        # its hit alone
-        clock = time.perf_counter
+        # per block: the words and every open claim's first failure at once,
+        # the index pairs let go; a context only at a claim's hit, where its
+        # checker must confirm the failure and write the witness
         gts = gts_on(n)
-        g = gts[0].ground
         pairs = iter(pairs)
         while block := list(itertools.islice(pairs, claim_kernels.BLOCK)):
-            words = bytes(verdict_words(n, block))
             firsts, seconds = [gts[i] for i, _ in block], [gts[j] for _, j in block]
             del block
-            kernel_ids = [c for c in claim_kernels.KERNELS if c not in violations]
-            hits = claim_kernels.first_failures(firsts, seconds, kernel_ids, elapsed)
-            for claim_id in IMPLICATION_ROWS.keys() - violations.keys() - {"REM-16"}:
-                hits[claim_id] = words.translate(break_table(IMPLICATION_ROWS[claim_id][0])).find(1)
-            contexts = (SpaceContext(GbtSpace(g, t1, t2), verified, word)
-                for t1, t2, word in zip(firsts, seconds, words))
-            for offset in range(0, len(words), SWEEP_CHUNK):
-                chunk = list(itertools.islice(contexts, SWEEP_CHUNK))
-                for claim_id, checker in _UNIVERSAL_CHECKERS.items():
-                    if claim_id in violations:
-                        continue
-                    start = clock()
-                    count, spaces = len(chunk), enumerate(chunk, 1)
-                    if claim_id in hits:
-                        place = hits[claim_id] - offset
-                        spaces = [(place + 1, chunk[place])] if 0 <= place < count else ()
-                    for position, ctx in spaces:
-                        result = checker(ctx)
-                        if result is not None:
-                            violations[claim_id] = result
-                            count = position
-                            break
-                        if claim_id in hits:
-                            raise InternalDisagreementError(f"{claim_id}: kernel and checker disagree on {ctx.space!r}")
-                    elapsed[claim_id] += clock() - start
-                    checked[claim_id] += count
+            open_ids = [c for c in _UNIVERSAL_CHECKERS if c not in violations]
+            words, places = claim_kernels.first_failures(firsts, seconds, open_ids, elapsed)
+            for claim_id in open_ids:
+                place = places[claim_id]
+                if place < 0:
+                    checked[claim_id] += len(words)
+                    continue
+                start = time.perf_counter()
+                ctx = SpaceContext(GbtSpace(gts[0].ground, firsts[place], seconds[place]), words[place])
+                result = _UNIVERSAL_CHECKERS[claim_id](ctx)
+                elapsed[claim_id] += time.perf_counter() - start
+                if result is None:
+                    raise InternalDisagreementError(f"{claim_id}: kernel and checker disagree on {ctx.space!r}")
+                violations[claim_id] = result
+                checked[claim_id] += place + 1
 
     for n in range(1, n_scope + 1):
         sweep(n, canonical_pair_indices(n))

@@ -25,15 +25,15 @@ canonical pair, and a disagreement raises InternalDisagreementError.  That
 covers every hit of a block that completes; only the hits after the
 witness limit, in the block it interrupts, are never read.
 
-A census, the implication lattice and the claims sweep decide pairs with
-every kernel at once: ``verdict_words`` gives each index pair a verdict
+A census and the implication lattice decide pairs with every kernel at
+once: ``verdict_words`` gives each index pair a verdict
 word, one bit per distinct kernel (the word layer of ``axioms``:
 ``WORD_KERNELS``, ``AXIOM_BITS``), read from the int rows made once per
 first index, and asserts on every word the implication chain that
 ``axiom_profile`` asserts (``check_implication_chain``).  The kernel
 columns hold only the topologies a census's
 ``max_open_sets`` bound admits, found through a position map; without a
-bound (the unbounded census, the lattice, claims and ``mine``) that is
+bound (the unbounded census, the lattice and ``mine``) that is
 every topology.  A bounded census enumerates the canonical pairs of its
 admitted topologies only (the ``among`` mask of
 ``canonical_pair_indices``); the bound counts opens, so it never splits
@@ -517,7 +517,9 @@ def _spread(row: int, count: int) -> int:
 
 
 def verdict_words(n: int, pairs, max_open_sets: int | None = None):
-    """Yield the verdict word of each index pair (i, j) of ``pairs``, in order.
+    """Yield the verdict word of each index pair (i, j) of ``pairs``, in order,
+    from dense rows: census and lattice read these, the claims sweep the
+    equal words of ``claim_kernels.block_words``.
 
     Both topologies of every pair must be admitted by ``max_open_sets``.
     The kernel columns (cached, built on the first pair) hold the admitted

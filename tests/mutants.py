@@ -66,6 +66,16 @@ EQUIVALENT: dict[str, str] = {
         "closed[b] & ~g[b], which _escapes(every, closed, g) already holds."
     ),
     "thm_union_ws: a | b -> a ^ b": "The pairs of _disjoint are disjoint, so a | b = a ^ b.",
+    "_unfixed_wedges: full ^ a -> full | a": (
+        "The added points k lie in a, so in b, and entry a * n + k of a sliced_meet_table table is "
+        "never written for k in a: it stays every, and equal &= every changes nothing."
+    ),
+    "_unfixed_wedges: full ^ a -> full": "As for full | a: the added points are a's.",
+    "lem7: full ^ a -> full | a": (
+        "The added points x lie in a, so b = a | 1 << x is a, and w(a) ⊆ w(a) adds nothing."
+    ),
+    "lem7: full ^ a -> full": "As for full | a: the added points are a's.",
+    "lem7: a | 1 << x -> a ^ 1 << x": "x is a point outside a, so a ^ 1 << x = a | 1 << x.",
 }
 
 

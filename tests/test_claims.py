@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from random import Random
 
 import pytest
 
-from gbtlab import axioms, claims
-from gbtlab.axioms import axiom_profile, break_table, word_verdicts
+from gbtlab import axioms, claim_kernels, claims
+from gbtlab.axioms import InternalDisagreementError, axiom_profile, break_table, chain_break, word_verdicts
 from gbtlab.claim_kernels import BLOCK
 from gbtlab.claims import (
     CLAIM_IDS,
@@ -33,7 +34,6 @@ from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import GeneralizedTopology, is_gt_T0, is_gt_T1
 from gbtlab.lattice import implication_lattice
-from gbtlab.mining import verdict_words
 from gbtlab.sets import ground
 from oracles import VERDICT_CLAIMS
 
@@ -398,49 +398,46 @@ def test_note10_witness_names_the_first_offending_subset(changes, added, witness
     assert _UNIVERSAL_CHECKERS["NOTE-10"](ctx) == f"{E43A}: {witness}"
 
 
-def test_one_topology_claims_check_each_topology_once_per_sweep():
-    """LEM-7 and REM-41 remember, per claim, the topologies that passed; a
-    topology that fails is reported on the side where it first appears."""
+def test_one_topology_claims_report_the_first_side_whose_topology_fails():
+    """LEM-7 and REM-41 read each side's topology alone, side 1 first: a
+    topology that fails is reported on the first side that holds it."""
     e17 = get_fixture("e17").space()
-    verified = {}
     for claim_id in ("LEM-7", "REM-41"):
-        assert _UNIVERSAL_CHECKERS[claim_id](SpaceContext(e17, verified)) is None
-    assert {claim_id: set(done.values()) for claim_id, done in verified.items()} == {
-        "LEM-7": {e17.mu1, e17.mu2},
-        "REM-41": {e17.mu1, e17.mu2},
-    }
+        assert _UNIVERSAL_CHECKERS[claim_id](SpaceContext(e17)) is None
 
     broken = GeneralizedTopology(e17.ground, (0, 0b011))  # {a,b} alone: not e17's topologies
     broken.__dict__["vee_sets"] = _bits(0, 0b001, 0b010, 0b111)  # {a} ∪ {b} is missing
     reason = "is not a generalized topology: family not closed under union: {a} ∪ {b} = {a,b} is missing"
     for space, side in ((GbtSpace(e17.ground, e17.mu1, broken), 2), (GbtSpace(e17.ground, broken, broken), 1)):
-        witness = _UNIVERSAL_CHECKERS["REM-41"](SpaceContext(space, verified))
+        witness = _UNIVERSAL_CHECKERS["REM-41"](SpaceContext(space))
         assert witness == f"{space!r}: vee-family of side {side} {reason}"
-    assert broken not in verified["REM-41"].values()
-    assert _UNIVERSAL_CHECKERS["LEM-7"](SpaceContext(GbtSpace(e17.ground, e17.mu1, broken), verified)) is None
-    assert set(verified["LEM-7"].values()) == {e17.mu1, e17.mu2, broken}
+    assert _UNIVERSAL_CHECKERS["LEM-7"](SpaceContext(GbtSpace(e17.ground, e17.mu1, broken))) is None
 
 
-def test_a_violation_past_the_first_chunk_stops_only_its_own_claim(monkeypatch):
-    """The sweep runs each checker over a chunk of spaces at a time; a
-    checker that first fails on a space of a later chunk reports that space,
-    counted by its position in the sweep, and the other claims check every
-    space."""
+def test_a_violation_deep_in_a_block_stops_only_its_own_claim(monkeypatch):
+    """A kernel that first fails deep in the four-point samples' block: its
+    claim's checker runs on that space alone and reports it, counted by its
+    position in the sweep, and the other claims check every space."""
     rng, count = Random(7), len(gts_on(4))
     pairs = [(n, i, j) for n in (1, 2) for i, j in canonical_pair_indices(n)]
     pairs += [(4, rng.randrange(count), rng.randrange(count)) for _ in range(100)]
     sweep = [GbtSpace(gts_on(n)[0].ground, gts_on(n)[i], gts_on(n)[j]) for n, i, j in pairs]
-    position = len(sweep) - 100 + claims.SWEEP_CHUNK + 6
+    place = 37
+    position = len(sweep) - 100 + place + 1
     want = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
-    original, calls = _UNIVERSAL_CHECKERS["NOTE-23"], []
+    kernel, calls = claim_kernels.KERNELS["NOTE-23"], []
+
+    def planted_kernel(f):
+        return kernel(f) | (1 << place if f.size == 4 else 0)
 
     def planted(ctx):
         calls.append(ctx.space)
-        return ctx.where("planted") if len(calls) == position else original(ctx)
+        return ctx.where("planted")
 
+    monkeypatch.setitem(claim_kernels.KERNELS, "NOTE-23", planted_kernel)
     monkeypatch.setitem(_UNIVERSAL_CHECKERS, "NOTE-23", planted)
     got = {r.id: r.as_dict() for r in run_claims(n_scope=2, n4_samples=100, seed=7)}
-    assert calls == sweep[:position]
+    assert calls == [sweep[position - 1]]
     assert got.pop("NOTE-23") == {
         "id": "NOTE-23", "status": STATUS_REFUTED, "witness": f"{sweep[position - 1]!r}: planted",
         "spaces_checked": position,
@@ -476,9 +473,10 @@ def test_the_claim_sweep_reads_the_canonical_pairs_once_per_level(monkeypatch):
 
 
 def test_the_claim_sweep_runs_no_decider(monkeypatch):
-    """The sweep reads each space's verdicts from the word ``verdict_words``
-    gives it: no decider runs, through ``axiom_profile`` or alone, and every
-    swept word holds the nine verdicts of ``axiom_profile``."""
+    """The sweep reads each space's verdicts from its block's words: no
+    decider runs, through ``axiom_profile`` or alone.  It builds a context
+    only where a claim fails, one per refuted claim, and the word it hands
+    that context holds the nine verdicts of ``axiom_profile``."""
     calls = []
     counted = {}
     for decide in set(axioms.DECIDERS.values()):
@@ -505,9 +503,26 @@ def test_the_claim_sweep_runs_no_decider(monkeypatch):
     reports = {r.id: r for r in run_claims(n_scope=3, n4_samples=50)}
     monkeypatch.undo()
     assert calls == []
-    assert len(swept) == 411 + 50
+    assert len(swept) == sum(r.status == STATUS_REFUTED for r in reports.values()) > 0
     assert [word_verdicts(ctx.word) for ctx in swept] == [axiom_profile(ctx.space).as_dict() for ctx in swept]
     assert reports["THM-15"].status == reports["THM-58"].status == STATUS_VERIFIED
+
+
+def test_the_sweep_builds_one_space_per_refuted_claim_at_most(monkeypatch):
+    """Over every canonical pair with n <= 3 and 4,000 seeded four-point
+    samples a space is built only where a claim is refuted."""
+    built = []
+
+    def counted(*args):
+        built.append(GbtSpace(*args))
+        return built[-1]
+
+    for module in (claims, claim_kernels):
+        monkeypatch.setattr(module, "GbtSpace", counted)
+    reports = claims._checked_reports(3, 4000, 1)
+    refuted = {r.id for r in reports if r.status == STATUS_REFUTED}
+    assert refuted == {"THM-21", "THM-33-LITERAL", "THM-51", "THM-54"}
+    assert len(built) <= len(refuted)
 
 
 def _kernel_word(space):
@@ -543,7 +558,7 @@ def test_a_context_made_alone_reads_its_word_from_its_profile_on_five_points():
 def test_a_context_made_alone_has_the_swept_word_up_to_three_points():
     for n in (1, 2, 3):
         gts, pairs = gts_on(n), list(canonical_pair_indices(n))
-        for (i, j), word in zip(pairs, verdict_words(n, pairs)):
+        for (i, j), word in zip(pairs, _block_words(n, pairs)):
             assert SpaceContext(GbtSpace(gts[i].ground, gts[i], gts[j])).word == word, (n, i, j)
 
 
@@ -574,24 +589,49 @@ def test_the_implication_rows_fail_exactly_where_the_old_checkers_did():
     assert broken == set(IMPLICATION_ROWS)
 
 
+def _block_words(n, pairs):
+    """The words the claims sweep reads for a block of index pairs."""
+    gts = gts_on(n)
+    return claim_kernels.block_families([gts[i] for i, _ in pairs], [gts[j] for _, j in pairs]).words
+
+
+def _breaking_word(links):
+    """A verdict word that breaks one of the links, keeping the implication
+    chain if one does."""
+    breaking = [word for word, broken in enumerate(break_table(links)) if broken]
+    return next((word for word in breaking if not chain_break(word)), breaking[0])
+
+
+def _planted_words(monkeypatch, n, place, word):
+    """Plant the word at one place of the level-n block through the sweep's word source."""
+    real = claim_kernels.block_words
+
+    def planted(f):
+        words = bytearray(real(f))
+        if f.size == n:
+            words[place] = word
+        return bytes(words)
+
+    monkeypatch.setattr(claim_kernels, "block_words", planted)
+
+
 @pytest.mark.parametrize("claim_id", list(IMPLICATION_ROWS))
 def test_a_planted_breaking_profile_refutes_its_row(monkeypatch, claim_id):
     """A verdict word that breaks a row, planted on one space of the sweep
     through the sweep's word source, is that row's first violation: its
-    witness, at that space's position."""
+    witness, at that space's position.  A row that no word breaks without
+    breaking the implication chain is an engine fault there, which names
+    the space."""
     links, detail = IMPLICATION_ROWS[claim_id]
-    word = break_table(links).index(1)
+    word = _breaking_word(links)
     position, target = _NO_T0
-    real = claims.verdict_words
-
-    def planted(n, pairs):
-        pairs, copy = itertools.tee(pairs)
-        for (i, j), got in zip(pairs, real(n, copy)):
-            yield word if (gts_on(n)[i], gts_on(n)[j]) == (target.mu1, target.mu2) else got
-
-    monkeypatch.setattr(claims, "verdict_words", planted)
+    _planted_words(monkeypatch, 2, position - 1 - len(_sweep_spaces(1)), word)
     monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
     monkeypatch.setattr(claims, "FIXTURES", ())
+    if chain_break(word):
+        with pytest.raises(InternalDisagreementError, match=re.escape(f"implication chain broken on {target!r}")):
+            run_claims(n_scope=2, n4_samples=0)
+        return
     report = {r.id: r for r in run_claims(n_scope=2, n4_samples=0)}[claim_id]
     assert (report.status, report.witness, report.spaces_checked) == (
         STATUS_REFUTED, f"{target!r}: {detail}", position,
@@ -618,7 +658,7 @@ def test_a_row_decided_on_a_block_s_words_fails_where_its_checker_first_fails():
     seed, first, swept = 20240801, {}, 0
     for n, block in _sweep_blocks(3, 4000, seed):
         gts = gts_on(n)
-        words = bytes(verdict_words(n, block))
+        words = _block_words(n, block)
         contexts = [SpaceContext(GbtSpace(gts[i].ground, gts[i], gts[j]), word=w) for (i, j), w in zip(block, words)]
         for claim_id in BLOCK_ROWS:
             fails = [p for p, ctx in enumerate(contexts) if _UNIVERSAL_CHECKERS[claim_id](ctx) is not None]
@@ -635,34 +675,36 @@ def test_a_row_decided_on_a_block_s_words_fails_where_its_checker_first_fails():
 
 
 @pytest.mark.parametrize("claim_id", BLOCK_ROWS)
-def test_a_breaking_word_past_the_first_chunk_of_the_samples_runs_its_row_once(monkeypatch, claim_id):
-    """A word that breaks a row, planted on a four-point sample past the
-    first ``SWEEP_CHUNK``, is the row's violation at that sample's position
-    in the sweep, and the row's checker runs once, on that sample alone."""
+def test_a_breaking_word_deep_in_the_samples_runs_its_row_once(monkeypatch, claim_id):
+    """A word that breaks a row, planted deep in the four-point samples'
+    block, is the row's violation at that sample's position in the sweep,
+    and the row's checker runs once, on that sample alone.  A word that
+    breaks the implication chain there is an engine fault that names the
+    sample's space, and no checker runs."""
     links, detail = IMPLICATION_ROWS[claim_id]
-    word, place = break_table(links).index(1), claims.SWEEP_CHUNK + 5
-    real, original, calls = claims.verdict_words, _UNIVERSAL_CHECKERS[claim_id], []
-
-    def planted(n, pairs):
-        words = list(real(n, pairs))
-        if n == 4:
-            words[place] = word
-        return iter(words)
+    word, place = _breaking_word(links), 37
+    original, calls = _UNIVERSAL_CHECKERS[claim_id], []
 
     def counted(ctx):
         calls.append(ctx)
         return original(ctx)
 
-    monkeypatch.setattr(claims, "verdict_words", planted)
+    _planted_words(monkeypatch, 4, place, word)
     monkeypatch.setitem(_UNIVERSAL_CHECKERS, claim_id, counted)
     monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
     monkeypatch.setattr(claims, "FIXTURES", ())
-    report = {r.id: r for r in run_claims(n_scope=2, n4_samples=100, seed=7)}[claim_id]
     ((_, block),) = _sweep_blocks(0, 100, 7)
     gts, (i, j) = gts_on(4), block[place]
-    assert [(ctx.space, ctx.word) for ctx in calls] == [(GbtSpace(gts[i].ground, gts[i], gts[j]), word)]
+    sample = GbtSpace(gts[i].ground, gts[i], gts[j])
+    if chain_break(word):
+        with pytest.raises(InternalDisagreementError, match=re.escape(f"implication chain broken on {sample!r}")):
+            run_claims(n_scope=2, n4_samples=100, seed=7)
+        assert calls == []
+        return
+    report = {r.id: r for r in run_claims(n_scope=2, n4_samples=100, seed=7)}[claim_id]
+    assert [(ctx.space, ctx.word) for ctx in calls] == [(sample, word)]
     assert (report.status, report.witness, report.spaces_checked) == (
-        STATUS_REFUTED, f"{calls[0].space!r}: {detail}", 3 + 18 + place + 1,
+        STATUS_REFUTED, f"{sample!r}: {detail}", 3 + 18 + place + 1,
     )
 
 
