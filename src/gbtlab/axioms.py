@@ -39,7 +39,6 @@ from typing import NamedTuple
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology, meet_table, sliced_meet_table
 from .records import FrozenRecord
-from .sets import family_of
 
 
 class UnknownAxiomError(ValueError):
@@ -185,8 +184,9 @@ def decide_lambda_symmetric(t1: GeneralizedTopology, t2: GeneralizedTopology) ->
 # A column holds the signatures of the list bit-sliced: per signature
 # component, slice k is the int whose bit p is set when topology p's
 # component has bit k.  The slices come first, for the whole list at once:
-# ``sliced_tables`` runs one ``gt.sliced_meet_table`` pass for the closure
-# and one for the wedge over every topology together, and each kernel
+# ``sliced_tables`` slices the family masks of the topologies' opens, then
+# runs one ``gt.sliced_meet_table`` pass for the closure and one for the
+# wedge over every topology together, and each kernel
 # combines those table slices (T1/2 reads the open slices); no table of
 # a single topology is built.  The signatures are the slices transposed.
 # A row (first topology fixed) is then one int whose bit p is the verdict
@@ -238,15 +238,16 @@ class SlicedTables(NamedTuple):
     wedge: tuple[int, ...]
 
 
-def sliced_tables(topologies) -> SlicedTables:
-    """The sliced tables of a nonempty sequence of topologies on one ground
-    set.  Subset a is closed where X − a is open, so the closed slices are
-    the open ones in reverse order."""
-    n = topologies[0].ground.size
-    every = (1 << len(topologies)) - 1
-    opens = _sliced([family_of(t.opens) for t in topologies], 1 << n)
-    closure = sliced_meet_table(opens[::-1], n, every)
-    return SlicedTables(n, every, opens, closure, sliced_meet_table(opens, n, every))
+def sliced_tables(size: int, families) -> SlicedTables:
+    """The sliced tables of a nonempty sequence of topologies on ``size``
+    points, given by the family masks of their opens: the enumeration's
+    ``gt_families`` picked by index, or ``family_of(t.opens)`` of a
+    topology at hand.  Subset a is closed where X − a is open, so the
+    closed slices are the open ones in reverse order."""
+    every = (1 << len(families)) - 1
+    opens = _sliced(families, 1 << size)
+    closure = sliced_meet_table(opens[::-1], size, every)
+    return SlicedTables(size, every, opens, closure, sliced_meet_table(opens, size, every))
 
 
 class KernelColumn(NamedTuple):

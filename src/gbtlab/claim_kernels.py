@@ -5,11 +5,14 @@ of ``axioms`` are over a list of topologies (E. Biham, "A fast new DES
 implementation in software", FSE 1997): bit s of every int stands for the
 block's s-th pair.
 
-``block_families`` reads the ``axioms.sliced_tables`` of the pairs' first
-topologies and of their second ones, and ``families`` gives per subset the
-slices of each family the claims read, by the tests that
-``GbtSpace.__init__`` makes per space.  ``block_words`` gives each pair its verdict word from the same
-slices; the census, the lattice and ``mine`` read the dense rows of
+A block's pairs come as two lists of family masks of opens, the pairs'
+first sides and their second ones; the sweep picks them by index from
+the enumeration's ``gt_families``, so it builds no topology object for a
+block.  ``block_families`` reads the ``axioms.sliced_tables`` of each
+list, and ``families`` gives per subset the slices of each family the
+claims read, by the tests that ``GbtSpace.__init__`` makes per space.
+``block_words`` gives each pair its verdict word from the same slices;
+the census, the lattice and ``mine`` read the dense rows of
 ``mining.verdict_words`` instead.  A kernel of ``KERNELS`` takes the
 families, words included, and returns the int of the block's positions
 where its claim fails:
@@ -49,8 +52,9 @@ from typing import NamedTuple
 from .axioms import AXIOM_BITS, _point_fields, break_table, chain_break, check_implication_chain, sliced_tables
 from .claims import IMPLICATION_ROWS
 from .gbt import GbtSpace
-from .gt import sliced_meet_table
+from .gt import GeneralizedTopology, sliced_meet_table
 from .mining import _spread
+from .sets import ground, members
 
 # pairs per block; the benchmark's 4,000 seeded four-point pairs fit one
 BLOCK = 4096
@@ -91,9 +95,11 @@ def _points(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(k for k in range(n) if a >> k & 1) for a in range(1 << n))
 
 
-def block_families(firsts, seconds) -> Families:
-    """The families of the pairs (firsts[s], seconds[s]) of a nonempty block."""
-    return families(sliced_tables(firsts), sliced_tables(seconds))
+def block_families(size: int, firsts, seconds) -> Families:
+    """The families of the pairs of a nonempty block of topologies on
+    ``size`` points: the s-th pair's sides have the family masks of opens
+    firsts[s] and seconds[s]."""
+    return families(sliced_tables(size, firsts), sliced_tables(size, seconds))
 
 
 def families(t1, t2) -> Families:
@@ -684,23 +690,25 @@ KERNELS = {
 }
 
 
-def first_failures(firsts, seconds, claim_ids, elapsed: dict[str, float]) -> tuple[bytes, dict[str, int]]:
-    """The verdict words of the pairs (firsts[s], seconds[s]) of a nonempty
-    block, and the place in it of the first pair on which each claim of
-    ``claim_ids`` fails, or -1 where it fails on none.
+def first_failures(size: int, firsts, seconds, claim_ids, elapsed: dict[str, float]) -> tuple[bytes, dict[str, int]]:
+    """The verdict words of a nonempty block's pairs, given as for
+    ``block_families``, and the place in it of the first pair on which each
+    claim of ``claim_ids`` fails, or -1 where it fails on none.
 
     The implication chain of ``axiom_profile`` is asserted on every
     distinct word; a word that breaks it raises, naming its first pair's
-    space.  ``elapsed`` gains each claim's kernel time and an equal share
-    of the time of the tables, the families and the words.
+    space, whose topologies are built from their masks there alone.
+    ``elapsed`` gains each claim's kernel time and an equal share of the
+    time of the tables, the families and the words.
     """
     clock = time.perf_counter
     start = clock()
-    f = block_families(firsts, seconds)
+    f = block_families(size, firsts, seconds)
     for word in set(f.words):
         if chain_break(word):
-            s = f.words.index(word)
-            check_implication_chain(word, GbtSpace(firsts[s].ground, firsts[s], seconds[s]))
+            s, g = f.words.index(word), ground(size)
+            sides = (GeneralizedTopology(g, tuple(members(family))) for family in (firsts[s], seconds[s]))
+            check_implication_chain(word, GbtSpace(g, *sides))
     share = (clock() - start) / max(len(claim_ids), 1)
     places = {}
     for claim_id in claim_ids:

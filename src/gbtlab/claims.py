@@ -50,7 +50,7 @@ from .axioms import (
     t_fraction_by_definition,
     t_half_by_definition,
 )
-from .enumeration import canonical_pair_indices, check_size, gts_on
+from .enumeration import canonical_pair_indices, check_size, gt_families, gts_on
 from .fixtures import FIXTURES, Assertion, Fixture, get_fixture
 from .gbt import GbtSpace
 from .gt import (
@@ -873,6 +873,14 @@ def run_claims(
     return reports
 
 
+def _sample_pairs(count: int, samples: int, seed: int):
+    """``samples`` seeded index pairs below ``count``: the draws of one
+    ``Random(seed)`` in order, two to a pair."""
+    draw = Random(seed).randrange
+    drawn = [draw(count) for _ in range(2 * samples)]
+    return zip(drawn[::2], drawn[1::2])
+
+
 def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimReport]:
     """The reports of the universal claims, swept over the index pairs of
     ``canonical_pair_indices`` on 1 to ``n_scope`` points and then over
@@ -886,22 +894,23 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
 
     def sweep(n, pairs):
         # per block: the words and every open claim's first failure at once,
-        # the index pairs let go; a context only at a claim's hit, where its
-        # checker must confirm the failure and write the witness
-        gts = gts_on(n)
+        # from the family masks of the block's topologies; topologies and a
+        # context only at a claim's hit, where its checker must confirm the
+        # failure and write the witness
+        families = gt_families(n)
         pairs = iter(pairs)
         while block := list(itertools.islice(pairs, claim_kernels.BLOCK)):
-            firsts, seconds = [gts[i] for i, _ in block], [gts[j] for _, j in block]
-            del block
+            firsts, seconds = [families[i] for i, _ in block], [families[j] for _, j in block]
             open_ids = [c for c in _UNIVERSAL_CHECKERS if c not in violations]
-            words, places = claim_kernels.first_failures(firsts, seconds, open_ids, elapsed)
+            words, places = claim_kernels.first_failures(n, firsts, seconds, open_ids, elapsed)
             for claim_id in open_ids:
                 place = places[claim_id]
                 if place < 0:
                     checked[claim_id] += len(words)
                     continue
                 start = time.perf_counter()
-                ctx = SpaceContext(GbtSpace(gts[0].ground, firsts[place], seconds[place]), words[place])
+                gts, (i, j) = gts_on(n), block[place]
+                ctx = SpaceContext(GbtSpace(gts[i].ground, gts[i], gts[j]), words[place])
                 result = _UNIVERSAL_CHECKERS[claim_id](ctx)
                 elapsed[claim_id] += time.perf_counter() - start
                 if result is None:
@@ -912,8 +921,7 @@ def _checked_reports(n_scope: int, n4_samples: int, seed: int) -> list[ClaimRepo
     for n in range(1, n_scope + 1):
         sweep(n, canonical_pair_indices(n))
     if n4_samples:
-        count, rng = len(gts_on(4)), Random(seed)
-        sweep(4, ((rng.randrange(count), rng.randrange(count)) for _ in range(n4_samples)))
+        sweep(4, _sample_pairs(len(gt_families(4)), n4_samples, seed))
 
     reports = []
     for claim_id in _UNIVERSAL_CHECKERS:

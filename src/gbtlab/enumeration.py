@@ -8,7 +8,10 @@ scan deciding masks from the largest down, exclude branch first, so the
 stream is strictly ascending in this encoding.  Union closure is checked
 incrementally: when mask m is added, every union m | c with an
 already-chosen c is a larger mask whose membership has been decided, so a
-single pass over the chosen sets suffices.
+single pass over the chosen sets suffices.  The scan carries the family
+mask it is building and reads that test from its bits; ``gt_families``
+keeps each topology's mask, which the table passes slice and the
+encodings shift, so none of them calls ``family_of`` per topology.
 
 Isomorph rejection acts by simultaneous point permutations, optionally
 extended by swapping the two topologies.  A pair (F1, F2) is canonical
@@ -48,30 +51,52 @@ def check_size(n: int) -> int:
     return n
 
 
+def _opens_and_families(n: int):
+    """All union-closed families over n points, ascending in encoding: per
+    family its tuple of open masks, ascending with 0 first, and its family
+    mask, which the scan builds bit by bit as it adds each mask."""
+    full = (1 << n) - 1
+    chosen: list[int] = []  # descending, the order in which the scan adds them
+
+    def rec(m: int, family: int):
+        if m == 0:
+            yield (0, *reversed(chosen)), family
+            return
+        yield from rec(m - 1, family)
+        for c in chosen:
+            if not family >> (m | c) & 1:
+                return  # m | c was left out, so m cannot join
+        chosen.append(m)
+        yield from rec(m - 1, family | 1 << m)
+        chosen.pop()
+
+    yield from rec(full, 1)
+
+
 def iter_gt_mask_families(n: int):
     """All union-closed families over n points, ascending in encoding.
 
     Yields tuples of open masks in ascending mask order, 0 included.
     """
-    full = (1 << n) - 1
-    chosen: set[int] = set()
-
-    def rec(m: int):
-        if m == 0:
-            yield (0, *sorted(chosen))
-            return
-        yield from rec(m - 1)
-        if all(m | c in chosen for c in chosen):
-            chosen.add(m)
-            yield from rec(m - 1)
-            chosen.remove(m)
-
-    yield from rec(full)
+    for opens, _ in _opens_and_families(n):
+        yield opens
 
 
 @lru_cache(maxsize=None)
+def _level(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The open masks and the family masks of every family on n points."""
+    opens, families = zip(*_opens_and_families(n))
+    return opens, families
+
+
 def gt_mask_families(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(iter_gt_mask_families(n))
+    return _level(n)[0]
+
+
+def gt_families(n: int) -> tuple[int, ...]:
+    """Per index on n points, the family mask of the opens,
+    ``family_of(gts_on(n)[i].opens)``, as the enumeration made it."""
+    return _level(n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +155,7 @@ def _gt_index_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     A family's image encoding is the OR of its bytes' images, read from
     per-permutation lookup tables.
     """
-    encodings = [family_of(f) >> 1 for f in gt_mask_families(n)]
+    encodings = [family >> 1 for family in gt_families(n)]
     index_of = {enc: i for i, enc in enumerate(encodings)}
     width = key_width(n)
     byte_columns = [[enc >> 8 * b & 255 for enc in encodings] for b in range(width)]
@@ -174,7 +199,7 @@ def canonical_key(s: GbtSpace, symmetry: str = "perm+swap") -> bytes:
 @lru_cache(maxsize=None)
 def _encoded_families(n: int) -> tuple[bytes, ...]:
     width = key_width(n)
-    return tuple((family_of(f) >> 1).to_bytes(width, "big") for f in gt_mask_families(n))
+    return tuple((family >> 1).to_bytes(width, "big") for family in gt_families(n))
 
 
 def canonical_index_key(n: int, i: int, j: int) -> bytes:

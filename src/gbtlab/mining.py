@@ -14,16 +14,18 @@ verified-exhausted result whose checked-space count documents the proof.
 The sweep decides pairs with the pair kernels of ``axioms.PAIR_KERNELS``:
 each topology of a size level gets a few packed integers per axiom the
 query names, and the level's column of them is built once, on first use,
-from bit-sliced operator tables made by one pass over all the level's
-topologies and shared by every kernel of the level (``_tables``).  A row
-of pairs (first index i fixed) is then one int per kernel, bit j the
-verdict on (i, j), made by a few big-int ORs; the query's hits are the
-set bits of the antecedents' rows and of the complement of the
-consequent's.  The deciders are the kernels' oracles: ``mine`` decides
-every hit it reads again with ``evaluate_axiom``, before finding its
-canonical pair, and a disagreement raises InternalDisagreementError.  That
-covers every hit of a block that completes; only the hits after the
-witness limit, in the block it interrupts, are never read.
+from bit-sliced operator tables made by one pass over the family masks
+that the enumeration made for the level's topologies, shared by every
+kernel of the level (``_tables``).  A row of pairs (first index i fixed)
+is then one int per kernel, bit j the verdict on (i, j), made by a few
+big-int ORs; the query's hits are the set bits of the antecedents' rows
+and of the complement of the consequent's.  A block makes those rows
+once per distinct tuple of first-index signatures (``_scan_block``).
+The deciders are the kernels' oracles: ``mine`` decides every hit it
+reads again with ``evaluate_axiom``, before finding its canonical pair,
+and a disagreement raises InternalDisagreementError.  That covers every
+hit of a block that completes; only the hits after the witness limit, in
+the block it interrupts, are never read.
 
 A census and the implication lattice decide pairs with every kernel at
 once: ``verdict_words`` gives each index pair a verdict
@@ -112,6 +114,7 @@ from .enumeration import (
     canonical_pair_indices,
     check_size,
     check_symmetry,
+    gt_families,
     gts_on,
     index_pair_of_key,
     key_part_hexes,
@@ -215,8 +218,9 @@ def _admitted(n: int, max_open_sets: int | None = None) -> Sequence[int]:
 
 @lru_cache(maxsize=None)
 def _tables(n: int, max_open_sets: int | None = None) -> SlicedTables:
-    """The sliced operator tables of the admitted topologies, in index order."""
-    return sliced_tables(list(map(gts_on(n).__getitem__, _admitted(n, max_open_sets))))
+    """The sliced operator tables of the admitted topologies, in index order,
+    from the family masks that the enumeration made (``gt_families``)."""
+    return sliced_tables(n, list(map(gt_families(n).__getitem__, _admitted(n, max_open_sets))))
 
 
 @lru_cache(maxsize=None)
@@ -232,21 +236,31 @@ def _scan_block(n: int, lo: int, hi: int, query: MiningQuery) -> tuple[list[tupl
     Each row (i fixed) is one int per kernel the query names, bit j the
     verdict on (i, j); the pairs that match the query are the set bits of
     the antecedents' rows and the complement of the consequent's, from
-    ``start`` on.  The hits are not decided again here: ``mine`` re-decides
-    those it reads (``_redecide``).
+    ``start`` on.  A row depends on i only through i's signatures, and a
+    block has few distinct ones (about 21 of 78 first indices at n = 4 for
+    the λ kernel), so the block keeps one unshifted match per distinct
+    tuple of signatures, and each i only cuts it at ``start``.  The hits
+    are not decided again here: ``mine`` re-decides those it reads
+    (``_redecide``).
     """
     unordered = query.symmetry == "perm+swap"
     consequent = PAIR_KERNELS[query.consequent]
     antecedents = {PAIR_KERNELS[a] for a in query.antecedents}
     columns = {k: _kernel_column(n, k) for k in (*antecedents, consequent)}
     every = columns[consequent].every
+    matches: dict[tuple[tuple[int, ...], ...], int] = {}  # signatures -> match from 0 on
     hits: list[tuple[int, int]] = []
-    for i in range(lo, hi):
+    block = zip(*[column.signatures[lo:hi] for column in columns.values()])
+    for i, signatures in enumerate(block, lo):
+        match = matches.get(signatures)
+        if match is None:
+            rows = {k: k.row(column, *signature) for (k, column), signature in zip(columns.items(), signatures)}
+            match = every & ~rows[consequent]
+            for k in antecedents:
+                match &= rows[k]
+            matches[signatures] = match
         start = i if unordered else 0
-        rows = {k: k.verdicts(column, i) for k, column in columns.items()}
-        match = (every & ~rows[consequent]) >> start << start
-        for k in antecedents:
-            match &= rows[k]
+        match = match >> start << start
         while match:
             low = match & -match
             match ^= low

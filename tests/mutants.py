@@ -4,7 +4,9 @@ of one module and the tests that hold it to its oracles.
 - the pair kernels of ``gbtlab.axioms``, from the "Pair kernel." comment
   to ``class Axiom``, against ``test_axioms.py`` and ``test_mining.py``;
 - the claim kernels of ``gbtlab.claim_kernels``, from ``block_families``
-  to the "claim id -> kernel" comment, against ``test_claim_kernels.py``.
+  to the "claim id -> kernel" comment, against ``test_claim_kernels.py``;
+- ``mine``'s block scan, ``gbtlab.mining._scan_block``, from its ``def``
+  to ``_block_pairs``, against ``test_mining.py``.
 
 A mutant changes one operator site of a section: a ``&``, ``|`` or ``^``,
 in an expression or an augmented assignment, is swapped for each of the
@@ -48,6 +50,7 @@ TARGETS = (
     (Path("src/gbtlab/axioms.py"), ("# Pair kernel.", "class Axiom("), ("tests/test_axioms.py", "tests/test_mining.py")),
     (Path("src/gbtlab/claim_kernels.py"), ("def block_families(", "# claim id -> kernel"),
         ("tests/test_claim_kernels.py",)),
+    (Path("src/gbtlab/mining.py"), ("def _scan_block(", "def _block_pairs("), ("tests/test_mining.py",)),
 )
 OPERATORS = (ast.BitAnd, ast.BitOr, ast.BitXor)
 JOBS = 2  # each lane is one pytest process at a time

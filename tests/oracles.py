@@ -11,14 +11,16 @@ families.  The permutation index that sorts and re-encodes each permuted
 family, and the pair filter that scans each pair's stabilizer, are the
 routes gbtlab's byte lookup tables and stabilizer masks replaced.  The
 list rows decide a pair kernel's row one second topology at a time, as the
-kernels did before their signatures were bit-sliced, and the per-topology
-signatures, each from one topology's own tables, are what the kernels
-built before their columns were sliced from tables of all topologies at
-once.  The verdict-only claim predicates at the end are the claims
-checkers that the implication rows of ``claims.IMPLICATION_ROWS`` replaced,
-as they were written before, reading the context's verdict word as a
-profile.  These are the independent side of every
-dual-route check in the suite.
+kernels did before their signatures were bit-sliced; the per-row scan
+makes a row for every first index of a ``mine`` block, as the scan did
+before first indices with equal signatures shared one; and the
+per-topology signatures, each from one topology's own tables, are what
+the kernels built before their columns were sliced from tables of all
+topologies at once.  The verdict-only claim predicates at the end are the
+claims checkers that the implication rows of ``claims.IMPLICATION_ROWS``
+replaced, as they were written before, reading the context's verdict word
+as a profile.  These are the independent side of every dual-route check
+in the suite.
 """
 
 from __future__ import annotations
@@ -435,6 +437,22 @@ def kernel_list_row(name, n, first, seconds):
     signature s of ``seconds``, signatures of topologies on n points, by
     the list row."""
     return LIST_ROWS[name](n, *first, *zip(*seconds))
+
+
+def scan_hits_by_rows(columns, antecedents, consequent, lo, hi, unordered):
+    """The index pairs (i, j) with i in [lo, hi), and j >= i when
+    ``unordered``, on which the row of every antecedent kernel holds and the
+    consequent kernel's fails: each kernel's row made for every first index
+    from its own signature and read one bit at a time.  ``columns`` maps
+    each kernel to its column."""
+    count = columns[consequent].every.bit_length()
+    hits = []
+    for i in range(lo, hi):
+        rows = {kernel: kernel.verdicts(column, i) for kernel, column in columns.items()}
+        for j in range(i if unordered else 0, count):
+            if all(rows[k] >> j & 1 for k in antecedents) and not rows[consequent] >> j & 1:
+                hits.append((i, j))
+    return hits
 
 
 # Per-topology kernel signatures, each built from one topology's own

@@ -33,10 +33,10 @@ from gbtlab.axioms import (
     t_fraction_by_definition,
 )
 from gbtlab.enumeration import (
+    _opens_and_families,
     canonical_pair_indices,
     enumerate_gbt_pairs,
     gts_on,
-    iter_gt_mask_families,
 )
 from gbtlab.fixtures import get_fixture
 from gbtlab.gbt import GbtSpace, make_space
@@ -426,11 +426,11 @@ def test_sliced_columns_equal_the_signature_columns(name):
 @cache
 def _five_point_sample():
     """500 five-point topologies: every 120th of the first 60,000 families
-    the enumerator yields (401 of them have X open)."""
+    the enumerator yields (401 of them have X open), and their tables,
+    sliced from the family masks the enumeration made with them."""
     g = ground(5)
-    families = itertools.islice(iter_gt_mask_families(5), 0, 60_000, 120)
-    topologies = [GeneralizedTopology(g, f) for f in families]
-    return topologies, sliced_tables(topologies)
+    opens, families = zip(*itertools.islice(_opens_and_families(5), 0, 60_000, 120))
+    return [GeneralizedTopology(g, f) for f in opens], sliced_tables(5, families)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)

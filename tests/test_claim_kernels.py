@@ -22,11 +22,11 @@ from gbtlab import claim_kernels, claims, gbt
 from gbtlab.axioms import AXIOM_BITS, InternalDisagreementError, _sliced, axiom_profile, profile_word, sliced_tables
 from gbtlab.claims import STATUS_REFUTED, SpaceContext, _UNIVERSAL_CHECKERS, run_claims
 from gbtlab.cli import main
-from gbtlab.enumeration import canonical_pair_indices, gts_on, iter_gt_mask_families
+from gbtlab.enumeration import canonical_pair_indices, gt_families, gts_on, iter_gt_mask_families
 from gbtlab.gbt import GbtSpace
 from gbtlab.gt import GeneralizedTopology
 from gbtlab.mining import verdict_words
-from gbtlab.sets import ground
+from gbtlab.sets import family_of, ground
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,12 +50,19 @@ def _topologies(n, pairs):
     return [gts[i] for i, _ in pairs], [gts[j] for _, j in pairs]
 
 
+def _masks(n, pairs):
+    """The family masks of opens of the pairs' first and second topologies,
+    as the sweep picks them."""
+    families = gt_families(n)
+    return [families[i] for i, _ in pairs], [families[j] for _, j in pairs]
+
+
 def _spaces(n, pairs):
     return [GbtSpace(t1.ground, t1, t2) for t1, t2 in zip(*_topologies(n, pairs))]
 
 
 def _families(n, pairs):
-    return claim_kernels.block_families(*_topologies(n, pairs))
+    return claim_kernels.block_families(n, *_masks(n, pairs))
 
 
 def _per_pair(slices, count):
@@ -111,7 +118,7 @@ def test_the_diagonal_of_four_points():
     taken out of side 2's ∧-sets everywhere, NOTE-10 fails at every
     position, as its checker does, however many subsets have ∧(a) = X."""
     gts, full = gts_on(4), 15
-    f = claim_kernels.block_families(gts, gts)
+    f = claim_kernels.block_families(4, gt_families(4), gt_families(4))
     assert f.words == bytes(verdict_words(4, [(i, i) for i in range(len(gts))]))
     forced = bytes(word | AXIOM_BITS["T0"] for word in f.words)
     contexts = [SpaceContext(GbtSpace(t.ground, t, t), word) for t, word in zip(gts, forced)]
@@ -132,7 +139,7 @@ def test_the_block_words_equal_the_cross_validated_profile_on_five_points():
     topologies = [GeneralizedTopology(g, f) for f in islice(iter_gt_mask_families(5), 0, 6000, 60)]
     rng = Random(39)
     pairs = [rng.sample(topologies, 2) for _ in range(60)] + [[t, t] for t in rng.sample(topologies, 20)]
-    words = claim_kernels.block_families([a for a, _ in pairs], [b for _, b in pairs]).words
+    words = claim_kernels.block_families(5, *([family_of(t.opens) for t in side] for side in zip(*pairs))).words
     want = [profile_word(axiom_profile(GbtSpace(g, a, b), cross_validate=True)) for a, b in pairs]
     assert list(words) == want
     assert len(set(want)) > 2
@@ -153,7 +160,7 @@ def test_a_chain_breaking_word_raises_naming_its_pair(monkeypatch):
     space = GbtSpace(firsts[place].ground, firsts[place], seconds[place])
     message = f"implication chain broken on {space!r}: T1_2 holds but T5_8 fails"
     with pytest.raises(InternalDisagreementError, match=re.escape(message)):
-        claim_kernels.first_failures(firsts, seconds, list(claim_kernels.KERNELS), defaultdict(float))
+        claim_kernels.first_failures(3, *_masks(*BLOCKS[2]), list(claim_kernels.KERNELS), defaultdict(float))
 
 
 def _assert_the_kernels_fail_where_the_checkers_do(k):
@@ -399,7 +406,7 @@ def test_a_table_fault_of_one_topology_fails_each_kernel_where_it_fails_the_chec
     places = [s for s in range(len(pairs)) if holding >> s & 1]
     if n == 3:
         assert on_side[0] and on_side[1]
-    tables = sliced_tables(firsts), sliced_tables(seconds)
+    tables = tuple(sliced_tables(n, masks) for masks in _masks(n, pairs))
     _, _, kernels = _unplanted(k)
     failures = defaultdict(int)
     for a in range(1 << n):

@@ -29,12 +29,12 @@ from gbtlab.claims import (
     run_claims,
     statuses_match_expectations,
 )
-from gbtlab.enumeration import canonical_pair_indices, gts_on, iter_gt_mask_families
+from gbtlab.enumeration import canonical_pair_indices, gt_families, gts_on, iter_gt_mask_families
 from gbtlab.fixtures import FIXTURES, get_fixture
 from gbtlab.gbt import GbtSpace, make_space
 from gbtlab.gt import GeneralizedTopology, is_gt_T0, is_gt_T1
 from gbtlab.lattice import implication_lattice
-from gbtlab.sets import ground
+from gbtlab.sets import family_of, ground
 from oracles import VERDICT_CLAIMS
 
 EXPECTED_IDS = {
@@ -450,26 +450,42 @@ def test_a_violation_deep_in_a_block_stops_only_its_own_claim(monkeypatch):
 
 def test_the_claim_sweep_reads_the_canonical_pairs_once_per_level(monkeypatch):
     """The sweep reads its spaces' index pairs through this module's
-    ``canonical_pair_indices``, one call per level in scope, and its
-    topologies through its ``gts_on``: with no samples, none on four points."""
-    levels, built = [], set()
+    ``canonical_pair_indices``, one call per level in scope, their family
+    masks through its ``gt_families``, and topologies through its
+    ``gts_on`` only where a claim fails: with no samples, none on four
+    points, and none on one point, where no claim fails."""
+    levels, masked, built = [], set(), set()
 
     def counted(n, *args):
         levels.append(n)
         return canonical_pair_indices(n, *args)
+
+    def masks(n):
+        masked.add(n)
+        return gt_families(n)
 
     def topologies(n):
         built.add(n)
         return gts_on(n)
 
     monkeypatch.setattr(claims, "canonical_pair_indices", counted)
+    monkeypatch.setattr(claims, "gt_families", masks)
     monkeypatch.setattr(claims, "gts_on", topologies)
     # only the sweep: no one-off claims and no fixtures
     monkeypatch.setattr(claims, "_ONCE_CHECKERS", {})
     monkeypatch.setattr(claims, "FIXTURES", ())
     reports = run_claims(n_scope=3, n4_samples=0)
-    assert levels == [1, 2, 3] and built == {1, 2, 3}
+    assert levels == [1, 2, 3] and masked == {1, 2, 3} and built == {2, 3}
     assert {r.spaces_checked for r in reports if r.status == STATUS_VERIFIED} == {411}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_sampled_pairs_are_two_draws_at_a_time(seed):
+    """The 2·K draws made in one list and paired are the pairs drawn two at
+    a time, first index first: the same sequence of ``randrange`` calls."""
+    count, rng = len(gts_on(4)), Random(seed)
+    pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(4000)]
+    assert list(claims._sample_pairs(count, 4000, seed)) == pairs
 
 
 def test_the_claim_sweep_runs_no_decider(monkeypatch):
@@ -528,7 +544,7 @@ def test_the_sweep_builds_one_space_per_refuted_claim_at_most(monkeypatch):
 def _kernel_word(space):
     """The verdict word of one space from the pair kernels, by a column of
     its two topologies (row 0, bit 1)."""
-    tables = axioms.sliced_tables([space.mu1, space.mu2])
+    tables = axioms.sliced_tables(space.ground.size, [family_of(space.mu1.opens), family_of(space.mu2.opens)])
     return sum(
         (kernel.verdicts(kernel.column(tables), 0) >> 1 & 1) << k for k, kernel in enumerate(axioms.WORD_KERNELS)
     )
@@ -591,8 +607,8 @@ def test_the_implication_rows_fail_exactly_where_the_old_checkers_did():
 
 def _block_words(n, pairs):
     """The words the claims sweep reads for a block of index pairs."""
-    gts = gts_on(n)
-    return claim_kernels.block_families([gts[i] for i, _ in pairs], [gts[j] for _, j in pairs]).words
+    families = gt_families(n)
+    return claim_kernels.block_families(n, [families[i] for i, _ in pairs], [families[j] for _, j in pairs]).words
 
 
 def _breaking_word(links):

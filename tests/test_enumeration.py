@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from gbtlab.enumeration import (
     _gt_index_permutations,
+    _opens_and_families,
     canonical_index_key,
     canonical_index_pair,
     canonical_key,
@@ -14,9 +16,11 @@ from gbtlab.enumeration import (
     canonical_pair_encoding,
     enumerate_gbt_pairs,
     enumerate_gts,
+    gt_families,
     gt_mask_families,
     gts_on,
     index_pair_of_key,
+    iter_gt_mask_families,
     pair_orbit_size,
 )
 from gbtlab.gbt import GbtSpace, make_space
@@ -54,6 +58,45 @@ def test_stream_is_ascending_and_duplicate_free():
     for n in (1, 2, 3):
         encodings = [family_of(f) >> 1 for f in gt_mask_families(n)]
         assert encodings == sorted(set(encodings))
+
+
+# sha256 of the repr of gt_mask_families(n), n = 1..4, and of the list of
+# every 120th of the first 60,000 five-point families: indices, logs and
+# keys all rest on this order, so no change to the scan may alter it
+STREAM_SHA256 = {
+    1: "f7dfbedb5af7d2fb2a40da468765d6be069f7159d35d2e9be62907baa8508b24",
+    2: "090cbd1197acb9a38ac534d64b887e6d3f2f1c2e7efa5fa2527054f97b830be3",
+    3: "4a0c415468c4293864db77b606b21f4dee9cc2797b383a38739751b403324e38",
+    4: "2f1025bc7973b7e500802c8a64beb1bfc532168bbe960ef0a712ed0f8f45348e",
+    5: "fe0bda4ce72e0d94d45bbffe10afb8f69b276d921faaad1eaffbf0bbd23ea879",
+}
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_enumeration_makes_the_family_mask_of_each_topology(n):
+    """``gt_families`` holds ``family_of`` of each topology's opens, and the
+    streamed families are unchanged element by element: the digest of
+    ``gt_mask_families`` is pinned, and ``gts_on`` and the stream hold them."""
+    gts, families = gts_on(n), gt_families(n)
+    assert families == tuple(family_of(t.opens) for t in gts)
+    assert _sha256(gt_mask_families(n)) == STREAM_SHA256[n]
+    assert tuple(t.opens for t in gts) == gt_mask_families(n) == tuple(iter_gt_mask_families(n))
+
+
+def test_the_five_point_masks_are_those_of_the_opens():
+    """The 500 five-point topologies of the axioms' five-point sample
+    (every 120th of the first 60,000 families): each mask made with the
+    opens is ``family_of`` of them, and the opens are streamed unchanged."""
+    sample = list(itertools.islice(_opens_and_families(5), 0, 60_000, 120))
+    opens = [masks for masks, _ in sample]
+    assert len(sample) == 500
+    assert [family for _, family in sample] == [family_of(masks) for masks in opens]
+    assert _sha256(opens) == STREAM_SHA256[5]
+    assert opens == list(itertools.islice(iter_gt_mask_families(5), 0, 60_000, 120))
 
 
 def test_every_streamed_family_is_union_closed():

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from concurrent.futures import Future
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, permutations
 from operator import itemgetter
 
 import pytest
@@ -39,7 +39,9 @@ from gbtlab.mining import (
     verdict_words,
 )
 from gbtlab.gbt import GbtSpace, is_pairwise_lambda_closed, is_wedge12_set
+from gbtlab.sets import family_of
 from gbtlab.spacefile import space_to_data
+from oracles import scan_hits_by_rows
 
 
 def test_query_validation():
@@ -135,6 +137,48 @@ def test_scan_block_matches_a_decider_scan(query):
             ]
             checked = sum(len(gts) - start for start in starts.values())
             assert mining._scan_block(n, lo, hi, query) == (hits, checked), (n, lo)
+
+
+# one axiom per distinct pair kernel (T1/4, T3/8 and T5/8 share one)
+KERNEL_AXIOMS = ("T0", "T1_4", "T1_2", "T1", "R0", "SYM", "LSYM")
+
+
+@pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
+def test_scan_block_matches_a_row_per_first_index(symmetry):
+    """A block shares one match among its first indices with equal
+    signatures; its hits are those of a row made for every first index.
+    Every ordered pair of two kernels' axioms as antecedent and consequent,
+    42 queries per symmetry, on every block at n = 3."""
+    n, found = 3, 0
+    for antecedent, consequent in permutations(KERNEL_AXIOMS, 2):
+        query = MiningQuery((antecedent,), consequent, symmetry=symmetry)
+        kernels = PAIR_KERNELS[antecedent], PAIR_KERNELS[consequent]
+        columns = {k: mining._kernel_column(n, k) for k in kernels}
+        for lo, hi in mining._blocks(len(gts_on(n))):
+            hits, _ = mining._scan_block(n, lo, hi, query)
+            assert hits == scan_hits_by_rows(columns, kernels[:1], kernels[1], lo, hi, symmetry == "perm+swap")
+            found += len(hits)
+    assert found
+
+
+def test_the_scan_makes_one_row_per_distinct_signature_in_a_block(monkeypatch):
+    """The T1/4-without-T3/8 query over n ≤ 4 names one kernel; its row is
+    made once per distinct signature in each block, fewer times than there
+    are first indices (2,550)."""
+    kernel, signatures = PAIR_KERNELS["T1_4"], []
+
+    def row(column, *signature):
+        signatures.append(signature)
+        return kernel.row(column, *signature)
+
+    counted = PairKernel(kernel.slices, row)
+    monkeypatch.setattr(mining, "PAIR_KERNELS", {**PAIR_KERNELS, "T1_4": counted, "T3_8": counted})
+    assert mine(MiningQuery(("T1_4",), "T3_8", n_max=4)).exhausted
+    distinct = 0
+    for n in range(1, 5):
+        column = mining._kernel_column(n, counted).signatures
+        distinct += sum(len(set(column[lo:hi])) for lo, hi in mining._blocks(len(column)))
+    assert len(signatures) == distinct < sum(len(gts_on(n)) for n in range(1, 5)) == 2550
 
 
 def test_kernel_hit_that_the_deciders_reject_is_an_error(monkeypatch):
@@ -333,13 +377,14 @@ def test_bounded_verdict_words_match_axiom_profile(symmetry, bound):
 
 
 def test_a_bounded_census_builds_signatures_of_admitted_topologies_only(monkeypatch):
-    """The kernel columns are sliced from one table pass over the admitted
-    topologies, in index order, which all seven kernels share."""
+    """The kernel columns are sliced from one table pass over the family
+    masks of the admitted topologies, in index order, which all seven
+    kernels share."""
     sliced = []
 
-    def counted(topologies):
-        sliced.append([id(t) for t in topologies])
-        return sliced_tables(topologies)
+    def counted(size, families):
+        sliced.append((size, list(families)))
+        return sliced_tables(size, families)
 
     monkeypatch.setattr(mining, "sliced_tables", counted)
     for cached in ("_tables", "_kernel_column"):  # fresh caches, so the columns are built here
@@ -347,7 +392,7 @@ def test_a_bounded_census_builds_signatures_of_admitted_topologies_only(monkeypa
     row = census(3, "perm+swap", max_open_sets=2)
     admitted = [t for t in gts_on(3) if len(t.opens) - 1 <= 2]
     assert row.labeled_gt_count == len(admitted) < len(gts_on(3))
-    assert sliced == [[id(t) for t in admitted]]
+    assert sliced == [(3, [family_of(t.opens) for t in admitted])]
     assert mining._kernel_column.cache_info().currsize == len(mining.WORD_KERNELS)
 
 
