@@ -70,11 +70,6 @@ class GeneralizedTopology(FrozenRecord):
         self._fill(ground, opens)
 
     @cached_property
-    def open_labels(self) -> tuple[tuple[str, ...], ...]:
-        """Label tuples of the nonempty opens, as a space file lists them."""
-        return tuple(self.ground.labels(m) for m in self.opens if m)
-
-    @cached_property
     def open_family(self) -> int:
         """Family mask of the opens."""
         return family_of(self.opens)

@@ -28,23 +28,22 @@ hit of a block that completes; only the hits after the witness limit, in
 the block it interrupts, are never read.
 
 A census and the implication lattice decide pairs with every kernel at
-once: ``verdict_words`` gives each index pair a verdict
-word, one bit per distinct kernel (the word layer of ``axioms``:
-``WORD_KERNELS``, ``AXIOM_BITS``), read from the int rows made once per
-first index, and asserts on every word the implication chain that
-``axiom_profile`` asserts (``check_implication_chain``).  The kernel
-columns hold only the topologies a census's
-``max_open_sets`` bound admits, found through a position map; without a
-bound (the unbounded census, the lattice and ``mine``) that is
-every topology.  A bounded census enumerates the canonical pairs of its
-admitted topologies only (the ``among`` mask of
-``canonical_pair_indices``); the bound counts opens, so it never splits
-an orbit.  The pairs of ``canonical_pair_indices`` are minimal in
-encoding order, so each logged key is ``canonical_index_key`` of the
-pair's indices, and a logged space lists each topology's cached
-``open_labels``.  A census log line is assembled from JSON fragments made
-once: each topology's key hex and labels and each verdict word's
-profile; its bytes are those of ``_dump`` of the record.
+once: ``verdict_words`` gives each index pair a verdict word, one bit per
+distinct kernel (the word layer of ``axioms``: ``WORD_KERNELS``,
+``AXIOM_BITS``), read from the int rows made once per first index, and
+asserts on every word the implication chain that ``axiom_profile`` asserts
+(``check_implication_chain``).  The kernel columns hold only the
+topologies a census's ``max_open_sets`` bound admits, found through a
+position map; without a bound (the unbounded census, the lattice and
+``mine``) that is every topology.  A bounded census enumerates the
+canonical pairs of its admitted topologies only (the ``among`` mask of
+``canonical_pair_indices``); the bound counts opens, so it never splits an
+orbit.  The pairs of ``canonical_pair_indices`` are minimal in encoding
+order, so each logged key is ``canonical_index_key`` of the pair's
+indices, and a logged space lists each topology's opens, read from its
+masks through one label text per subset.  A census log line is five JSON
+fragments made once per topology or verdict word, and a block's lines are
+joined into one string, with the bytes of ``_dump`` of each record.
 ``axiom_profile``, ``canonical_key`` and ``space_to_data`` are the tests'
 oracles for them.
 
@@ -57,25 +56,25 @@ workers ran the scan.
 
 Both sweeps keep one append-only NDJSON block log (``_BlockLog``).  Its
 first line is ``{"header": ..., "log": "mine" | "census"}``; then come
-self-contained ``{"key","space","profile"}`` records (mining witnesses,
-or every canonical space of a census), each block closed by a flushed
+self-contained ``{"key","space","profile"}`` records (mining witnesses, or
+every canonical space of a census), each block closed by a flushed
 ``{"block": [n, index], "checked": c}`` line, and a finished mining run
 ends with ``{"end": true, ...}``.  Making the log refuses, before any
-work, a log file that is not empty unless it is the resumed log itself:
-a second run appended to it would be added up with the first on resume.
-Its ``replay`` reads the resumed log one line at a time and decodes only
-the header and the block lines: finished blocks go into ``done``, which
-the walk skips, and every record line is handed back undecoded, including
-those of a block a crash left unfinished.  ``mine`` decodes its few
-witness records; a logged witness key is read back to its pair
-(``index_pair_of_key``), and one that no run of the query can have
-written is refused.  ``census`` decodes none of its records
-(``_census_words``): a line's profile text gives its verdict word, and
-the k-th record line must be byte for byte the one ``_census_lines``
-writes for the k-th pair of the census's list and that word; any other
-line is refused.  Only then is the log file opened; one that is missing
-or empty starts as a copy of the resumed log, so either file can be
-resumed later.  Without a log file the writes do nothing.
+work, a log file that is not empty unless it is the resumed log itself: a
+second run appended to it would be added up with the first on resume.  Its
+``replay`` reads the resumed log one line at a time and decodes only the
+header and the block lines: finished blocks go into ``done``, which the
+walk skips, and every record line is handed back undecoded, in runs that
+end at block lines, including those of a block a crash left unfinished.
+``mine`` decodes its few witness records; a logged witness key is read
+back to its pair (``index_pair_of_key``), and one that no run of the query
+can have written is refused.  ``census`` decodes none of its records
+(``_census_words``): a line's profile text gives its verdict word, and the
+k-th record line must be byte for byte the one ``_census_lines`` writes
+for the k-th pair of the census's list and that word, compared a run at a
+time; any other line is refused.  Only then is the log file opened; one
+that is missing or empty starts as a copy of the resumed log, so either
+file can be resumed later.  Without a log file the writes do nothing.
 """
 
 from __future__ import annotations
@@ -84,10 +83,9 @@ import json
 import operator
 import os
 from collections import Counter
-from collections.abc import Sequence
 from contextlib import closing
 from functools import lru_cache, partial
-from itertools import combinations, groupby, islice
+from itertools import chain, combinations, filterfalse, groupby, islice, zip_longest
 from typing import NamedTuple
 
 from .axioms import (
@@ -115,6 +113,7 @@ from .enumeration import (
     check_size,
     check_symmetry,
     gt_families,
+    gt_mask_families,
     gts_on,
     index_pair_of_key,
     key_part_hexes,
@@ -124,7 +123,7 @@ from .enumeration import (
 from .gbt import GbtSpace
 from .gt import GeneralizedTopology
 from .records import FrozenRecord, Record
-from .sets import members
+from .sets import ground, members
 from .spacefile import space_to_data
 
 BLOCKS_PER_LEVEL = 32
@@ -153,14 +152,8 @@ class MiningQuery(FrozenRecord):
         self._fill(antecedents, consequent, n_min, n_max, symmetry, limit)
 
     def as_dict(self) -> dict:
-        return {
-            "antecedents": list(self.antecedents),
-            "consequent": self.consequent,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "symmetry": self.symmetry,
-            "limit": self.limit,
-        }
+        fields = {name: getattr(self, name) for name in self._fields}
+        return {**fields, "antecedents": list(self.antecedents)}
 
 
 class Witness(NamedTuple):
@@ -207,13 +200,13 @@ class MiningResult(Record):
 
 
 @lru_cache(maxsize=None)
-def _admitted(n: int, max_open_sets: int | None = None) -> Sequence[int]:
-    """Indices of the topologies on n points with at most ``max_open_sets``
-    nonempty opens; every index when there is no bound."""
-    gts = gts_on(n)
-    if max_open_sets is None:
-        return range(len(gts))
-    return tuple(i for i, t in enumerate(gts) if len(t.opens) - 1 <= max_open_sets)
+def _admitted(n: int, max_open_sets: int | None = None) -> dict[int, int]:
+    """The topologies on n points with at most ``max_open_sets`` nonempty
+    opens, every one when there is no bound: each index to its place among
+    them, in index order."""
+    families = enumerate(gt_mask_families(n))
+    admitted = (i for i, opens in families if max_open_sets is None or len(opens) - 1 <= max_open_sets)
+    return {index: k for k, index in enumerate(admitted)}
 
 
 @lru_cache(maxsize=None)
@@ -373,24 +366,29 @@ class _BlockLog:
         self.done: Counter[tuple[int, int]] = Counter()  # (n, index) -> spaces checked
 
     def replay(self):
-        """Yield the record lines of the resumed log, if any, undecoded; its
-        first line must carry the header, and its block lines are decoded
-        and entered in ``done``."""
+        """Yield the record lines of the resumed log, if any, undecoded, in
+        runs: those before each block line, then those after the last.  Its
+        first line must carry the header; a block line is decoded and entered
+        in ``done`` once the run before it has been read."""
         if self._resumed is None:
             return
         with open(self._resumed, encoding="utf-8") as handle:
-            lines = filter(str.strip, handle)
+            lines = filterfalse(str.isspace, handle)
             first = json.loads(next(lines, "null"))
             if not isinstance(first, dict) or first.get("header") != self._header["header"]:
                 why = f"was written for a different {self._header['log']} run" if first else "holds no header"
                 raise ValueError(f"{self._resumed}: log {why}")
+            run: list[str] = []
             for line in lines:
                 if line.startswith('{"block":'):
+                    yield run
+                    run = []
                     record = json.loads(line)
                     n, index = record["block"]
                     self.done[n, index] += record["checked"]
                 else:
-                    yield line
+                    run.append(line)
+            yield run
 
     def __enter__(self) -> _BlockLog:
         """Open the log; a missing or empty one starts as a copy of the
@@ -411,10 +409,10 @@ class _BlockLog:
         if self._handle is not None:
             self._handle.close()
 
-    def lines(self, texts) -> None:
-        """Append ready lines; ``texts`` is not consumed without a log."""
+    def lines(self, make, *args) -> None:
+        """Append the lines ``make(*args)`` gives, joined; not called without a log."""
         if self._handle is not None:
-            self._handle.writelines(texts)
+            self._handle.write("".join(make(*args)))
 
     def record(self, record: dict) -> None:
         if self._handle is not None:
@@ -440,7 +438,7 @@ def mine(
     witnesses: list[Witness] = []
     seen: set[tuple[int, int, int]] = set()  # the (n, i, j) of each canonical pair found
     ended = False
-    for record in map(json.loads, log.replay()):
+    for record in map(json.loads, chain.from_iterable(log.replay())):
         if "key" in record:
             pair = _logged_pair(query, record["key"])
             if pair not in seen:
@@ -537,17 +535,17 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
 
     Both topologies of every pair must be admitted by ``max_open_sets``.
     The kernel columns (cached, built on the first pair) hold the admitted
-    topologies only, and a position map takes an index to its place in
-    them; with no bound every topology is admitted.  The pairs of one
-    first index i that follow each other share one int row per kernel: a
-    group of ``SPREAD_GROUP`` or more spreads them to a byte per place and
-    adds them, kernel k's at bit k, so the word of (i, j) is the byte at the
-    place of j; a smaller group reads each pair's bits from them.  The
-    implication chain of ``axiom_profile`` is asserted on every distinct
-    word, and only a word that breaks it builds a space, to name its pair.
+    topologies only, and the cached position map of ``_admitted`` takes an
+    index to its place in them; with no bound every topology is admitted.
+    The pairs of one first index i that follow each other share one int row
+    per kernel: a group of ``SPREAD_GROUP`` or more spreads them to a byte
+    per place and adds them, kernel k's at bit k, so the word of (i, j) is
+    the byte at the place of j; a smaller group reads each pair's bits from
+    them.  The implication chain of ``axiom_profile`` is asserted on every
+    distinct word, and only a word that breaks it builds a space, to name
+    its pair.
     """
-    gts = gts_on(n)
-    position = {index: k for k, index in enumerate(_admitted(n, max_open_sets))}
+    position = _admitted(n, max_open_sets)
     columns = [(kernel, _kernel_column(n, kernel, max_open_sets)) for kernel in WORD_KERNELS]
     seen: set[int] = set()
     count = len(position)
@@ -562,6 +560,7 @@ def verdict_words(n: int, pairs, max_open_sets: int | None = None):
         for j, word in zip(seconds, words):
             if word not in seen:
                 if chain_break(word):
+                    gts = gts_on(n)
                     check_implication_chain(word, GbtSpace(gts[i].ground, gts[i], gts[j]))
                 seen.add(word)
             yield word
@@ -573,53 +572,61 @@ def _profile_texts() -> tuple[str, ...]:
     return tuple(_compact(word_verdicts(word)) for word in range(1 << len(WORD_KERNELS)))
 
 
+def _label_texts(n: int, indices) -> dict[int, str]:
+    """Each index of ``indices`` on n points to the JSON text of the labels of
+    its nonempty opens, as a space file lists them: one text per subset mask,
+    joined over the topology's masks (``gt_mask_families``)."""
+    subsets = [_compact(ground(n).labels(m)) for m in range(1 << n)]
+    families = gt_mask_families(n)
+    return {i: "[" + ",".join(map(subsets.__getitem__, families[i][1:])) + "]" for i in indices}
+
+
 def _census_lines(n: int, max_open_sets: int | None = None):
-    """A function giving the census log line of the pair (i, j) of admitted
-    topologies with verdict word ``word``.
+    """A function giving the census log lines of index pairs (i, j) of
+    admitted topologies, with their verdict words, as a list.
 
-    A line is assembled from JSON fragments made once: each admitted
-    topology's key hex and ``open_labels`` and each word's profile.  It is
-    byte-identical to ``_dump`` of the record with the pair's
-    ``canonical_index_key``, its space (points, then each topology's
-    ``open_labels``) and ``word_verdicts(word)``; a topology the bound does
-    not admit raises KeyError.
+    A line is five JSON fragments made once: the key head of i (byte n and
+    i's key part), the key part of j, the word's profile, the labels of i
+    as ``"mu1"`` and the ``"mu2"`` and ``"points"`` tail of j; its bytes are
+    those of ``_dump`` of the record with the pair's ``canonical_index_key``,
+    its space (``space_to_data``) and ``word_verdicts(word)``; a topology
+    the bound does not admit raises KeyError.
     """
-    gts = gts_on(n)
-    size = bytes([n]).hex()
-    keys = list(key_part_hexes(n))
-    labels = {i: _compact(gts[i].open_labels) for i in _admitted(n, max_open_sets)}
-    points = _compact(gts[0].ground.names)
-    profiles = _profile_texts()
+    keys, head = list(key_part_hexes(n)), f'{{"key":"{n:02x}'
+    heads = [head + key for key in keys]
+    seconds = [key + '","profile":' for key in keys]
+    profiles = [text + ',"space":{"mu1":' for text in _profile_texts()]
+    labels = _label_texts(n, _admitted(n, max_open_sets))
+    tail = ',"points":' + _compact(ground(n).names) + "}}\n"
+    tails = {i: ',"mu2":' + text + tail for i, text in labels.items()}
 
-    def line(i: int, j: int, word: int) -> str:
-        return (
-            f'{{"key":"{size}{keys[i]}{keys[j]}","profile":{profiles[word]},'
-            f'"space":{{"mu1":{labels[i]},"mu2":{labels[j]},"points":{points}}}}}\n'
-        )
+    def lines(pairs, words) -> list[str]:
+        return [f"{heads[i]}{seconds[j]}{profiles[w]}{labels[i]}{tails[j]}" for (i, j), w in zip(pairs, words)]
 
-    return line
+    return lines
 
 
-def _census_words(n: int, line, pairs, lines, where):
+def _census_words(n: int, lines, pairs, runs, where):
     """The verdict word of each census record line, read without decoding it.
 
     The profile text gives the word, from a map of the profiles of the
     words that keep the implication chain (``chain_break``); the k-th line
-    must then be byte-identical to ``line(*pairs[k], word)``, the census's
-    own line (``_census_lines``) for the k-th pair of its list, so a line
-    that the census would not have written there raises ValueError.
+    must then be byte-identical to the census's own line (``_census_lines``)
+    for the k-th pair of its list and that word, else ValueError names it.
+    A run of lines is compared at once, and one by one only if it differs.
     """
     words = {text: word for word, text in enumerate(_profile_texts()) if chain_break(word) is None}
     start = len('{"key":"00","profile":') + 4 * key_width(n)  # after the size byte and both key parts
-    for k, text in enumerate(lines):
-        try:
-            word = words[text[start : text.index("}", start) + 1]]
-            known = text == line(*pairs[k], word)
-        except (KeyError, ValueError, IndexError):
-            known = False
-        if not known:
-            raise ValueError(f"{where}: not a record of this census: {text.rstrip()!r}")
-        yield word
+    k = 0
+    for run in runs:
+        found = [words.get(line[start : line.find("}", start) + 1]) for line in run]
+        expected = pairs[k : k + len(run)]
+        if None in found or len(expected) < len(run) or lines(expected, found) != run:
+            for line, word, pair in zip_longest(run, found, expected):
+                if word is None or pair is None or [line] != lines([pair], [word]):
+                    raise ValueError(f"{where}: not a record of this census: {line.rstrip()!r}")
+        k += len(run)
+        yield from found
 
 
 def census(
@@ -637,9 +644,9 @@ def census(
     for a total one.  For n <= 3 the row also carries the
     orbit-stabilizer check of the canonical pair count.
 
-    Verdicts come from ``verdict_words`` and each logged key from
-    ``canonical_index_key``; a logged space lists each topology's cached
-    ``open_labels``.  Their oracles are ``axiom_profile``,
+    Verdicts come from ``verdict_words``, each logged key from
+    ``canonical_index_key`` and each topology's labels from its open masks
+    (``_census_lines``).  Their oracles are ``axiom_profile``,
     ``canonical_key`` and ``space_to_data``, which the tests compare.
     """
     check_symmetry(symmetry)
@@ -655,13 +662,13 @@ def census(
     among = None if max_open_sets is None else sum(1 << i for i in admitted)
     pairs = list(canonical_pair_indices(n, symmetry, among))
 
-    line = _census_lines(n, max_open_sets)
-    word_counts = Counter(_census_words(n, line, pairs, log.replay(), resume_path))
+    lines = _census_lines(n, max_open_sets)
+    word_counts = Counter(_census_words(n, lines, pairs, log.replay(), resume_path))
     with log:
         for _, index, block in _block_walk([(n, len(pairs))], log.done, lambda _, lo, hi: pairs[lo:hi]):
             words = list(verdict_words(n, block, max_open_sets))
             word_counts.update(words)
-            log.lines(line(i, j, word) for (i, j), word in zip(block, words))
+            log.lines(lines, block, words)
             log.block(n, index, len(block))
     axiom_counts: Counter[str] = Counter()
     for word, count in word_counts.items():

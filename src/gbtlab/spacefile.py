@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .gbt import GbtSpace
-from .gt import GeneralizedTopology, complete_unions, validate_gt
+from .gt import complete_unions, validate_gt
 from .sets import GroundSetError, ground, parse_subset
 
 SCHEMA_KEYS = ("points", "mu1", "mu2")
@@ -23,10 +23,8 @@ class SpaceFileError(ValueError):
 
 
 def space_to_data(s: GbtSpace) -> dict:
-    def family(t: GeneralizedTopology) -> list[list[str]]:
-        return list(map(list, t.open_labels))
-
-    return {"points": list(s.ground.names), "mu1": family(s.mu1), "mu2": family(s.mu2)}
+    mu1, mu2 = ([list(s.ground.labels(m)) for m in t.opens if m] for t in (s.mu1, s.mu2))
+    return {"points": list(s.ground.names), "mu1": mu1, "mu2": mu2}
 
 
 def _family_from_data(g, raw, key: str) -> list[int]:

@@ -374,7 +374,7 @@ def _non_canonical(lines, k):
     """Line k replaced by the line of the pair (0, 2), which is not canonical
     under ``perm``, with its true verdicts."""
     assert canonical_index_pair(3, 0, 2, "perm") != (0, 2)
-    return [*lines[:k], _census_lines(3)(0, 2, next(verdict_words(3, [(0, 2)]))), *lines[k + 1 :]]
+    return [*lines[:k], *_census_lines(3)([(0, 2)], list(verdict_words(3, [(0, 2)]))), *lines[k + 1 :]]
 
 
 @pytest.mark.parametrize(

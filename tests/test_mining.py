@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import json
 import random
+import re
+import signal
 from collections import Counter
 from concurrent.futures import Future
 from functools import lru_cache
@@ -12,7 +14,7 @@ from operator import itemgetter
 
 import pytest
 
-from gbtlab import axioms, mining
+from gbtlab import axioms, enumeration, mining
 from gbtlab import lattice as lattice_module
 from gbtlab.axioms import (
     AXIOM_BITS,
@@ -39,9 +41,39 @@ from gbtlab.mining import (
     verdict_words,
 )
 from gbtlab.gbt import GbtSpace, is_pairwise_lambda_closed, is_wedge12_set
+from gbtlab.gt import GeneralizedTopology
 from gbtlab.sets import family_of
 from gbtlab.spacefile import space_to_data
 from oracles import scan_hits_by_rows
+
+
+# First in the file, so that a block scan that never ends fails here, within
+# a second, before any other test scans.
+@pytest.mark.parametrize(
+    "antecedents, consequent, count",
+    [(("T1_2",), "T1", 1766), ((), "T0", 213)],  # a query without antecedents masks no row
+)
+def test_a_block_scan_ends_with_its_hits(antecedents, consequent, count):
+    """Block 7 of two four-point queries, one of them hit-heavy: the scan
+    must stop within one second (an alarm raises in it otherwise) with the
+    hits of the per-row reference scan."""
+    query, n = MiningQuery(antecedents, consequent, n_max=4), 4
+    kernels = (*(PAIR_KERNELS[a] for a in antecedents), PAIR_KERNELS[consequent])
+    columns = {k: mining._kernel_column(n, k) for k in kernels}  # built before the alarm
+    lo, hi = mining._blocks(len(gts_on(n)))[7]
+
+    def alarm(signum, frame):
+        raise TimeoutError("the block scan ran past one second")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        hits, checked = mining._scan_block(n, lo, hi, query)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert hits == scan_hits_by_rows(columns, kernels[:-1], kernels[-1], lo, hi, True)
+    assert (len(hits), checked) == (count, mining._block_pairs(n, lo, hi, True))
 
 
 def test_query_validation():
@@ -399,19 +431,55 @@ def test_a_bounded_census_builds_signatures_of_admitted_topologies_only(monkeypa
 @pytest.mark.parametrize("symmetry", ["perm", "perm+swap"])
 def test_census_lines_equal_the_dumped_records(symmetry):
     """Every census record up to three points, assembled from fragments,
-    against ``_dump`` of the record built by the per-space oracles."""
+    against ``_dump`` of the record built by the per-space oracles: each
+    line on its own, and all of a level's lines at once."""
     for n in (1, 2, 3):
         gts = gts_on(n)
-        line = mining._census_lines(n)
+        lines = mining._census_lines(n)
         pairs = list(canonical_pair_indices(n, symmetry))
-        for (i, j), word in zip(pairs, verdict_words(n, pairs), strict=True):
+        words = list(verdict_words(n, pairs))
+        dumped = []
+        for (i, j), word in zip(pairs, words, strict=True):
             space = GbtSpace(gts[i].ground, gts[i], gts[j])
             record = {
                 "key": canonical_key(space, symmetry).hex(),
                 "space": space_to_data(space),
                 "profile": axiom_profile(space).as_dict(),
             }
-            assert line(i, j, word) == mining._dump(record), (n, i, j)
+            dumped.append(mining._dump(record))
+            assert lines([(i, j)], [word]) == dumped[-1:], (n, i, j)
+        assert lines(pairs, words) == dumped
+
+
+def test_label_texts_are_the_families_of_the_space_files():
+    """The labels of each topology up to four points (2,480 at n = 4), as the
+    census logs them, against the ``"mu1"`` text of ``space_to_data``."""
+    for n in (1, 2, 3, 4):
+        gts = gts_on(n)
+        texts = mining._label_texts(n, range(len(gts)))
+        assert len(texts) == len(gts)
+        for i, t in enumerate(gts):
+            assert texts[i] == mining._compact(space_to_data(GbtSpace(t.ground, t, t))["mu1"]), t
+
+
+def test_a_census_and_its_resume_build_no_topology(tmp_path, monkeypatch):
+    """With ``gts_on`` and the topology constructor made to raise (and fresh
+    caches), a census that keeps the implication chain writes the pinned
+    n = 3 log and its row, and a resume of that log gives the same row."""
+    row = census(3)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a topology was built")
+
+    for module in (mining, enumeration):
+        monkeypatch.setattr(module, "gts_on", built)
+    monkeypatch.setattr(GeneralizedTopology, "__init__", built)
+    for cached in ("_admitted", "_tables", "_kernel_column"):
+        monkeypatch.setattr(mining, cached, lru_cache(maxsize=None)(getattr(mining, cached).__wrapped__))
+    log = tmp_path / "census.ndjson"
+    assert census(3, log_path=log) == row
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == CENSUS_N3_LOG_SHA256
+    assert census(3, resume_path=log) == row
 
 
 def test_a_word_that_breaks_the_implication_chain_is_an_error(monkeypatch):
@@ -568,11 +636,31 @@ def test_a_bounded_census_resume_refuses_a_pair_outside_the_bound(tmp_path):
     admitted = {i for i, t in enumerate(gts_on(3)) if len(t.opens) - 1 <= 2}
     pair = next(p for p in canonical_pair_indices(3, "perm") if not set(p) <= admitted)
     k = next(k for k in range(len(lines) // 2, len(lines)) if '"key"' in lines[k])
-    lines[k] = mining._census_lines(3)(*pair, next(verdict_words(3, [pair])))
+    [lines[k]] = mining._census_lines(3)([pair], list(verdict_words(3, [pair])))
     log.write_text("".join(lines))
     with pytest.raises(ValueError, match="not a record of this census"):
         census(3, max_open_sets=2, resume_path=log)
     assert row.labeled_gt_count == len(admitted)
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+@pytest.mark.parametrize("block", [0, 14, 30])
+def test_a_census_resume_names_a_changed_line_at_either_end_of_a_block(tmp_path, block, end):
+    """The record lines of a block are compared as one run; a line respaced
+    into JSON the census never writes, at the first or the last record of
+    the block, is refused by name."""
+    log = tmp_path / "census.ndjson"
+    census(3, log_path=log)
+    lines = log.read_text().splitlines(keepends=True)
+    ends = [0] + [k for k, line in enumerate(lines) if line.startswith('{"block":')]  # the header, then blocks
+    k = ends[block] + 1 if end == "first" else ends[block + 1] - 1
+    changed = re.sub(r'"T0":(true|false)', r'"T0": \1', lines[k])
+    assert changed != lines[k] and json.loads(changed) == json.loads(lines[k])
+    lines[k] = changed
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError) as refused:
+        census(3, resume_path=log)
+    assert str(refused.value) == f"{log}: not a record of this census: {changed.rstrip()!r}"
 
 
 @pytest.mark.parametrize(
